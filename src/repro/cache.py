@@ -75,7 +75,9 @@ __all__ = [
 #: Bump when the on-disk layout or pickled payload shape changes.
 #: v2: diff entries may carry localization-replay fields ("localized",
 #: "provenance", "replay") and stats() reports localized entry counts.
-CACHE_SCHEMA_VERSION = 2
+#: v3: diff entries keep their insertion key order (v2 sorted keys, so
+#: replayed differences printed their fields in a different order).
+CACHE_SCHEMA_VERSION = 3
 
 CACHE_DIR_ENV = "CAMPION_CACHE_DIR"
 
@@ -240,9 +242,9 @@ class ArtifactCache:
             "key": repr(key),
             "entry": entry,
         }
-        self._write_atomic(
-            path, json.dumps(payload, sort_keys=True).encode("utf-8")
-        )
+        # Insertion order, not sorted keys: replay rebuilds differences
+        # from the stored dicts, so their key order reaches the report.
+        self._write_atomic(path, json.dumps(payload).encode("utf-8"))
         self._evict(_DIFFS)
 
     # -- maintenance ---------------------------------------------------------

@@ -14,11 +14,20 @@ denoting address sets).  An element type must supply:
 * ``contains(a, b)`` — set containment of denoted sets,
 * ``intersect(a, b)`` — the denoted intersection as another element, or
   ``None`` when empty (prefix ranges and prefixes are both closed under
-  nonempty intersection, which property (3) of the paper requires).
+  nonempty intersection, which property (3) of the paper requires),
+* ``anchor(a)`` — the address prefix the element hangs off, which the
+  build indexes on (see :class:`RangeAlgebra`).
+
+Both the closure and the edge computation look up, for each label, only
+the labels anchored on the ≤33 prefixes along its anchor's ancestor
+chain, so building the DAG costs about the vocabulary size times its
+nesting depth instead of the square of the vocabulary size.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -43,11 +52,21 @@ ElementT = TypeVar("ElementT", bound=Hashable)
 
 @dataclass(frozen=True)
 class RangeAlgebra(Generic[ElementT]):
-    """The operations the DAG needs from its element type."""
+    """The operations the DAG needs from its element type.
+
+    ``anchor`` maps an element to its *anchor prefix*: the element
+    itself for a :class:`~repro.model.types.Prefix`, ``.prefix`` for a
+    :class:`~repro.model.types.PrefixRange`.  The DAG build relies on
+    the anchor-nesting invariant both algebras satisfy:
+
+    * ``contains(a, b)`` implies ``anchor(a)`` contains ``anchor(b)``;
+    * a nonempty ``intersect(a, b)`` implies the two anchors are nested.
+    """
 
     universe: ElementT
     contains: Callable[[ElementT, ElementT], bool]
     intersect: Callable[[ElementT, ElementT], Optional[ElementT]]
+    anchor: Callable[[ElementT], Prefix]
 
 
 def prefix_range_algebra() -> RangeAlgebra[PrefixRange]:
@@ -56,6 +75,7 @@ def prefix_range_algebra() -> RangeAlgebra[PrefixRange]:
         universe=PrefixRange.universe(),
         contains=lambda a, b: a.contains_range(b),
         intersect=lambda a, b: a.intersect(b),
+        anchor=lambda a: a.prefix,
     )
 
 
@@ -73,6 +93,7 @@ def address_prefix_algebra() -> RangeAlgebra[Prefix]:
         universe=Prefix(0, 0),
         contains=lambda a, b: a.contains_prefix(b),
         intersect=_prefix_intersect,
+        anchor=lambda a: a,
     )
 
 
@@ -124,26 +145,79 @@ class DdnfDag(Generic[ElementT]):
         return order
 
 
+#: Netmask per prefix length, for walking an anchor's ancestor chain.
+_MASKS = tuple(
+    (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF for length in range(33)
+)
+
+#: A bucket key: the anchor prefix as ``(network, length)``.
+_AnchorKey = Tuple[int, int]
+
+
+def _anchor_key(anchor: Prefix) -> _AnchorKey:
+    return anchor.network, anchor.length
+
+
+def _chain(key: _AnchorKey) -> List[_AnchorKey]:
+    """``key`` and every prefix containing it, shortest first."""
+    network, length = key
+    return [(network & _MASKS[depth], depth) for depth in range(length + 1)]
+
+
+def _bucket_by_anchor(
+    labels, algebra: RangeAlgebra[ElementT]
+) -> Dict[_AnchorKey, List[ElementT]]:
+    buckets: Dict[_AnchorKey, List[ElementT]] = {}
+    for label in labels:
+        buckets.setdefault(_anchor_key(algebra.anchor(label)), []).append(label)
+    return buckets
+
+
 def close_under_intersection(
     ranges: Sequence[ElementT], algebra: RangeAlgebra[ElementT]
 ) -> List[ElementT]:
     """The input ranges plus the universe, closed under intersection.
 
-    For prefix-structured elements the intersection of two elements is
-    one of them or empty unless one contains the other, so closure
-    converges after a single pairwise pass; we iterate to a fixpoint
-    anyway to stay correct for any conforming algebra.
+    Labels are bucketed by anchor and the buckets closed shallowest
+    anchor first.  Two labels can only meet when their anchors nest,
+    and a meet lies inside both operands, so its anchor is at least as
+    deep as the deeper operand's.  When a bucket's turn comes, every
+    bucket on its anchor's ancestor chain is therefore final: each of
+    its labels meets those buckets' labels and the earlier labels of
+    its own bucket, and every new meet lands in this bucket (and is
+    processed in turn) or in a deeper one still to come.  Iterating to
+    the fixpoint keeps this exact for multi-way meets such as
+    ``(a ∩ b) ∩ c`` of prefix ranges.
     """
     closed: Set[ElementT] = set(ranges)
     closed.add(algebra.universe)
-    worklist: List[ElementT] = list(closed)
-    while worklist:
-        current = worklist.pop()
-        for other in list(closed):
-            meet = algebra.intersect(current, other)
-            if meet is not None and meet not in closed:
+    buckets = _bucket_by_anchor(closed, algebra)
+    pending = [(length, network) for network, length in buckets]
+    heapq.heapify(pending)
+    while pending:
+        length, network = heapq.heappop(pending)
+        key = (network, length)
+        bucket = buckets[key]
+        above = [
+            label
+            for ancestor in _chain(key)[:-1]
+            for label in buckets.get(ancestor, ())
+        ]
+        index = 0
+        while index < len(bucket):  # grows as meets land in this bucket
+            current = bucket[index]
+            for other in itertools.chain(above, bucket[:index]):
+                meet = algebra.intersect(current, other)
+                if meet is None or meet in closed:
+                    continue
                 closed.add(meet)
-                worklist.append(meet)
+                meet_key = _anchor_key(algebra.anchor(meet))
+                if meet_key in buckets:
+                    buckets[meet_key].append(meet)
+                else:
+                    buckets[meet_key] = [meet]
+                    heapq.heappush(pending, (meet_key[1], meet_key[0]))
+            index += 1
     return sorted(closed)  # deterministic construction order
 
 
@@ -162,27 +236,29 @@ def _dag_from_labels(
     nodes: Dict[ElementT, DdnfNode[ElementT]] = {
         label: DdnfNode(label) for label in labels
     }
+    buckets = _bucket_by_anchor(labels, algebra)
 
-    # strict_supersets[x] = labels strictly containing x.
-    strict_supersets: Dict[ElementT, List[ElementT]] = {label: [] for label in labels}
-    for outer in labels:
-        for inner in labels:
-            if outer != inner and algebra.contains(outer, inner):
-                strict_supersets[inner].append(outer)
+    # strict_supersets[x] = labels strictly containing x, all of which
+    # are anchored on x's anchor chain.
+    strict_supersets: Dict[ElementT, List[ElementT]] = {
+        inner: [
+            outer
+            for key in _chain(_anchor_key(algebra.anchor(inner)))
+            for outer in buckets.get(key, ())
+            if outer != inner and algebra.contains(outer, inner)
+        ]
+        for inner in labels
+    }
 
-    # Edge (m, n) iff m strictly contains n with no label strictly between.
+    # Edge (m, n) iff m strictly contains n with no label strictly
+    # between: m is not itself a strict superset of another of n's.
     for inner in labels:
         supersets = strict_supersets[inner]
+        not_immediate: Set[ElementT] = set()
+        for middle in supersets:
+            not_immediate.update(strict_supersets[middle])
         for parent in supersets:
-            immediate = True
-            for middle in supersets:
-                if middle == parent:
-                    continue
-                if algebra.contains(parent, middle):
-                    # parent > middle > inner, so parent is not immediate.
-                    immediate = False
-                    break
-            if immediate:
+            if parent not in not_immediate:
                 nodes[parent].children.append(nodes[inner])
 
     root = nodes[algebra.universe]

@@ -162,16 +162,17 @@ def localize_acl_differences(
     DAG atom decompositions are built once for the pair and shared
     across every difference — see :class:`LocalizeSession`.
     """
-    vocabulary_src: List[Prefix] = []
-    vocabulary_dst: List[Prefix] = []
+    # Dicts as insertion-ordered sets: first occurrences keep their order.
+    vocabulary_src: Dict[Prefix, None] = {}
+    vocabulary_dst: Dict[Prefix, None] = {}
     for acl in (acl1, acl2):
         for line in acl.lines:
             src_prefix = line.src.as_prefix()
             dst_prefix = line.dst.as_prefix()
-            if src_prefix is not None and src_prefix not in vocabulary_src:
-                vocabulary_src.append(src_prefix)
-            if dst_prefix is not None and dst_prefix not in vocabulary_dst:
-                vocabulary_dst.append(dst_prefix)
+            if src_prefix is not None:
+                vocabulary_src.setdefault(src_prefix)
+            if dst_prefix is not None:
+                vocabulary_dst.setdefault(dst_prefix)
 
     session = LocalizeSession(backend=backend)
     dimensions = []
@@ -183,7 +184,7 @@ def localize_acl_differences(
         drop = [
             index for index in range(space.manager.num_vars) if index not in keep
         ]
-        dimensions.append((label, field, vocabulary, drop))
+        dimensions.append((label, field, list(vocabulary), drop))
 
     for difference in differences:
         _localize_acl(space, difference, dimensions, session)

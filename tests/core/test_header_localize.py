@@ -12,6 +12,7 @@ from repro.core import (
     HeaderLocalizeError,
     MatchTerm,
     build_dag,
+    compute_dag_atoms,
     flatten_terms,
     get_match,
     header_localize,
@@ -254,6 +255,104 @@ class TestHeaderLocalizeProperty:
                 piece = piece - space.range_pred(minus)
             rebuilt = rebuilt | piece
         assert rebuilt == affected
+
+
+def _full_scan(dag, atoms, affected):
+    """Reference classification: every remainder atom, in DFS preorder.
+
+    Returns ``(bits, None)``, or ``(None, node)`` for the first node
+    whose remainder straddles ``affected``.
+    """
+    bits = 0
+    for node in dag.topological():
+        remainder = atoms.remainders.get(node.label)
+        if remainder is None:
+            continue
+        if remainder.implies(affected):
+            bits |= atoms.remainder_bits[node.label]
+        elif remainder.intersects(affected):
+            return None, node
+    return bits, None
+
+
+def _straddle_message(node):
+    where = "leaf" if node.is_leaf() else "remainder of"
+    return (
+        f"{where} {node.label} straddles the affected set; "
+        "the range vocabulary does not generate it"
+    )
+
+
+def _fold(space, ranges, operations):
+    affected = space.manager.false
+    for prefix_range, operation in zip(ranges, operations):
+        predicate = space.range_pred(prefix_range)
+        if operation == "or":
+            affected = affected | predicate
+        elif operation == "diff":
+            affected = affected - predicate
+        elif operation == "and":
+            affected = affected & predicate
+    return affected
+
+
+class TestPrunedClassify:
+    """``DagAtoms.classify`` skips subtrees that are disjoint from or
+    inside the affected set; it must agree with a scan of every atom."""
+
+    def _assert_matches_full_scan(self, space, vocabulary, affected):
+        dag = build_dag(vocabulary, prefix_range_algebra())
+        atoms = compute_dag_atoms(dag, space.range_pred)
+        bits, straddler = _full_scan(dag, atoms, affected)
+        if straddler is None:
+            assert atoms.classify(affected) == bits
+        else:
+            with pytest.raises(HeaderLocalizeError) as raised:
+                atoms.classify(affected)
+            assert str(raised.value) == _straddle_message(straddler)
+        return straddler
+
+    @given(vocabulary_and_set())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_sets(self, data):
+        ranges, operations = data
+        space = RouteSpace([])
+        straddler = self._assert_matches_full_scan(
+            space, ranges, _fold(space, ranges, operations)
+        )
+        assert straddler is None  # the vocabulary generates the set
+
+    @given(vocabulary_and_set(), vocabulary_and_set())
+    @settings(max_examples=60, deadline=None)
+    def test_foreign_sets(self, vocabulary_data, foreign_data):
+        """Sets built partly from ranges outside the vocabulary: the
+        same bits, or the same error at the same node."""
+        vocabulary, operations = vocabulary_data
+        foreign, foreign_operations = foreign_data
+        space = RouteSpace([])
+        affected = _fold(
+            space, vocabulary + foreign, operations + foreign_operations
+        )
+        self._assert_matches_full_scan(space, vocabulary, affected)
+
+    def test_straddle_reports_first_preorder_node(self, space):
+        # Both /9 leaves straddle; the error names the first in preorder.
+        vocabulary = [
+            _range("10.0.0.0/8 : 8-32"),
+            _range("10.128.0.0/9 : 9-32"),
+            _range("10.0.0.0/9 : 9-32"),
+            _range("11.0.0.0/8 : 8-32"),
+        ]
+        affected = space.manager.disjoin(
+            space.range_pred(_range(text))
+            for text in (
+                "10.64.0.0/10 : 10-32",
+                "10.192.0.0/10 : 10-32",
+                "11.0.0.0/8 : 8-32",
+            )
+        )
+        straddler = self._assert_matches_full_scan(space, vocabulary, affected)
+        assert straddler.label == _range("10.0.0.0/9 : 9-32")
 
 
 class TestFlatTermMinimality:

@@ -189,6 +189,58 @@ class TestExitCodes:
         assert "ghost" in capsys.readouterr().err
 
 
+class TestWarmCacheBytes:
+    """A warm run replays cached localized differences; its ``--json``
+    stdout must be byte-identical to the cold run's, key order included.
+    The workloads have localized outliers: a fleet without differences
+    replays nothing and cannot show key-order drift."""
+
+    def _cold_and_warm(self, argv, cache_dir, capsys):
+        outputs = []
+        for _ in range(2):
+            main(["--cache-dir", str(cache_dir)] + argv + ["--json"])
+            captured = capsys.readouterr()
+            outputs.append(captured.out)
+        assert "misses=0" in captured.err  # the second run was warm
+        return outputs
+
+    def test_fleet_with_outliers(self, tmp_path, capsys, monkeypatch):
+        from repro.workloads import datacenter
+
+        texts = {}
+        monkeypatch.setattr(
+            datacenter,
+            "parse_cisco",
+            lambda text, filename, *args, **kwargs: texts.setdefault(filename, text),
+        )
+        datacenter.parameterized_clos_fleet(count=6, roles=3, rule_count=6)
+        monkeypatch.undo()
+        paths = []
+        for filename, text in texts.items():
+            path = tmp_path / filename
+            path.write_text(text)
+            paths.append(str(path))
+        cold, warm = self._cold_and_warm(
+            ["fleet"] + paths, tmp_path / "cache", capsys
+        )
+        assert '"extra_localizations"' in cold
+        assert cold == warm
+
+    def test_acl_pair(self, tmp_path, capsys):
+        from repro.workloads.acl_gen import generate_acl_pair
+
+        pair = generate_acl_pair(rule_count=20, differences=2, seed=0)
+        cisco = tmp_path / "cisco-gw.cfg"
+        juniper = tmp_path / "juniper-gw.cfg"
+        cisco.write_text(pair.cisco_text)
+        juniper.write_text(pair.juniper_text)
+        cold, warm = self._cold_and_warm(
+            ["compare", str(cisco), str(juniper)], tmp_path / "cache", capsys
+        )
+        assert '"extra_localizations"' in cold
+        assert cold == warm
+
+
 class TestTranslate:
     def test_translate_verified(self, tmp_path, capsys):
         from repro.workloads.datacenter import _cisco_tor
