@@ -19,8 +19,9 @@ rest of the serialized report (schema v4 carries it).
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..model.device import DeviceConfig
 from ..model.types import SourceSpan
@@ -110,23 +111,58 @@ class DeviceCoverage:
         return "; ".join(parts)
 
 
-def _walk_spans(value: object) -> Iterable[SourceSpan]:
-    """Every non-empty SourceSpan reachable from a model object."""
-    if isinstance(value, SourceSpan):
-        if not value.is_empty():
-            yield value
-        return
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        for field in dataclasses.fields(value):
-            yield from _walk_spans(getattr(value, field.name))
-        return
-    if isinstance(value, dict):
-        for item in value.values():
-            yield from _walk_spans(item)
-        return
-    if isinstance(value, (list, tuple, set, frozenset)):
-        for item in value:
-            yield from _walk_spans(item)
+#: Marks SourceSpan types in ``_CHILDREN``.
+_SPAN = object()
+
+#: type -> how the span walk reaches an instance's children: ``_SPAN``,
+#: a function returning the children in visit order, or ``None`` for
+#: types with nothing to descend into (str, int, enums, ...).
+_CHILDREN: Dict[type, object] = {}
+
+
+def _children_of(cls: type) -> object:
+    """The ``_CHILDREN`` entry for ``cls``, computed once per type."""
+    if issubclass(cls, SourceSpan):
+        return _SPAN
+    if dataclasses.is_dataclass(cls):
+        names = tuple(field.name for field in dataclasses.fields(cls))
+        if len(names) == 1:
+            getter = operator.attrgetter(names[0])
+            return lambda value: (getter(value),)
+        return operator.attrgetter(*names) if names else None
+    if issubclass(cls, dict):
+        return operator.methodcaller("values")
+    if issubclass(cls, (list, tuple, set, frozenset)):
+        return iter
+    return None
+
+
+def _collect_spans(children, value: object, spans: List[SourceSpan]) -> None:
+    for item in children(value):
+        try:
+            step = _CHILDREN[type(item)]
+        except KeyError:
+            step = _CHILDREN[type(item)] = _children_of(type(item))
+        if step is None:
+            continue
+        if step is _SPAN:
+            if not item.is_empty():
+                spans.append(item)
+        else:
+            _collect_spans(step, item, spans)
+
+
+def _walk_spans(value: object) -> List[SourceSpan]:
+    """Every non-empty SourceSpan reachable from a model object.
+
+    Depth-first: dataclass fields in declaration order, dict values and
+    list/tuple/set items in iteration order.  The order is persisted:
+    :func:`~repro.core.replay.localization_provenance` hashes the spans
+    in it, so reordering the walk orphans every cached localized entry.
+    """
+    spans: List[SourceSpan] = []
+    _collect_spans(iter, (value,), spans)
+    return spans
 
 
 def _span_lines(span: SourceSpan, filename: str) -> Iterable[int]:
@@ -145,20 +181,12 @@ def policy_spans(device: DeviceConfig) -> List[Tuple[str, str, FrozenSet[int]]]:
     them too (they are where the operator must look).
     """
     result: List[Tuple[str, str, FrozenSet[int]]] = []
-    for name in sorted(device.acls):
-        lines = frozenset(
-            number
-            for span in _walk_spans(device.acls[name])
-            for number in _span_lines(span, device.filename)
-        )
-        result.append(("acl", name, lines))
-    for name in sorted(device.route_maps):
-        lines = frozenset(
-            number
-            for span in _walk_spans(device.route_maps[name])
-            for number in _span_lines(span, device.filename)
-        )
-        result.append(("route-map", name, lines))
+    for kind, policies in (("acl", device.acls), ("route-map", device.route_maps)):
+        for name in sorted(policies):
+            lines: Set[int] = set()
+            for span in _walk_spans(policies[name]):
+                lines.update(_span_lines(span, device.filename))
+            result.append((kind, name, frozenset(lines)))
     return result
 
 
@@ -168,37 +196,46 @@ _UNMATCHED_KINDS = {
 }
 
 
-def _touched(fleet_report, hostname: str, filename: str):
-    """Difference-touched lines + wholly-unmatched policies for a device.
+def _touched(
+    devices_by_name: Dict[str, DeviceConfig], fleet_report
+) -> Dict[str, Tuple[Set[int], Set[Tuple[str, str]]]]:
+    """Per device: difference-touched lines + wholly-unmatched policies.
 
-    The reference device appears as ``router1`` in every reference
-    report; each other device only in its own.  An unmatched policy
-    (present on one side only) has no differing-line pair to point at —
-    the policy's existence *is* the difference — so it is returned
-    separately and marks the whole policy exercised.
+    One pass over the reference reports.  The reference device appears
+    as ``router1`` in every one of them; each other device only in its
+    own.  An unmatched policy (present on one side only) has no
+    differing-line pair to point at — the policy's existence *is* the
+    difference — so it is returned separately and marks the whole
+    policy exercised.
     """
-    lines = set()
-    unmatched = set()
+    touched = {
+        hostname: (set(), set()) for hostname in fleet_report.hostnames
+    }
+    reference = fleet_report.reference
+    reference_file = devices_by_name[reference].filename
+    reference_lines, reference_unmatched = touched[reference]
     for other, report in fleet_report.reports.items():
-        if hostname == fleet_report.reference:
-            sides = [
-                (difference.class1.source, difference)
-                for difference in report.semantic
-            ] + [(difference.source1, difference) for difference in report.structural]
-        elif hostname == other:
-            sides = [
-                (difference.class2.source, difference)
-                for difference in report.semantic
-            ] + [(difference.source2, difference) for difference in report.structural]
-        else:
-            continue
-        for span, _ in sides:
-            lines.update(_span_lines(span, filename))
+        other_file = devices_by_name[other].filename
+        lines, unmatched = touched[other]
+        for difference in report.semantic:
+            reference_lines.update(
+                _span_lines(difference.class1.source, reference_file)
+            )
+            lines.update(_span_lines(difference.class2.source, other_file))
+        for difference in report.structural:
+            reference_lines.update(
+                _span_lines(difference.source1, reference_file)
+            )
+            lines.update(_span_lines(difference.source2, other_file))
         for policy in report.unmatched:
             kind = _UNMATCHED_KINDS.get(policy.kind)
-            if kind is not None and policy.present_on == hostname:
+            if kind is None:
+                continue
+            if policy.present_on == reference:
+                reference_unmatched.add((kind, policy.name))
+            elif policy.present_on == other:
                 unmatched.add((kind, policy.name))
-    return lines, unmatched
+    return touched
 
 
 def compute_fleet_coverage(
@@ -213,11 +250,11 @@ def compute_fleet_coverage(
     coverage unchanged too.
     """
     coverage: Dict[str, DeviceCoverage] = {}
+    touched_by_host = _touched(devices_by_name, fleet_report)
     for hostname in fleet_report.hostnames:
-        device = devices_by_name[hostname]
-        touched, unmatched = _touched(fleet_report, hostname, device.filename)
+        touched, unmatched = touched_by_host[hostname]
         policies = []
-        for kind, name, lines in policy_spans(device):
+        for kind, name, lines in policy_spans(devices_by_name[hostname]):
             if (kind, name) in unmatched:
                 exercised = tuple(sorted(lines))
             else:

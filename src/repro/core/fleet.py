@@ -461,7 +461,9 @@ def compare_fleet(
                 set_backend=set_backend,
             )
         total_pairs = len(hostnames) * (len(hostnames) - 1) // 2
-        if plan is not None and plan.mode == "near":
+        fallback: List[Tuple[str, str]] = []
+        if plan is not None:
+            # An exact plan has no replay keys, so nothing falls back.
             matrix, failed_pairs, fallback = plan.expand_near(
                 hostnames, dict(zip(pair_keys, outcomes))
             )
@@ -495,21 +497,8 @@ def compare_fleet(
                 classes=plan.class_count,
                 total_pairs=total_pairs,
                 analyzed_pairs=len(pair_keys) + len(fallback),
-                mode="near",
+                mode=plan.mode,
                 fallback_pairs=len(fallback),
-            )
-            perf.add(
-                "fleet.symmetry.pairs_expanded", symmetry.expanded_pairs
-            )
-        elif plan is not None:
-            matrix, failed_pairs = plan.expand(
-                hostnames, dict(zip(pair_keys, outcomes))
-            )
-            symmetry = SymmetryStats(
-                devices=len(hostnames),
-                classes=plan.class_count,
-                total_pairs=total_pairs,
-                analyzed_pairs=len(pair_keys),
             )
             perf.add(
                 "fleet.symmetry.pairs_expanded", symmetry.expanded_pairs
@@ -520,17 +509,19 @@ def compare_fleet(
                     matrix[key] = outcome.result
                 else:
                     failed_pairs[key] = outcome.describe()
-        survivors = {
-            hostname: [
-                count for pair, count in matrix.items() if hostname in pair
-            ]
-            for hostname in hostnames
-        }
+        survivors: Dict[str, List[int]] = {h: [] for h in hostnames}
+        for (first, second), count in matrix.items():
+            survivors[first].append(count)
+            survivors[second].append(count)
         candidates = [h for h in hostnames if survivors[h]]
         if not candidates:
+            analyzed = len(pair_keys) + len(fallback)
+            detail = f"{analyzed} analyzed of {total_pairs} fleet pairs"
+            if fallback:
+                detail += f", {len(fallback)} of them near-symmetry fallbacks"
             raise RuntimeError(
-                f"fleet comparison failed: all {len(pair_keys)} pairwise "
-                "comparisons failed"
+                f"fleet comparison failed: all {analyzed} pairwise "
+                f"comparisons failed ({detail})"
             )
         reference = _elect_medoid(candidates, survivors)
     elif reference not in by_name:

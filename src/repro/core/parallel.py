@@ -158,7 +158,7 @@ class SymmetryPlan:
     Built from the device-fingerprint equivalence classes
     (:func:`repro.model.fingerprint.partition_by_device_fingerprint`):
     only unordered pairs of class *representatives* are analyzed, and
-    every full-fleet pair is recovered by :meth:`expand` — intra-class
+    every full-fleet pair is recovered by :meth:`expand_near` — intra-class
     pairs are zero differences by the fingerprint soundness argument,
     cross-class pairs copy their representative pair's outcome.
     """
@@ -190,42 +190,6 @@ class SymmetryPlan:
             return len(self.template_classes)
         return len(self.members)
 
-    def pair_key(self, first: str, second: str) -> Tuple[str, str]:
-        """The representative pair standing in for ``(first, second)``."""
-        rep1 = self.representative[first]
-        rep2 = self.representative[second]
-        return (min(rep1, rep2), max(rep1, rep2))
-
-    def expand(
-        self,
-        hostnames: Sequence[str],
-        outcomes: Dict[Tuple[str, str], "PairOutcome"],
-    ) -> Tuple[Dict[Tuple[str, str], int], Dict[Tuple[str, str], str]]:
-        """The full ``(matrix, failed_pairs)`` from representative outcomes.
-
-        Same-class pairs expand to count 0 without consulting
-        ``outcomes`` at all; cross-class pairs take their representative
-        pair's count (or its failure cause, verbatim, so a failed
-        representative pair fails every pair it stands for — matching
-        what the uncompressed run would record for a deterministic
-        failure).
-        """
-        matrix: Dict[Tuple[str, str], int] = {}
-        failed: Dict[Tuple[str, str], str] = {}
-        ordered = sorted(hostnames)
-        for index, first in enumerate(ordered):
-            for second in ordered[index + 1 :]:
-                key = (first, second)
-                if self.representative[first] == self.representative[second]:
-                    matrix[key] = 0
-                    continue
-                outcome = outcomes[self.pair_key(first, second)]
-                if outcome.ok:
-                    matrix[key] = outcome.result
-                else:
-                    failed[key] = outcome.describe()
-        return matrix, failed
-
     def expand_near(
         self,
         hostnames: Sequence[str],
@@ -235,37 +199,56 @@ class SymmetryPlan:
         Dict[Tuple[str, str], str],
         List[Tuple[str, str]],
     ]:
-        """``(matrix, failed_pairs, fallback_pairs)`` for a near plan.
+        """The full ``(matrix, failed_pairs, fallback_pairs)``.
 
-        Intra-exact-class pairs are zero and exact-class members copy
-        their representative pair, as in :meth:`expand`; a
-        representative pair that replays *another* signature
-        representative takes that pair's count.  Failure is where near
-        mode diverges from exact: a failed analyzed pair fails only the
-        pairs that are content-identical to it (same exact
-        representatives) — its merely near-symmetric member pairs are
-        returned as ``fallback_pairs`` for concrete analysis, so one
-        targeted fault never poisons a whole template class.
+        Same-class pairs expand to count 0 without consulting
+        ``outcomes`` at all; cross-class pairs take their representative
+        pair's count (or its failure cause, verbatim, so a failed
+        representative pair fails every pair it stands for — matching
+        what the uncompressed run would record for a deterministic
+        failure).  In a near plan a representative pair that replays
+        *another* signature representative takes that pair's count, but
+        if that pair failed it is merely near-symmetric, not
+        content-identical: its fleet pairs are returned as
+        ``fallback_pairs`` for concrete analysis, so one targeted fault
+        never poisons a whole template class.  An exact plan has no
+        replay keys, so nothing falls back.
+
+        Each exact-representative pair's outcome is looked up once and
+        reused for every fleet pair it stands for.
         """
         matrix: Dict[Tuple[str, str], int] = {}
         failed: Dict[Tuple[str, str], str] = {}
         fallback: List[Tuple[str, str]] = []
         ordered = sorted(hostnames)
+        reps = [self.representative[hostname] for hostname in ordered]
+        # rep1 -> rep2 -> (matrix, count) | (failed, cause) | (None, None)
+        # for a fallback: each representative pair resolved once.
+        resolved: Dict[str, Dict[str, Tuple[Optional[dict], object]]] = {}
         for index, first in enumerate(ordered):
-            for second in ordered[index + 1 :]:
-                key = (first, second)
-                if self.representative[first] == self.representative[second]:
-                    matrix[key] = 0
+            rep1 = reps[index]
+            row = resolved.setdefault(rep1, {})
+            for second, rep2 in zip(ordered[index + 1 :], reps[index + 1 :]):
+                if rep1 == rep2:
+                    matrix[(first, second)] = 0
                     continue
-                rep_key = self.pair_key(first, second)
-                replay = self.replay_key.get(rep_key, rep_key)
-                outcome = outcomes[replay]
-                if outcome.ok:
-                    matrix[key] = outcome.result
-                elif rep_key == replay:
-                    failed[key] = outcome.describe()
+                verdict = row.get(rep2)
+                if verdict is None:
+                    rep_key = (rep1, rep2) if rep1 < rep2 else (rep2, rep1)
+                    replay = self.replay_key.get(rep_key, rep_key)
+                    outcome = outcomes[replay]
+                    if outcome.ok:
+                        verdict = (matrix, outcome.result)
+                    elif rep_key == replay:
+                        verdict = (failed, outcome.describe())
+                    else:
+                        verdict = (None, None)
+                    row[rep2] = verdict
+                target, value = verdict
+                if target is None:
+                    fallback.append((first, second))
                 else:
-                    fallback.append(key)
+                    target[(first, second)] = value
         return matrix, failed, fallback
 
 

@@ -668,8 +668,11 @@ def parameterized_clos_fleet(
     ``compare_fleet(compress="near")``.
 
     All devices are Cisco (template equality is per-vendor by
-    construction: vendors render different stanza structure).  Returns
-    the parsed fleet plus ``hostname -> role name``.
+    construction: vendors render different stanza structure).  Up to
+    1,000 devices: each gets its own /24 of uplinks and a /32 loopback,
+    250 devices per second-octet block, and the first 250 devices'
+    texts do not depend on ``count``.  Returns the parsed fleet plus
+    ``hostname -> role name``.
     """
     import random as _random
 
@@ -679,8 +682,8 @@ def parameterized_clos_fleet(
         raise ValueError("need 1 <= roles <= count")
     if acls < 1:
         raise ValueError("need at least one ACL per device")
-    if not 1 <= count <= 250:
-        raise ValueError("need 1 <= count <= 250 (per-device /24 octets)")
+    if not 1 <= count <= 1000:
+        raise ValueError("need 1 <= count <= 1000 (per-device /24 blocks)")
     acls = min(acls, rule_count)
     rng = _random.Random(seed)
 
@@ -707,8 +710,13 @@ def parameterized_clos_fleet(
         role_of[hostname] = f"role{role}"
         policies = role_policies[role]
         policy_names = [name for name, _ in policies]
-        octet = index + 1
-        loopback = f"10.255.{octet}.1"
+        # 250 devices per block: block 0 is 10.255.x.1 loopbacks and
+        # 10.200.x.0/24 uplinks, each later block steps both second
+        # octets down by one (loopbacks 10.252-255, uplinks 10.197-200).
+        block, slot = divmod(index, 250)
+        octet = slot + 1
+        loopback = f"10.{255 - block}.{octet}.1"
+        subnet = f"10.{200 - block}.{octet}"
         lines = [render_cisco_acls(hostname, policies).rstrip("\n")]
         lines.append("interface Loopback0")
         lines.append(f" ip address {loopback} 255.255.255.255")
@@ -717,8 +725,7 @@ def parameterized_clos_fleet(
             lines.append(f"interface Ethernet{uplink}")
             lines.append(f" description uplink{uplink}")
             lines.append(
-                f" ip address 10.200.{octet}.{4 * uplink + 1}"
-                " 255.255.255.252"
+                f" ip address {subnet}.{4 * uplink + 1} 255.255.255.252"
             )
             lines.append(
                 f" ip access-group {policy_names[uplink % len(policy_names)]} in"
@@ -727,14 +734,14 @@ def parameterized_clos_fleet(
         lines.append("router bgp 65000")
         lines.append(f" bgp router-id {loopback}")
         for uplink in range(uplinks):
-            peer = f"10.200.{octet}.{4 * uplink + 2}"
+            peer = f"{subnet}.{4 * uplink + 2}"
             lines.append(f" neighbor {peer} remote-as 64{uplink:03d}")
             lines.append(f" neighbor {peer} update-source {loopback}")
             lines.append(f" neighbor {peer} send-community")
         lines.append("!")
         lines.append("router ospf 1")
         lines.append(f" router-id {loopback}")
-        lines.append(f" network 10.200.{octet}.0 0.0.0.255 area 0")
+        lines.append(f" network {subnet}.0 0.0.0.255 area 0")
         lines.append("!")
         text = "\n".join(lines) + "\n"
         devices.append(parse_cisco(text, f"{hostname}.cfg"))

@@ -7,14 +7,20 @@ a pure function of the finished report plus the parsed devices, so it
 must be identical across compression, memoization, and worker knobs.
 """
 
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
-from repro.core import compare_fleet, fleet_report_to_dict
+from repro.core import compare_fleet, coverage as coverage_module
+from repro.core import fleet_report_to_dict
 from repro.core.coverage import compute_fleet_coverage, policy_spans
+from repro.core.replay import localization_provenance
+from repro.model.types import SourceSpan
 from repro.parsers import parse_cisco
 from repro.workloads.datacenter import gateway_fleet
+from repro.workloads.figure1 import figure1_devices
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +141,111 @@ class TestPolicySpans:
         )
         for _, _, lines in spans:
             assert lines, "every generated policy has source lines"
+
+
+def _reflective_walk(value):
+    """The generic reflective span walk, kept as the reference: it asks
+    ``dataclasses`` about every object it visits."""
+    if isinstance(value, SourceSpan):
+        if not value.is_empty():
+            yield value
+        return
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for field in dataclasses.fields(value):
+            yield from _reflective_walk(getattr(value, field.name))
+        return
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _reflective_walk(item)
+        return
+    if isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _reflective_walk(item)
+
+
+def _reflective_policy_spans(device):
+    return [
+        (
+            kind,
+            name,
+            frozenset(
+                number
+                for span in _reflective_walk(policies[name])
+                if span.filename == device.filename and span.start_line > 0
+                for number in range(span.start_line, span.end_line + 1)
+            ),
+        )
+        for kind, policies in (
+            ("acl", device.acls),
+            ("route-map", device.route_maps),
+        )
+        for name in sorted(policies)
+    ]
+
+
+class TestSpanWalker:
+    ACL_A = (
+        "hostname a\n!\n"
+        "ip access-list extended EDGE\n"
+        " permit tcp 10.0.0.0 0.0.0.255 any eq 80\n"
+        " permit udp 192.0.2.0 0.0.0.255 any eq 53\n"
+        " deny ip any any\n!\n"
+    )
+    ACL_B = (
+        "hostname b\n!\n"
+        "ip access-list extended EDGE\n"
+        " permit tcp 10.0.0.0 0.0.0.255 any eq 443\n"
+        " deny ip any any\n!\n"
+    )
+
+    def test_provenance_digests_are_pinned(self):
+        # Persisted localized cache entries are keyed by these digests,
+        # which hash the spans in walk order: a reordered walk must fail
+        # here rather than silently orphan every stored entry.
+        acl1 = parse_cisco(self.ACL_A, "a.cfg").acls["EDGE"]
+        acl2 = parse_cisco(self.ACL_B, "b.cfg").acls["EDGE"]
+        assert localization_provenance(
+            acl1, acl2, "ACL EDGE", "EDGE", "EDGE"
+        ) == "fdfa47dfea2f2e5375066695819ca58311bf394b107bfcf555d98e710e874662"
+        cisco, juniper = figure1_devices()
+        assert localization_provenance(
+            cisco.route_maps["POL"],
+            juniper.route_maps["POL"],
+            "BGP neighbor 10.255.0.1 out",
+            "POL",
+            "POL",
+        ) == "0c5c3dd6bc4db30389343ac10cc53db62af19286a8f5e3ba72bb165561ca4fa2"
+
+    def test_policy_spans_equal_reflective_walk(self, fleet):
+        devices, _, _ = fleet
+        for device in [*devices, *figure1_devices()]:
+            assert policy_spans(device) == _reflective_policy_spans(device)
+            for policy in [*device.acls.values(), *device.route_maps.values()]:
+                assert coverage_module._walk_spans(policy) == list(
+                    _reflective_walk(policy)
+                )
+
+    def test_fields_read_once_per_type_across_fleet_coverage(
+        self, fleet, monkeypatch
+    ):
+        devices, _, report = fleet
+        monkeypatch.setattr(coverage_module, "_CHILDREN", {})
+        calls = Counter()
+        real_fields = dataclasses.fields
+
+        def counting_fields(class_or_instance):
+            calls[
+                class_or_instance
+                if isinstance(class_or_instance, type)
+                else type(class_or_instance)
+            ] += 1
+            return real_fields(class_or_instance)
+
+        monkeypatch.setattr(dataclasses, "fields", counting_fields)
+        by_name = {device.hostname: device for device in devices}
+        compute_fleet_coverage(by_name, report)
+        assert calls, "the walk met no dataclass"
+        assert max(calls.values()) == 1, calls
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ randomized, shrunken fleets.
 """
 
 import json
+import random
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.core.near_symmetry import (
     replay_report_dict,
     verify_template_class,
 )
-from repro.core.parallel import PairOutcome
+from repro.core.parallel import PairOutcome, SymmetryPlan
 from repro.core.serialize import report_to_dict
 from repro.model.fingerprint import (
     TemplateHole,
@@ -223,6 +224,139 @@ class TestPlanNearPairs:
         assert failed == {} and fallback == []
         assert len(matrix) == 6
         assert set(matrix.values()) == {5}
+
+
+def _reference_expand_near(plan, hostnames, outcomes):
+    """The per-fleet-pair expansion loop, kept as the brute-force
+    reference: every pair recomputes its representative pair and
+    looks its outcome up again."""
+    matrix, failed, fallback = {}, {}, []
+    ordered = sorted(hostnames)
+    for index, first in enumerate(ordered):
+        for second in ordered[index + 1 :]:
+            key = (first, second)
+            rep1 = plan.representative[first]
+            rep2 = plan.representative[second]
+            if rep1 == rep2:
+                matrix[key] = 0
+                continue
+            rep_key = (min(rep1, rep2), max(rep1, rep2))
+            replay = plan.replay_key.get(rep_key, rep_key)
+            outcome = outcomes[replay]
+            if outcome.ok:
+                matrix[key] = outcome.result
+            elif rep_key == replay:
+                failed[key] = outcome.describe()
+            else:
+                fallback.append(key)
+    return matrix, failed, fallback
+
+
+def _random_outcome(rng, index):
+    roll = rng.random()
+    if roll < 0.5:
+        return PairOutcome(index, "ok", result=rng.randint(0, 9))
+    if roll < 0.7:
+        return PairOutcome(index, "error", error=f"injected {index}")
+    # a replayed (retried) outcome, healed or not
+    if roll < 0.85:
+        return PairOutcome(index, "ok", result=rng.randint(0, 9), retried=True)
+    return PairOutcome(index, "timeout", error="slow", retried=True)
+
+
+def _random_near_plan(rng):
+    """A near plan over random exact classes, with a random subset of
+    representative pairs analyzed and the rest replaying one of them."""
+    hostnames = [f"h{index:02d}" for index in range(rng.randint(2, 16))]
+    groups = []
+    for hostname in rng.sample(hostnames, len(hostnames)):
+        if groups and rng.random() < 0.35:
+            rng.choice(groups).append(hostname)
+        else:
+            groups.append([hostname])
+    representative, members = {}, {}
+    for group in groups:
+        group = tuple(sorted(group))
+        members[group[0]] = group
+        for hostname in group:
+            representative[hostname] = group[0]
+    reps = sorted(members)
+    rep_pairs = [
+        (first, second)
+        for index, first in enumerate(reps)
+        for second in reps[index + 1 :]
+    ]
+    analyzed = [pair for pair in rep_pairs if rng.random() < 0.3]
+    if rep_pairs and not analyzed:
+        analyzed = [rng.choice(rep_pairs)]
+    replay_key = {
+        pair: rng.choice(analyzed) for pair in rep_pairs if pair not in analyzed
+    }
+    plan = SymmetryPlan(
+        representative=representative,
+        members=members,
+        pair_keys=tuple(analyzed),
+        mode="near",
+        replay_key=replay_key,
+    )
+    outcomes = {
+        pair: _random_outcome(rng, index) for index, pair in enumerate(analyzed)
+    }
+    # input order must not matter either
+    return plan, rng.sample(hostnames, len(hostnames)), outcomes
+
+
+class TestExpandNearReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generated_plans_match_reference(self, seed):
+        plan, hostnames, outcomes = _random_near_plan(random.Random(seed))
+        matrix, failed, fallback = plan.expand_near(hostnames, outcomes)
+        ref_matrix, ref_failed, ref_fallback = _reference_expand_near(
+            plan, hostnames, outcomes
+        )
+        assert list(matrix.items()) == list(ref_matrix.items())
+        assert list(failed.items()) == list(ref_failed.items())
+        assert fallback == ref_fallback
+
+    def test_generated_plans_cover_every_branch(self):
+        seen = set()
+        for seed in range(40):
+            plan, hostnames, outcomes = _random_near_plan(random.Random(seed))
+            matrix, failed, fallback = plan.expand_near(hostnames, outcomes)
+            seen.update(
+                name
+                for name, present in (
+                    ("zero", 0 in matrix.values()),
+                    ("failed", failed),
+                    ("fallback", fallback),
+                    ("retried", any(o.retried for o in outcomes.values())),
+                )
+                if present
+            )
+        assert seen == {"zero", "failed", "fallback", "retried"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planned_fleet_matches_reference(self, seed):
+        devices, _ = parameterized_clos_fleet(
+            count=9, roles=3, rule_count=4, seed=seed
+        )
+        clone = devices[0]
+        devices.append(
+            parse_cisco(
+                "\n".join(clone.raw_lines).replace(clone.hostname, "pclosxx"),
+                "pclosxx.cfg",
+            )
+        )
+        plan, _ = plan_near_pairs(devices)
+        rng = random.Random(seed)
+        outcomes = {
+            pair: _random_outcome(rng, index)
+            for index, pair in enumerate(plan.pair_keys)
+        }
+        hostnames = [device.hostname for device in devices]
+        assert plan.expand_near(hostnames, outcomes) == _reference_expand_near(
+            plan, hostnames, outcomes
+        )
 
 
 class TestThreeModeByteIdentity:

@@ -75,26 +75,31 @@ class TestPlan:
     def test_expand_intra_class_pairs_to_zero_without_outcomes(self):
         plan = plan_representative_pairs({"f": ("a", "b", "c")})
         # No representative pair exists, so no outcome is ever consulted.
-        matrix, failed = plan.expand(["a", "b", "c"], {})
+        matrix, failed, fallback = plan.expand_near(["a", "b", "c"], {})
         assert matrix == {("a", "b"): 0, ("a", "c"): 0, ("b", "c"): 0}
-        assert failed == {}
+        assert failed == {} and fallback == []
 
     def test_expand_copies_representative_count_across_class(self):
         plan = plan_representative_pairs(self.CLASSES)
         outcome = PairOutcome(index=0, status="ok", result=7)
-        matrix, failed = plan.expand(["a", "b", "c"], {("a", "c"): outcome})
+        matrix, failed, fallback = plan.expand_near(
+            ["a", "b", "c"], {("a", "c"): outcome}
+        )
         assert matrix == {("a", "b"): 0, ("a", "c"): 7, ("b", "c"): 7}
-        assert failed == {}
+        assert failed == {} and fallback == []
 
     def test_expand_copies_representative_failure_verbatim(self):
         plan = plan_representative_pairs(self.CLASSES)
         outcome = PairOutcome(index=0, status="error", error="boom")
-        matrix, failed = plan.expand(["a", "b", "c"], {("a", "c"): outcome})
+        matrix, failed, fallback = plan.expand_near(
+            ["a", "b", "c"], {("a", "c"): outcome}
+        )
         assert matrix == {("a", "b"): 0}
         assert failed == {
             ("a", "c"): outcome.describe(),
             ("b", "c"): outcome.describe(),
         }
+        assert fallback == []  # an exact plan never falls back
 
 
 class TestCompressedEqualsUncompressed:

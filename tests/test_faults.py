@@ -25,7 +25,7 @@ from repro.core import parallel
 from repro.model.types import ConfigError
 from repro.parsers import parse_cisco
 from repro.workloads.acl_gen import random_rules, render_cisco_acl
-from repro.workloads.datacenter import gateway_fleet
+from repro.workloads.datacenter import gateway_fleet, parameterized_clos_fleet
 from repro.workloads.figure1 import CISCO_FIGURE1, figure1_devices
 
 
@@ -195,6 +195,30 @@ class TestFleetFaults:
         # every pair can fail.
         with pytest.raises(RuntimeError, match="all 3 pairwise"):
             compare_fleet(devices, workers=2, compress=False)
+
+    def test_near_all_pairs_failed_counts_fallback_pairs(self, monkeypatch):
+        """Under near compression the one analyzed pair fails, its 9
+        member pairs fall back and fail too: the message counts all 10
+        analyzed pairs of the fleet's 10, not the 1 planned pair."""
+        devices, _ = parameterized_clos_fleet(
+            count=5, roles=1, rule_count=4, seed=0
+        )
+        doomed = {device.hostname for device in devices}
+        real = parallel._count_pair
+
+        def faulty(task):
+            if {task[0].hostname, task[1].hostname} <= doomed:
+                raise RuntimeError("injected crash")
+            return real(task)
+
+        monkeypatch.setattr(parallel, "_count_pair", faulty)
+        with pytest.raises(RuntimeError) as excinfo:
+            compare_fleet(devices, workers=1, compress="near")
+        assert str(excinfo.value) == (
+            "fleet comparison failed: all 10 pairwise comparisons failed"
+            " (10 analyzed of 10 fleet pairs, 9 of them near-symmetry"
+            " fallbacks)"
+        )
 
     def test_fleet_reference_phase_failure_is_recorded(self, monkeypatch):
         from repro.core import fleet as fleet_module

@@ -1,9 +1,13 @@
 """Tests that the data-center workload reproduces Table 6's counts."""
 
+import hashlib
+import re
+
 import pytest
 
 from repro.core import ComponentKind, config_diff
 from repro.workloads.datacenter import (
+    parameterized_clos_fleet,
     scenario1_redundant_pairs,
     scenario2_router_replacement,
     scenario3_gateway_acls,
@@ -118,3 +122,56 @@ class TestScenario3:
         assert [str(p) for p in src_localization.included] == ["9.140.0.0/23"]
         action1, action2 = difference.action_pair()
         assert action1 == "REJECT" and action2 == "ACCEPT"
+
+
+def _fleet_digest(devices):
+    digest = hashlib.sha256()
+    for device in devices:
+        digest.update(device.filename.encode() + b"\0")
+        digest.update(("\n".join(device.raw_lines) + "\n").encode() + b"\0")
+    return digest.hexdigest()
+
+
+class TestParameterizedClosAddressPlan:
+    # Digests of the texts generated when the address plan stopped at
+    # 250 devices: widening it must not change any of them.
+    @pytest.mark.parametrize(
+        "count, roles, rule_count, seed, expected",
+        [
+            (1, 1, 4, 0, "21ca61daf68561f150798d84f30a42fef20ffd28867cb9411a76b387be8eb383"),
+            (12, 3, 8, 0, "368b6254f5b4f564e7fb2e4a82bd629758bce05221d99323bdefbe914325e988"),
+            (120, 3, 24, 1, "612df8f48b049442d31d08f9a74b70650313dd62ab09bdbde0b774472cee7371"),
+            (250, 3, 8, 2, "2b0e078df9f690852ee9ecd9bd69dcf2017ac6054ed2d232898cd66a93003ca2"),
+            (250, 5, 6, 3, "89480b8ffa193fda3611c37ac55d87e0ba2644600e6de48502a2199809182fce"),
+        ],
+    )
+    def test_texts_up_to_250_devices_unchanged(
+        self, count, roles, rule_count, seed, expected
+    ):
+        devices, _ = parameterized_clos_fleet(
+            count=count, roles=roles, rule_count=rule_count, seed=seed
+        )
+        assert _fleet_digest(devices) == expected
+
+    def test_addresses_unique_at_1000_devices(self):
+        devices, _ = parameterized_clos_fleet(
+            count=1000, roles=3, rule_count=2, seed=0, acls=1
+        )
+        assert len({device.hostname for device in devices}) == 1000
+        text = "\n".join(line for device in devices for line in device.raw_lines)
+        interfaces = re.findall(r"^ ip address (\S+) ", text, re.M)
+        loopbacks = re.findall(r"^ bgp router-id (\S+)$", text, re.M)
+        peers = re.findall(r"^ neighbor (\S+) remote-as", text, re.M)
+        subnets = re.findall(r"^ network (\S+) 0\.0\.0\.255", text, re.M)
+        assert len(loopbacks) == 1000 and len(subnets) == 1000
+        assert len(interfaces) == 1000 * 3  # loopback + 2 uplinks each
+        assert len(peers) == 1000 * 2
+        for found in (interfaces, loopbacks, peers, subnets):
+            assert len(set(found)) == len(found)
+        # peers sit on their own uplink subnets, never on another address
+        assert not set(peers) & set(interfaces)
+        assert set(loopbacks) <= set(interfaces)
+
+    def test_more_than_1000_devices_rejected(self):
+        with pytest.raises(ValueError, match="1000"):
+            parameterized_clos_fleet(count=1001)
