@@ -33,7 +33,8 @@ Soundness notes:
 
 Atom counts are bounded by the same ``CAMPION_ATOM_BUDGET`` contract as
 the per-pair refinement: the budget here caps the whole universe, and
-an overrun raises :class:`AtomBudgetExceeded` for a per-group fallback.
+an overrun raises :class:`AtomBudgetExceeded`, and the caller falls back
+to per-pair refinement for the pairs that universe would have served.
 """
 
 from __future__ import annotations

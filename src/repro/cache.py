@@ -25,7 +25,8 @@ two CLI invocations sharing a cache dir — can never observe a torn
 entry; writers and evictors additionally serialize on an ``fcntl``
 advisory lock (``<root>/.lock``) so concurrent eviction can't race an
 in-flight replace.  Each store is bounded by ``max_entries`` with
-mtime-LRU eviction.  Cache failures of any kind (unreadable file,
+mtime-LRU eviction (see :meth:`ArtifactCache._evict` for why the bound
+is soft across processes).  Cache failures of any kind (unreadable file,
 corrupt pickle, full disk) degrade to a miss or a skipped write — the
 cache must never sink an analysis run — and an entry whose *bytes*
 fail to load is moved to ``<root>/quarantine/`` (counted under
@@ -128,6 +129,9 @@ class ArtifactCache:
     ) -> None:
         self.root = pathlib.Path(root)
         self.max_entries = max_entries
+        # Entries per store as last counted by this instance (see
+        # _evict); a store absent here has not been counted yet.
+        self._counts: Dict[str, int] = {}
 
     def namespace(self, tenant: str) -> "ArtifactCache":
         """A cache rooted under ``<root>/tenants/<tenant>``.
@@ -200,10 +204,10 @@ class ArtifactCache:
             _DEVICES, self.device_text_key(text, filename, dialect, strict)
         )
         path = self._path(_DEVICES, digest, ".pickle")
-        self._write_atomic(
+        if self._write_atomic(
             path, pickle.dumps({"schema": _schema_stamp(), "device": device})
-        )
-        self._evict(_DEVICES)
+        ):
+            self._evict(_DEVICES)
 
     # -- diff entries --------------------------------------------------------
     def get_diff(self, key: Tuple) -> Optional[Dict]:
@@ -244,8 +248,8 @@ class ArtifactCache:
         }
         # Insertion order, not sorted keys: replay rebuilds differences
         # from the stored dicts, so their key order reaches the report.
-        self._write_atomic(path, json.dumps(payload).encode("utf-8"))
-        self._evict(_DIFFS)
+        if self._write_atomic(path, json.dumps(payload).encode("utf-8")):
+            self._evict(_DIFFS)
 
     # -- maintenance ---------------------------------------------------------
     def stats(self) -> Dict:
@@ -288,6 +292,7 @@ class ArtifactCache:
     def clear(self) -> int:
         """Remove every cached artifact (quarantined ones included);
         returns the number removed."""
+        self._counts.clear()
         removed = 0
         for store in (_DEVICES, _DIFFS):
             for path in self._entries(store):
@@ -380,10 +385,12 @@ class ArtifactCache:
                     pass
                 handle.close()
 
-    def _write_atomic(self, path: pathlib.Path, data: bytes) -> None:
+    def _write_atomic(self, path: pathlib.Path, data: bytes) -> bool:
+        """Write ``data`` to ``path``; ``True`` iff it added a new entry."""
         try:
             with self._lock():
                 path.parent.mkdir(parents=True, exist_ok=True)
+                added = not path.exists()
                 descriptor, temp_name = tempfile.mkstemp(
                     dir=str(path.parent), prefix=".tmp-"
                 )
@@ -398,8 +405,10 @@ class ArtifactCache:
                         pass
                     raise
                 perf.add("cache.writes")
+                return added
         except OSError:
             perf.add("cache.errors")  # full disk / permissions: skip write
+            return False
 
     def _reject_stale(self, path: pathlib.Path) -> None:
         perf.add("cache.stale")
@@ -437,20 +446,32 @@ class ArtifactCache:
                 pass
 
     def _evict(self, store: str) -> None:
-        """mtime-LRU bound on the store size (writes are rare — one per
-        unique artifact — so the scan cost is negligible in practice)."""
+        """Account for one new entry; trim to ``max_entries`` if over.
+
+        Each store is listed once per instance, on its first new entry;
+        later new entries bump that count, and the store is listed and
+        trimmed (mtime-LRU) again only when the count would pass
+        ``max_entries`` — so W writes cost O(W), not O(W²).  The bound is
+        therefore soft across processes: entries another process adds
+        are not counted here until the next rescan, so a shared store
+        can briefly hold more than ``max_entries``.
+        """
+        count = self._counts.get(store)
+        if count is not None and count < self.max_entries:
+            self._counts[store] = count + 1
+            return
         try:
             with self._lock():
                 entries = list(self._entries(store))
                 excess = len(entries) - self.max_entries
-                if excess <= 0:
-                    return
-                entries.sort(key=lambda p: (p.stat().st_mtime, p.name))
-                for path in entries[:excess]:
-                    try:
-                        path.unlink()
-                        perf.add("cache.evictions")
-                    except OSError:
-                        continue
+                if excess > 0:
+                    entries.sort(key=lambda p: (p.stat().st_mtime, p.name))
+                    for path in entries[:excess]:
+                        try:
+                            path.unlink()
+                            perf.add("cache.evictions")
+                        except OSError:
+                            continue
+                self._counts[store] = len(entries) - max(excess, 0)
         except OSError:
             perf.add("cache.errors")

@@ -60,7 +60,8 @@ from ..model.device import DeviceConfig
 from ..model.fingerprint import partition_by_device_fingerprint
 from .config_diff import config_diff
 from .coverage import DeviceCoverage, compute_fleet_coverage
-from .fleet_atoms import FleetAtomizer
+from .fleet_atoms import seed_acl_counts
+from .match_policies import match_policies
 from .memo import DiffMemo
 from .near_symmetry import FALLBACK_COUNTER, plan_near_pairs
 from .parallel import (
@@ -205,9 +206,9 @@ class FleetReport:
     failed_pairs: Dict[Tuple[str, str], str] = field(default_factory=dict)
     # devices whose reference report could not be produced, with the cause
     failed_reports: Dict[str, str] = field(default_factory=dict)
-    # diagnostics (e.g. fleet-atoms per-group budget fallbacks); kept
-    # sorted and deduplicated so the serialized form (schema v4 carries
-    # notes) stays byte-identical across backends and worker counts
+    # diagnostics (e.g. near-symmetry fallbacks); kept sorted and
+    # deduplicated so the serialized form (schema v4 carries notes)
+    # stays byte-identical across backends and worker counts
     notes: List[str] = field(default_factory=list)
     # per-device configuration coverage (schema v4): which policy lines
     # participated in some localized diff vs. untouched policy
@@ -379,13 +380,17 @@ def compare_fleet(
     ``set_backend`` names the SemanticDiff set-algebra backend used in
     the matrix workers and the reference reports (``None`` = process
     default; see :mod:`repro.core.setalg`) — another knob that changes
-    only the wall clock, never the report.  ``"fleet-atoms"``
-    additionally runs fleet-scale atomization before the matrix
-    (:class:`~repro.core.fleet_atoms.FleetAtomizer`): each connected
-    device group's ACLs are folded into one shared atom universe and
-    every intra-group pair count is seeded into the memo as pure bitset
-    arithmetic, so the whole matrix phase performs zero BDD applies.
-    Per-group budget fallbacks are reported on ``FleetReport.notes``.
+    only the wall clock, never the report.
+
+    With a memo on the ``atoms`` backend, each matrix fan-out is
+    preceded by fleet-scale atomization
+    (:func:`~repro.core.fleet_atoms.seed_acl_counts`): the ACL pairs it
+    will analyze that miss the memo and its cache are folded into
+    shared atom universes and their exact counts seeded (and
+    persisted), so the matrix replays them with zero BDD applies.
+    A ``node_limit`` turns seeding off: under a node budget a per-pair
+    abort is part of the matrix's answer, and a shared universe cannot
+    tell which pairs would abort.
 
     The report also carries per-device *configuration coverage*
     (``FleetReport.coverage``, serialized under schema v4): which
@@ -407,28 +412,35 @@ def compare_fleet(
     workers = resolve_workers(workers)
     timeout = resolve_timeout(timeout)
     compress = resolve_compress(compress)
+    if memo is None and use_memo:
+        memo = DiffMemo()
     backend_name = (
         set_backend if set_backend is not None else default_backend_name()
     )
-    fleet_seeding = backend_name == "fleet-atoms"
-    # Fleet-scale atomization communicates with the matrix through the
-    # memo (seeded counts), so the backend forces one into existence
-    # even under use_memo=False — the recompute-every-pair baseline
-    # makes no sense for a backend whose whole point is fleet reuse.
-    if memo is None and (use_memo or fleet_seeding):
-        memo = DiffMemo()
+    seeding = (
+        memo is not None and node_limit is None and backend_name == "atoms"
+    )
+
+    def count_outcomes(pair_keys: List[Tuple[str, str]]):
+        """Matrix outcomes for ``pair_keys``, seeded first when possible."""
+        with perf.timer("fleet.matrix"):
+            pairs = [(by_name[a], by_name[b]) for a, b in pair_keys]
+            pairings = None
+            if seeding:
+                pairings = [match_policies(d1, d2) for d1, d2 in pairs]
+                seed_acl_counts(pairs, pairings, memo)
+            return pairwise_count_outcomes(
+                pairs,
+                workers=workers,
+                exhaustive_communities=exhaustive_communities,
+                timeout=timeout,
+                node_limit=node_limit,
+                memo=memo,
+                set_backend=set_backend,
+                pairings=pairings,
+            )
 
     notes: List[str] = []
-    if fleet_seeding:
-        atomizer = FleetAtomizer(
-            devices,
-            memo,
-            exhaustive_communities=exhaustive_communities,
-            node_limit=node_limit,
-        )
-        atomizer.seed()
-        notes = list(atomizer.notes)
-
     matrix: Dict[Tuple[str, str], int] = {}
     failed_pairs: Dict[Tuple[str, str], str] = {}
     symmetry: Optional[SymmetryStats] = None
@@ -450,16 +462,7 @@ def compare_fleet(
                 for index, first in enumerate(hostnames)
                 for second in hostnames[index + 1 :]
             ]
-        with perf.timer("fleet.matrix"):
-            outcomes = pairwise_count_outcomes(
-                [(by_name[a], by_name[b]) for a, b in pair_keys],
-                workers=workers,
-                exhaustive_communities=exhaustive_communities,
-                timeout=timeout,
-                node_limit=node_limit,
-                memo=memo,
-                set_backend=set_backend,
-            )
+        outcomes = count_outcomes(pair_keys)
         total_pairs = len(hostnames) * (len(hostnames) - 1) // 2
         fallback: List[Tuple[str, str]] = []
         if plan is not None:
@@ -477,16 +480,7 @@ def compare_fleet(
                     " to concrete analysis after their representative"
                     " pair failed"
                 )
-                with perf.timer("fleet.matrix"):
-                    fallback_outcomes = pairwise_count_outcomes(
-                        [(by_name[a], by_name[b]) for a, b in fallback],
-                        workers=workers,
-                        exhaustive_communities=exhaustive_communities,
-                        timeout=timeout,
-                        node_limit=node_limit,
-                        memo=memo,
-                        set_backend=set_backend,
-                    )
+                fallback_outcomes = count_outcomes(fallback)
                 for key, outcome in zip(fallback, fallback_outcomes):
                     if outcome.ok:
                         matrix[key] = outcome.result

@@ -1,52 +1,46 @@
-"""Fleet-scale atomization: seed the fleet matrix from one atom universe.
+"""Fleet-scale atomization: seed the matrix's ACL counts from shared atoms.
 
-The fleet matrix (:func:`repro.core.fleet.compare_fleet`) asks an O(N²)
-question — the difference count of every device pair — and under the
-per-pair backends each pairing repays the full cost of encoding and
-refining its two partitions.  The :class:`FleetAtomizer` runs once,
-before the matrix, and makes the matrix free:
+Under the per-pair backends every matrix pairing of two distinct ACLs
+repays the full cost of encoding and refining both partitions, so a
+fleet whose devices all differ pays it N(N−1)/2 times.
+:func:`seed_acl_counts` runs in :func:`repro.core.fleet.compare_fleet`
+after the symmetry plan and before each matrix fan-out, over exactly
+the pairs that fan-out will analyze:
 
-1. split the fleet into topology-connected groups
-   (:func:`repro.core.grouping.connected_device_groups`);
-2. per group, fold every *distinct* ACL (deduplicated by fingerprint)
-   over one shared :class:`~repro.encoding.PacketSpace` into a single
+1. collect the ACL pairs whose memo key is neither in the memo nor in
+   its persistent cache (:meth:`DiffMemo.peek`, which counts no memo
+   hits or misses — the matrix still does that);
+2. split those *missing* pairs into connected components of the graph
+   whose nodes are ACL fingerprints and whose edges are the pairs;
+3. per component, fold every ACL over one shared
+   :class:`~repro.encoding.PacketSpace` into a single
    :class:`~repro.bdd.fleet_atoms.AtomUniverse`, turning each ACL's
    classes into Python-int bitsets;
-3. compute the exact difference count of every arising fingerprint pair
-   with :func:`~repro.bdd.fleet_atoms.differing_pair_count` — pure
-   bitwise work — and seed the :class:`~repro.core.memo.DiffMemo` with
-   count-only entries under the same keys the component walk uses;
-4. hoist each group's distinct route-map pair diffs through the
-   standard per-pair path once (route-map spaces derive their community
-   vocabulary from the *pair* of maps, so a shared fleet universe would
-   be unsound there — but one memoized run per distinct fingerprint
-   pair achieves the same dedup).
+4. compute each pair's exact difference count with
+   :func:`~repro.bdd.fleet_atoms.differing_pair_count` — pure bitwise
+   work — and seed it with :meth:`DiffMemo.put_seed`, which writes it
+   through to the persistent cache.
 
-The matrix phase then runs unchanged and every intra-group pairing is
-a memo replay: ``MatchPolicies`` plus integer arithmetic, zero BDD
-applies.  Full report collection (the reference column, ``campion
-diff``) recomputes differing components live exactly as the memo
-protocol always has, so reports are byte-identical to the per-pair
-backends.
+The matrix then replays every seeded pair as arithmetic; warm and edit
+runs find the unchanged pairs in the cache and fold only what changed.
+A pair of two equal fingerprints is seeded with 0 without any fold
+(identical content has no differences).  Route maps are not seeded:
+their community vocabulary depends on the pair, so one shared universe
+would be unsound there, and the memo already runs each distinct
+route-map pair once.
 
-ACL-only universes are deliberate: packet spaces have a fixed variable
-layout shared by every ACL, so one universe serves any device set.
-Anything that trips the shared refinement — the
-``CAMPION_ATOM_BUDGET`` atom budget, a BDD node budget, a coverage
-violation — falls back *per group* to the per-pair ``atoms`` path: the
-group's seeds are simply not written, a perf counter
-(``fleet_atoms.budget_fallbacks``) is bumped, and a human-readable note
-lands on :attr:`FleetAtomizer.notes` (surfaced as
-``FleetReport.notes``).
+A component whose fold trips the atom budget (``CAMPION_ATOM_BUDGET``)
+or violates universe coverage is simply not seeded — its pairs run
+through per-pair atoms in the matrix — and only the perf counter
+``fleet_atoms.budget_fallbacks`` records it, so the report is the same
+either way.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .. import perf
-from ..bdd import AnalysisBudgetExceeded
 from ..bdd.atoms import AtomBudgetExceeded, resolve_atom_budget
 from ..bdd.fleet_atoms import (
     AtomUniverse,
@@ -54,246 +48,116 @@ from ..bdd.fleet_atoms import (
     differing_pair_count,
 )
 from ..encoding import PacketSpace, acl_equivalence_classes
+from ..model.acl import Acl
 from ..model.device import DeviceConfig
-from .grouping import connected_device_groups
-from .match_policies import match_policies
-from .memo import DiffMemo, acl_key, count_entry, route_map_key, semantic_entry
-from .present import localize_route_map_difference
+from .match_policies import PolicyPairing
+from .memo import DiffMemo, acl_key, count_entry
 from .results import ComponentKind
-from .semantic_diff import diff_route_maps
 from .setalg import canonical_action_key
 
-__all__ = ["FleetAtomizer", "acl_universe_id"]
-
-#: Version tag baked into universe ids: bump when the universe layout,
-#: the packet encoding, or the fold algorithm changes meaning.
-_UNIVERSE_VERSION = "acl-universe:v1"
+__all__ = ["seed_acl_counts"]
 
 #: fingerprint -> (per-class bitsets over the universe, per-class
 #: canonical action keys) — everything a pair count needs.
 VectorTable = Dict[str, Tuple[List[int], List]]
 
 
-def acl_universe_id(fingerprints: Sequence[str]) -> str:
-    """Stable id of the ACL atom universe over a fingerprint set.
+def seed_acl_counts(
+    pairs: Sequence[Tuple[DeviceConfig, DeviceConfig]],
+    pairings: Sequence[PolicyPairing],
+    memo: DiffMemo,
+) -> None:
+    """Seed ``memo`` with the exact count of every missing ACL pair.
 
-    Sorted-content addressed: the same distinct ACLs produce the same
-    universe (the fold visits them in sorted order), so bitset vectors
-    memoized under this id are reusable across fleets and runs within
-    one process.
+    ``pairings[i]`` is ``match_policies(*pairs[i])``, shared with the
+    matrix so no pair is matched twice.  Only keys the matrix will look
+    up are seeded, in the orientation it looks them up.
     """
-    digest = hashlib.sha256()
-    digest.update(_UNIVERSE_VERSION.encode())
-    for fingerprint in sorted(fingerprints):
-        digest.update(b"\x00")
-        digest.update(str(fingerprint).encode())
-    return digest.hexdigest()
-
-
-class FleetAtomizer:
-    """Seed a fleet's diff memo from per-group shared atom universes.
-
-    ``seed()`` mutates ``memo`` (count-only ACL seeds via
-    :meth:`DiffMemo.put_seed`, full route-map entries via
-    :meth:`DiffMemo.put`) and records diagnostics on the instance:
-    ``notes`` (per-group fallback messages), ``groups_atomized`` /
-    ``groups_fallback`` / ``singleton_groups`` counters, and
-    ``universe_sizes`` (universe id → atom count).
-    """
-
-    def __init__(
-        self,
-        devices: Sequence[DeviceConfig],
-        memo: DiffMemo,
-        exhaustive_communities: bool = False,
-        node_limit: Optional[int] = None,
-        atom_budget: Optional[int] = None,
-    ) -> None:
-        self.devices = list(devices)
-        self.memo = memo
-        self.exhaustive_communities = exhaustive_communities
-        self.node_limit = node_limit
-        self.atom_budget = atom_budget
-        self.notes: List[str] = []
-        self.groups_atomized = 0
-        self.groups_fallback = 0
-        self.singleton_groups = 0
-        self.universe_sizes: Dict[str, int] = {}
-        self.pairs_seeded = 0
-
-    def seed(self) -> None:
-        """Atomize every connected group and seed the memo."""
-        with perf.timer("fleet_atoms.seed"):
-            for group in connected_device_groups(self.devices):
-                if len(group) < 2:
-                    # A singleton has no intra-group pairs: nothing to
-                    # refine and nothing to seed.
-                    self.singleton_groups += 1
-                    perf.add("fleet_atoms.singleton_groups")
-                    continue
-                self._seed_group(group)
-
-    # -- one connected group --------------------------------------------------
-
-    def _seed_group(self, group: List[DeviceConfig]) -> None:
-        pairings = [
-            (device1, device2, match_policies(device1, device2))
-            for index, device1 in enumerate(group)
-            for device2 in group[index + 1 :]
-        ]
-
-        # Route maps first: hoisting is independent of the ACL universe,
-        # so an ACL budget fallback still leaves route maps deduplicated.
-        self._hoist_route_maps(pairings)
-
-        fp_to_acl: Dict[str, object] = {}
-        for device in group:
-            fingerprints = device.fingerprints
-            for name, acl in device.acls.items():
-                fp_to_acl.setdefault(fingerprints.acls[name], acl)
-        if not fp_to_acl:
-            self.groups_atomized += 1
-            return
-
-        hostnames = ", ".join(device.hostname for device in group)
-        try:
-            vectors = self._acl_vectors(fp_to_acl)
-        except AtomBudgetExceeded as exc:
-            perf.add("fleet_atoms.budget_fallbacks")
-            self.groups_fallback += 1
-            self.notes.append(
-                f"fleet atomization of group [{hostnames}]: {exc}; "
-                f"falling back to per-pair atoms for this group"
-            )
-            return
-        except (AnalysisBudgetExceeded, UniverseCoverageError) as exc:
-            perf.add("fleet_atoms.budget_fallbacks")
-            self.groups_fallback += 1
-            self.notes.append(
-                f"fleet atomization of group [{hostnames}]: {exc}; "
-                f"falling back to per-pair atoms for this group"
-            )
-            return
-
-        counts: Dict[Tuple[str, str], int] = {}
-        for device1, device2, pairing in pairings:
-            fps1 = device1.fingerprints
-            fps2 = device2.fingerprints
+    with perf.timer("fleet_atoms.seed"):
+        acls: Dict[str, Acl] = {}
+        missing: Dict[Tuple[str, str], None] = {}
+        for (device1, device2), pairing in zip(pairs, pairings):
+            fps1 = device1.fingerprints.acls
+            fps2 = device2.fingerprints.acls
             for pair in pairing.acl_pairs:
-                fp1 = fps1.acls[pair.name1]
-                fp2 = fps2.acls[pair.name2]
-                count = counts.get((fp1, fp2))
-                if count is None:
-                    bitsets1, keys1 = vectors[fp1]
-                    bitsets2, keys2 = vectors[fp2]
-                    count = differing_pair_count(
-                        bitsets1, keys1, bitsets2, keys2
-                    )
-                    counts[(fp1, fp2)] = counts[(fp2, fp1)] = count
-                # Seed both orientations: the matrix compares sorted
-                # hostname pairs but the reference column may flip them,
-                # and the count is symmetric.
-                for key in (acl_key(fp1, fp2), acl_key(fp2, fp1)):
-                    if key not in self.memo:
-                        self.memo.put_seed(
-                            key, count_entry(ComponentKind.ACL, count)
-                        )
-                        self.pairs_seeded += 1
-        self.groups_atomized += 1
-        perf.add("fleet_atoms.groups_atomized")
-
-    def _acl_vectors(self, fp_to_acl: Dict[str, object]) -> VectorTable:
-        """Bitset vectors for a group's distinct ACLs, memo-cached."""
-        universe_id = acl_universe_id(list(fp_to_acl))
-        cached = self.memo.get_vectors(universe_id)
-        if cached is not None:
-            vectors, size = cached
-            self.universe_sizes.setdefault(universe_id, size)
-            return vectors
-
-        space = PacketSpace()
-        if self.node_limit is not None:
-            space.manager.set_budget(node_limit=self.node_limit)
-        classes_by_fp = {
-            fingerprint: acl_equivalence_classes(space, acl)
-            for fingerprint, acl in sorted(fp_to_acl.items())
-        }
-        total_classes = sum(len(c) for c in classes_by_fp.values())
-        budget = resolve_atom_budget(self.atom_budget, total_classes, 0)
-        universe = AtomUniverse(atom_budget=budget)
-        partition_ids: Dict[str, Tuple[int, List]] = {}
-        for fingerprint, classes in classes_by_fp.items():
-            pid = universe.add_partition([cls.predicate for cls in classes])
-            partition_ids[fingerprint] = (
-                pid,
-                [canonical_action_key(cls.action) for cls in classes],
-            )
-        vectors: VectorTable = {
-            fingerprint: (universe.vector(pid), keys)
-            for fingerprint, (pid, keys) in partition_ids.items()
-        }
-        self.memo.put_vectors(universe_id, (vectors, universe.size))
-        self.universe_sizes[universe_id] = universe.size
-        perf.add("fleet_atoms.universes")
-        perf.add("fleet_atoms.atoms", universe.size)
-        perf.add("fleet_atoms.fold_probes", universe.probes)
-        return vectors
-
-    def _hoist_route_maps(self, pairings: List) -> None:
-        """Run each distinct route-map pair diff once, into the memo.
-
-        Exactly the component walk's route-map path (same key, same
-        localization, same entry), so matrix workers replay counts and
-        report collection recomputes live — a hoisted entry is
-        indistinguishable from one a worker would have written.  A
-        budget abort is simply skipped: the owning matrix pair will hit
-        it again and record the abort on its own report.
-        """
-        for device1, device2, pairing in pairings:
-            fps1 = device1.fingerprints
-            fps2 = device2.fingerprints
-            seen = set()
-            for pair in pairing.route_map_pairs:
-                if (pair.name1, pair.name2) in seen:
+                fp1, fp2 = fps1[pair.name1], fps2[pair.name2]
+                if (fp1, fp2) in missing:
                     continue
-                seen.add((pair.name1, pair.name2))
-                map1 = device1.route_maps.get(pair.name1)
-                map2 = device2.route_maps.get(pair.name2)
-                if map1 is None or map2 is None:
-                    continue  # unmatched: flagged per pair by the walk
-                key = route_map_key(
-                    fps1.route_maps[pair.name1],
-                    fps2.route_maps[pair.name2],
-                    self.exhaustive_communities,
-                )
-                if self.memo.get(key) is not None:
-                    continue  # already computed (or warm in the cache)
-                try:
-                    space, differences = diff_route_maps(
-                        map1,
-                        map2,
-                        router1=device1.hostname,
-                        router2=device2.hostname,
-                        context=pair.context,
-                        node_limit=self.node_limit,
-                        set_backend="fleet-atoms",
-                    )
-                    for difference in differences:
-                        localize_route_map_difference(
-                            space,
-                            difference,
-                            map1,
-                            map2,
-                            exhaustive_communities=self.exhaustive_communities,
-                        )
-                except AnalysisBudgetExceeded:
+                key = acl_key(fp1, fp2)
+                if memo.peek(key) is not None:
                     continue
-                self.memo.put(
-                    key,
-                    semantic_entry(
-                        ComponentKind.ROUTE_MAP,
-                        differences,
-                        context=pair.context,
-                    ),
+                if fp1 == fp2:
+                    memo.put_seed(key, count_entry(ComponentKind.ACL, 0))
+                    continue
+                missing[(fp1, fp2)] = None
+                acls.setdefault(fp1, device1.acls[pair.name1])
+                acls.setdefault(fp2, device2.acls[pair.name2])
+        for component in _components(missing):
+            fingerprints = sorted({fp for edge in component for fp in edge})
+            try:
+                vectors = _fold({fp: acls[fp] for fp in fingerprints})
+            except (AtomBudgetExceeded, UniverseCoverageError):
+                perf.add("fleet_atoms.budget_fallbacks")
+                continue
+            for fp1, fp2 in component:
+                bitsets1, keys1 = vectors[fp1]
+                bitsets2, keys2 = vectors[fp2]
+                count = differing_pair_count(bitsets1, keys1, bitsets2, keys2)
+                memo.put_seed(
+                    acl_key(fp1, fp2), count_entry(ComponentKind.ACL, count)
                 )
-                perf.add("fleet_atoms.route_map_hoists")
+
+
+def _components(
+    edges: Dict[Tuple[str, str], None],
+) -> List[List[Tuple[str, str]]]:
+    """The edges grouped by connected component, in first-seen order."""
+    parent: Dict[str, str] = {}
+
+    def find(node: str) -> str:
+        root = parent.setdefault(node, node)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[node] != root:
+            parent[node], node = root, parent[node]
+        return root
+
+    for fp1, fp2 in edges:
+        root1, root2 = find(fp1), find(fp2)
+        if root1 != root2:
+            parent[root1] = root2
+    components: Dict[str, List[Tuple[str, str]]] = {}
+    for edge in edges:
+        components.setdefault(find(edge[0]), []).append(edge)
+    return list(components.values())
+
+
+def _fold(acls: Dict[str, Acl]) -> VectorTable:
+    """Bitset vectors of ``acls`` over one shared atom universe.
+
+    ACLs are folded in the (sorted) order given, so the universe is a
+    function of the ACL set alone.
+    """
+    space = PacketSpace()
+    classes_by_fp = {
+        fingerprint: acl_equivalence_classes(space, acl)
+        for fingerprint, acl in acls.items()
+    }
+    total_classes = sum(len(c) for c in classes_by_fp.values())
+    universe = AtomUniverse(
+        atom_budget=resolve_atom_budget(None, total_classes, 0)
+    )
+    partitions = {
+        fingerprint: (
+            universe.add_partition([cls.predicate for cls in classes]),
+            [canonical_action_key(cls.action) for cls in classes],
+        )
+        for fingerprint, classes in classes_by_fp.items()
+    }
+    perf.add("fleet_atoms.universes")
+    perf.add("fleet_atoms.atoms", universe.size)
+    perf.add("fleet_atoms.fold_probes", universe.probes)
+    return {
+        fingerprint: (universe.vector(pid), keys)
+        for fingerprint, (pid, keys) in partitions.items()
+    }

@@ -25,77 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from ..model.device import DeviceConfig
 from .results import SemanticDifference
 
-__all__ = ["IssueGroup", "connected_device_groups", "group_differences"]
+__all__ = ["IssueGroup", "group_differences"]
 
 GroupKey = Tuple[str, str, str, str]
-
-
-def connected_device_groups(
-    devices: Sequence[DeviceConfig],
-) -> List[List[DeviceConfig]]:
-    """Partition a fleet into topology-connected device groups.
-
-    Two devices are connected when Batfish-style topology inference
-    (:func:`~repro.core.topology.infer_adjacencies`) puts them on a
-    shared subnet; groups are the transitive closure of that relation.
-    Fleet-scale atomization builds one shared atom universe per group —
-    devices that never share a link don't belong in one universe, and
-    keeping the universes separate keeps each one small.
-
-    Two special cases:
-
-    * devices with **no** link subnets at all (pure policy snapshots,
-      e.g. ACL-only gateway configs) are topology-*blind* — inference
-      can't tell who they talk to, so they are conservatively placed in
-      one shared group together;
-    * devices that do advertise subnets but share none are genuine
-      singletons and come back as one-element groups (a singleton has
-      no intra-group pairs, so callers skip atomizing it).
-
-    Groups and their members are sorted by hostname so the output is
-    deterministic.
-    """
-    from .topology import _subnets, infer_adjacencies
-
-    by_name = {device.hostname: device for device in devices}
-    parent: Dict[str, str] = {name: name for name in by_name}
-
-    def find(name: str) -> str:
-        root = name
-        while parent[root] != root:
-            root = parent[root]
-        while parent[name] != root:
-            parent[name], name = root, parent[name]
-        return root
-
-    def union(first: str, second: str) -> None:
-        root1, root2 = find(first), find(second)
-        if root1 != root2:
-            parent[max(root1, root2)] = min(root1, root2)
-
-    for adjacency in infer_adjacencies(devices):
-        union(adjacency.device1, adjacency.device2)
-
-    blind = [
-        device.hostname
-        for device in devices
-        if not any(
-            subnet.length < 32 for subnet in _subnets(device)
-        )
-    ]
-    for hostname in blind[1:]:
-        union(blind[0], hostname)
-
-    members: Dict[str, List[str]] = {}
-    for name in sorted(by_name):
-        members.setdefault(find(name), []).append(name)
-    return [
-        [by_name[name] for name in group]
-        for _, group in sorted(members.items())
-    ]
 
 
 @dataclass

@@ -129,14 +129,16 @@ def semantic_entry(
 def count_entry(kind: ComponentKind, count: int, context: str = "") -> Dict:
     """A count-only entry, as seeded by fleet-scale atomization.
 
-    Carries the exact difference count but no serialized differences:
-    the memo protocol only ever *replays* counts (count mode sums
-    ``count``; collect mode recomputes live so localization points at
-    the actual devices, and a zero count skips the component in both
-    modes), so the empty ``semantic`` list is never read.  ``seeded``
-    marks the entry so diagnostics and tests can tell it from a
-    completed per-pair analysis; seeds stay in memory only
-    (:meth:`DiffMemo.put_seed`).
+    Carries the exact difference count but no serialized differences.
+    Seeds are persisted like any other entry (:meth:`DiffMemo.put_seed`),
+    which is sound because no reader uses the ``semantic`` list of an
+    entry that is not ``localized``: count mode sums ``count``, collect
+    mode skips a zero count and otherwise recomputes live (then
+    :meth:`DiffMemo.upgrade` replaces the seed with the localized
+    result), and only localized entries are replayed
+    (:mod:`repro.core.replay`).  ``seeded`` marks the entry so
+    diagnostics and tests can tell it from a completed per-pair
+    analysis.
     """
     return {
         "schema_version": SCHEMA_VERSION,
@@ -178,11 +180,6 @@ class DiffMemo:
         self._entries: Dict[MemoKey, Dict] = {}
         self._updates: Dict[MemoKey, Dict] = {}
         self._cache = cache
-        # Per-universe bitset vectors from fleet-scale atomization,
-        # keyed by universe id (see FleetAtomizer.universe_id).  Memory
-        # only: never persisted and never pickled to workers — only the
-        # seeded count entries (plain dicts) cross process boundaries.
-        self._vectors: Dict[str, Dict] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -192,15 +189,21 @@ class DiffMemo:
 
     def get(self, key: MemoKey) -> Optional[Dict]:
         """The entry for ``key``, consulting the backing cache on miss."""
+        entry = self.peek(key)
+        perf.add("memo.hits" if entry is not None else "memo.misses")
+        return entry
+
+    def peek(self, key: MemoKey) -> Optional[Dict]:
+        """:meth:`get` without counting a memo hit or miss.
+
+        For lookahead (fleet seeding probes the keys the matrix will
+        look up), so each logical lookup is counted once.
+        """
         entry = self._entries.get(key)
         if entry is None and self._cache is not None:
             entry = self._cache.get_diff(key)
             if entry is not None:
                 self._entries[key] = entry
-        if entry is None:
-            perf.add("memo.misses")
-            return None
-        perf.add("memo.hits")
         return entry
 
     def put(self, key: MemoKey, entry: Dict) -> None:
@@ -235,28 +238,22 @@ class DiffMemo:
             self._cache.put_diff(key, entry)
 
     def put_seed(self, key: MemoKey, entry: Dict) -> None:
-        """Record a seeded (count-only) entry, in memory only.
+        """Record a seeded (count-only) entry and persist it.
 
-        Seeds are exact counts derived from fleet-scale atomization,
-        not completed per-pair analyses, so they are deliberately kept
-        out of ``_updates`` and the persistent cache: a warm disk cache
-        must only ever contain full entries.  First write wins, and a
-        seed never overwrites an existing full entry.
+        Seeds are exact counts derived from fleet-scale atomization
+        (:func:`repro.core.fleet_atoms.seed_acl_counts`); they are
+        written through to the persistent cache so warm and edit runs
+        fold only what changed (see :func:`count_entry` for why a
+        persisted seed is sound).  They stay out of ``_updates``: seeds
+        are made in the parent, which owns the cache.  First write wins,
+        and a seed never overwrites an existing entry.
         """
         if key in self._entries:
             return
         self._entries[key] = entry
         perf.add("memo.seeds")
-
-    def get_vectors(self, universe_id: str) -> Optional[Dict]:
-        """Memoized per-fingerprint bitset vectors for one universe."""
-        vectors = self._vectors.get(universe_id)
-        perf.add("memo.vector_hits" if vectors is not None else "memo.vector_misses")
-        return vectors
-
-    def put_vectors(self, universe_id: str, vectors: Dict) -> None:
-        """Memoize one universe's per-fingerprint bitset vectors."""
-        self._vectors[universe_id] = vectors
+        if self._cache is not None:
+            self._cache.put_diff(key, entry)
 
     def take_updates(self) -> Dict[MemoKey, Dict]:
         """Drain entries added since the last drain (worker → parent)."""
@@ -290,4 +287,3 @@ class DiffMemo:
         self._entries = dict(state["entries"])
         self._updates = {}
         self._cache = None
-        self._vectors = {}

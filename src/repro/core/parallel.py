@@ -53,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .. import perf
 from ..model.device import DeviceConfig
 from .config_diff import config_diff, config_diff_summary
+from .match_policies import PolicyPairing
 from .memo import DiffMemo
 from .serialize import report_to_dict
 
@@ -103,7 +104,9 @@ _Pair = Tuple[DeviceConfig, DeviceConfig]
 # and drains them back via ``PairOutcome.memo_updates``.  Slot 6 is the
 # SemanticDiff set-algebra backend *name* (or None for the worker's
 # default) — backend instances hold BDD handles and never cross
-# processes, names always pickle.
+# processes, names always pickle.  Slot 7 is the pair's MatchPolicies
+# result when the caller already computed it (or None to match in the
+# worker).
 _Task = Tuple[
     DeviceConfig,
     DeviceConfig,
@@ -112,6 +115,7 @@ _Task = Tuple[
     Optional[float],
     Optional[DiffMemo],
     Optional[str],
+    Optional[PolicyPairing],
 ]
 
 
@@ -320,11 +324,21 @@ def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:
 
 
 def _count_pair(task: _Task) -> int:
-    device1, device2, exhaustive, node_limit, time_budget, memo, backend = task
+    (
+        device1,
+        device2,
+        exhaustive,
+        node_limit,
+        time_budget,
+        memo,
+        backend,
+        pairing,
+    ) = task
     if memo is not None:
         return config_diff_summary(
             device1,
             device2,
+            pairing=pairing,
             exhaustive_communities=exhaustive,
             node_limit=node_limit,
             time_budget=time_budget,
@@ -334,6 +348,7 @@ def _count_pair(task: _Task) -> int:
     report = config_diff(
         device1,
         device2,
+        pairing=pairing,
         exhaustive_communities=exhaustive,
         node_limit=node_limit,
         time_budget=time_budget,
@@ -343,10 +358,20 @@ def _count_pair(task: _Task) -> int:
 
 
 def _diff_pair(task: _Task) -> Dict:
-    device1, device2, exhaustive, node_limit, time_budget, memo, backend = task
+    (
+        device1,
+        device2,
+        exhaustive,
+        node_limit,
+        time_budget,
+        memo,
+        backend,
+        pairing,
+    ) = task
     report = config_diff(
         device1,
         device2,
+        pairing=pairing,
         exhaustive_communities=exhaustive,
         node_limit=node_limit,
         time_budget=time_budget,
@@ -407,10 +432,22 @@ def _build_tasks(
     timeout: Optional[float],
     memo: Optional[DiffMemo],
     set_backend: Optional[str],
+    pairings: Optional[Sequence[PolicyPairing]],
 ) -> List[_Task]:
+    if pairings is None:
+        pairings = [None] * len(pairs)
     return [
-        (d1, d2, exhaustive_communities, node_limit, timeout, memo, set_backend)
-        for d1, d2 in pairs
+        (
+            d1,
+            d2,
+            exhaustive_communities,
+            node_limit,
+            timeout,
+            memo,
+            set_backend,
+            pairing,
+        )
+        for (d1, d2), pairing in zip(pairs, pairings)
     ]
 
 
@@ -685,11 +722,18 @@ def _run_outcomes(
     retry: bool,
     memo: Optional[DiffMemo] = None,
     set_backend: Optional[str] = None,
+    pairings: Optional[Sequence[PolicyPairing]] = None,
 ) -> List[PairOutcome]:
     workers = resolve_workers(workers)
     timeout = resolve_timeout(timeout)
     tasks = _build_tasks(
-        pairs, exhaustive_communities, node_limit, timeout, memo, set_backend
+        pairs,
+        exhaustive_communities,
+        node_limit,
+        timeout,
+        memo,
+        set_backend,
+        pairings,
     )
     perf.add("parallel.tasks", len(tasks))
     with perf.timer("parallel.map"):
@@ -718,6 +762,7 @@ def pairwise_count_outcomes(
     retry: bool = True,
     memo: Optional[DiffMemo] = None,
     set_backend: Optional[str] = None,
+    pairings: Optional[Sequence[PolicyPairing]] = None,
 ) -> List[PairOutcome]:
     """Difference-count outcomes for each device pair, fanned over workers.
 
@@ -729,6 +774,8 @@ def pairwise_count_outcomes(
     before this returns.  ``set_backend`` names the SemanticDiff
     set-algebra backend applied inside each worker (``None`` = each
     worker's process default); results are backend-independent.
+    ``pairings`` (aligned with ``pairs``) hands over MatchPolicies
+    results the caller already computed, so no pair is matched twice.
     """
     return _run_outcomes(
         _count_pair,
@@ -741,6 +788,7 @@ def pairwise_count_outcomes(
         retry,
         memo=memo,
         set_backend=set_backend,
+        pairings=pairings,
     )
 
 

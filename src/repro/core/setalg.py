@@ -53,7 +53,6 @@ __all__ = [
     "SetAlgebraBackend",
     "BddBackend",
     "AtomsBackend",
-    "FleetAtomsBackend",
     "canonical_action_key",
     "resolve_backend",
     "set_default_backend",
@@ -63,7 +62,7 @@ __all__ = [
 
 BACKEND_ENV = "CAMPION_SET_BACKEND"
 DEFAULT_BACKEND = "atoms"
-BACKEND_NAMES = ("bdd", "atoms", "fleet-atoms")
+BACKEND_NAMES = ("bdd", "atoms")
 
 #: A differing class pair and the BDD of the inputs it disagrees on.
 DifferingPair = Tuple[EquivalenceClass, EquivalenceClass, Bdd]
@@ -330,23 +329,6 @@ class AtomsBackend(SetAlgebraBackend):
         ]
 
 
-class FleetAtomsBackend(AtomsBackend):
-    """The ``"fleet-atoms"`` backend: fleet-level seeding, per-pair atoms.
-
-    The fleet-scale work happens *above* this protocol:
-    :class:`repro.core.fleet_atoms.FleetAtomizer` folds every device of
-    a connected group into one shared atom universe and seeds the diff
-    memo with exact pair counts before the matrix runs, so matrix
-    pairings under this backend never reach ``differing_pairs`` at all.
-    When a pairing does run live — full report collection, cross-group
-    pairs, or a group that fell back on budget — it behaves exactly like
-    :class:`AtomsBackend`: the per-pair refinement produces the same
-    differences the universe counts were derived from.
-    """
-
-    name = "fleet-atoms"
-
-
 # ---------------------------------------------------------------------------
 # Backend resolution
 # ---------------------------------------------------------------------------
@@ -416,6 +398,4 @@ def resolve_backend(spec: BackendSpec = None) -> SetAlgebraBackend:
     name = default_backend_name() if spec is None else _validate_name(spec)
     if name == "bdd":
         return BddBackend()
-    if name == "fleet-atoms":
-        return FleetAtomsBackend()
     return AtomsBackend()

@@ -13,11 +13,12 @@
   diffed and localized under every backend in
   :data:`repro.core.setalg.BACKEND_NAMES`, asserting the serialized
   differences, input-set satcounts, and localizations are identical,
-* fleet backend cross-checks — a generated gateway fleet compared end
-  to end under the ``fleet-atoms`` and ``atoms`` backends
-  (:func:`repro.core.fleet.compare_fleet`), asserting the serialized
-  fleet reports are identical; a divergence is shrunk by dropping
-  devices,
+* fleet seeding cross-checks — a generated gateway fleet compared end
+  to end on the default path (memo on, so the matrix is seeded from
+  shared atom universes) and as the per-pair ``use_memo=False``
+  baseline (:func:`repro.core.fleet.compare_fleet`), asserting the
+  serialized fleet reports are identical; a divergence is shrunk by
+  dropping devices,
 * service round-trips — the same fleet's config *texts* pushed through
   a live in-thread analysis daemon
   (:class:`repro.service.ServiceThread`, the real HTTP/JSON path:
@@ -852,44 +853,42 @@ def _run_localize_case(
 
 
 def _fleet_mismatch(devices) -> Optional[str]:
-    """One-line description of a fleet-atoms/atoms report divergence.
+    """One-line description of a seeded/per-pair report divergence.
 
-    Both runs are serial and memo-isolated (each ``compare_fleet``
-    builds its own fresh memo), so the only variable is the backend —
-    including the fleet-scale seeding pass the ``fleet-atoms`` backend
-    runs before the matrix.
+    Both runs are serial; the default run builds its own fresh memo,
+    so the only variable is the fleet-scale seeding pass (and the memo
+    replay it feeds) against recomputing every pair.
     """
     from ..core.fleet import compare_fleet
     from ..core.serialize import fleet_report_to_dict
 
-    reports = {}
-    for name in ("atoms", "fleet-atoms"):
-        reports[name] = fleet_report_to_dict(
-            compare_fleet(devices, workers=1, set_backend=name)
-        )
-    if reports["atoms"] == reports["fleet-atoms"]:
+    seeded = fleet_report_to_dict(compare_fleet(devices, workers=1))
+    per_pair = fleet_report_to_dict(
+        compare_fleet(devices, workers=1, use_memo=False)
+    )
+    if seeded == per_pair:
         return None
     keys = sorted(
         key
-        for key in set(reports["atoms"]) | set(reports["fleet-atoms"])
-        if reports["atoms"].get(key) != reports["fleet-atoms"].get(key)
+        for key in set(seeded) | set(per_pair)
+        if seeded.get(key) != per_pair.get(key)
     )
     return (
-        f"fleet report diverges between atoms and fleet-atoms "
-        f"(fields: {', '.join(keys)})"
+        f"fleet report diverges between the seeded default path and "
+        f"per-pair atoms (fields: {', '.join(keys)})"
     )
 
 
 def _run_fleet_case(
     case_seed: int, result: SelfCheckResult
 ) -> Optional[SelfCheckFailure]:
-    """Cross-validate ``fleet-atoms`` against ``atoms`` on a whole fleet.
+    """Cross-validate the seeded default fleet path against per-pair atoms.
 
-    A generated gateway fleet — the connected-group seeding path end to
-    end: grouping, universe fold, memo seeding, matrix replay, medoid
-    election, reference reports — must serialize identically under both
-    backends.  A divergence is shrunk by dropping devices while it
-    persists, down to the minimal differing sub-fleet.
+    A generated gateway fleet — the seeding path end to end: missing-pair
+    collection, universe fold, memo seeding, matrix replay, medoid
+    election, reference reports — must serialize identically to the
+    ``use_memo=False`` baseline.  A divergence is shrunk by dropping
+    devices while it persists, down to the minimal differing sub-fleet.
     """
     from ..workloads.datacenter import gateway_fleet
 
@@ -905,7 +904,7 @@ def _run_fleet_case(
     if detail is None:
         from ..core.fleet import compare_fleet
 
-        report = compare_fleet(devices, workers=1, set_backend="fleet-atoms")
+        report = compare_fleet(devices, workers=1)
         result.differences += sum(report.matrix.values())
         return None
 
@@ -934,7 +933,7 @@ def _run_fleet_case(
             reproducer_lines.extend(_render_acl(acl))
     final_detail = _fleet_mismatch(devices) or detail
     return SelfCheckFailure(
-        "fleet", case_seed, "fleet-backend-equivalence", final_detail,
+        "fleet", case_seed, "fleet-seeding-equivalence", final_detail,
         "\n".join(reproducer_lines),
     )
 

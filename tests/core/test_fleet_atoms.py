@@ -1,15 +1,15 @@
-"""Fleet-scale shared-atom universe: grouping, folding, seeding.
+"""Fleet-scale shared-atom universe: folding, counting, seeding.
 
-Covers the three layers of the ``fleet-atoms`` backend:
+Covers the two layers of fleet atomization on the default path:
 
-* :func:`repro.core.grouping.connected_device_groups` — the
-  topology-connected groups the atomizer iterates;
 * :class:`repro.bdd.fleet_atoms.AtomUniverse` and
   :func:`repro.bdd.fleet_atoms.differing_pair_count` — the fold and the
   bitwise pair counting;
-* :class:`repro.core.fleet_atoms.FleetAtomizer` — memo seeding, the
-  zero-BDD-apply matrix, the atom-budget fallback, and vector
-  memoization.
+* :func:`repro.core.fleet_atoms.seed_acl_counts` as run by
+  :func:`repro.core.fleet.compare_fleet` — one universe per connected
+  component of the missing-pair graph, memo seeding, the
+  zero-BDD-apply matrix, the atom-budget fallback, and persisted seeds
+  on warm runs.
 """
 
 import pickle
@@ -25,35 +25,31 @@ from repro.bdd.fleet_atoms import (
     UniverseCoverageError,
     differing_pair_count,
 )
+from repro.cache import ArtifactCache
+from repro.core import fleet as fleet_module
 from repro.core.fleet import compare_fleet
-from repro.core.serialize import fleet_report_to_dict
-from repro.core.fleet_atoms import FleetAtomizer, acl_universe_id
-from repro.core.grouping import connected_device_groups
+from repro.core.fleet_atoms import seed_acl_counts
+from repro.core.match_policies import match_policies
 from repro.core.memo import DiffMemo, acl_key, count_entry
 from repro.core.parallel import pairwise_count_outcomes
 from repro.core.results import ComponentKind
 from repro.core.semantic_diff import diff_acls
+from repro.core.serialize import fleet_report_to_dict
 from repro.core.setalg import canonical_action_key
 from repro.encoding import PacketSpace, acl_equivalence_classes
-from repro.model import DeviceConfig, Interface, Prefix
+from repro.model import DeviceConfig
 from repro.model.acl import Acl
 from repro.workloads.acl_gen import random_rules
-from repro.workloads.datacenter import gateway_fleet
+from repro.workloads.datacenter import gateway_fleet, parameterized_clos_fleet
 
 
 def _counter(name):
     return perf.REGISTRY.counters.get(name, 0)
 
 
-def _device(hostname, *subnets, acl=None):
-    """A device with one interface per subnet and an optional ACL."""
+def _device(hostname, acl):
     device = DeviceConfig(hostname=hostname)
-    for index, subnet_text in enumerate(subnets):
-        device.interfaces[f"e{index}"] = Interface(
-            name=f"e{index}", address=Prefix.parse(subnet_text)
-        )
-    if acl is not None:
-        device.acls[acl.name] = acl
+    device.acls[acl.name] = acl
     return device
 
 
@@ -62,71 +58,19 @@ def _acl(name, rules=12, seed=0):
     return Acl(name=name, lines=tuple(random_rules(rules, rng)))
 
 
-def _hostnames(groups):
-    return [[device.hostname for device in group] for group in groups]
+def _seed(pairs, memo):
+    """Run the seeding step over ``pairs`` as compare_fleet would."""
+    pairings = [match_policies(d1, d2) for d1, d2 in pairs]
+    seed_acl_counts(pairs, pairings, memo)
+    return pairings
 
 
-class TestConnectedDeviceGroups:
-    def test_two_lans_make_two_groups(self):
-        devices = [
-            _device("a1", "10.0.0.1/24"),
-            _device("a2", "10.0.0.2/24"),
-            _device("b1", "10.1.0.1/24"),
-            _device("b2", "10.1.0.2/24"),
-        ]
-        assert _hostnames(connected_device_groups(devices)) == [
-            ["a1", "a2"],
-            ["b1", "b2"],
-        ]
-
-    def test_chain_connectivity_is_transitive(self):
-        # a–b share one subnet, b–c another: one group of three.
-        devices = [
-            _device("a", "10.0.0.1/24"),
-            _device("b", "10.0.0.2/24", "10.1.0.1/24"),
-            _device("c", "10.1.0.2/24"),
-        ]
-        assert _hostnames(connected_device_groups(devices)) == [["a", "b", "c"]]
-
-    def test_isolated_subnet_device_is_a_singleton(self):
-        devices = [
-            _device("a1", "10.0.0.1/24"),
-            _device("a2", "10.0.0.2/24"),
-            _device("lone", "172.16.0.1/24"),
-        ]
-        assert _hostnames(connected_device_groups(devices)) == [
-            ["a1", "a2"],
-            ["lone"],
-        ]
-
-    def test_topology_blind_devices_share_one_group(self):
-        # No subnet information at all (pure-ACL configs): grouping has
-        # nothing to split on, so it conservatively keeps them together
-        # rather than inventing singletons that would skip atomization.
-        devices = [DeviceConfig(hostname=name) for name in ("x", "y", "z")]
-        assert _hostnames(connected_device_groups(devices)) == [["x", "y", "z"]]
-
-    def test_blind_devices_group_apart_from_subnet_bearing_ones(self):
-        devices = [
-            _device("a1", "10.0.0.1/24"),
-            _device("a2", "10.0.0.2/24"),
-            DeviceConfig(hostname="blind1"),
-            DeviceConfig(hostname="blind2"),
-        ]
-        assert _hostnames(connected_device_groups(devices)) == [
-            ["a1", "a2"],
-            ["blind1", "blind2"],
-        ]
-
-    def test_loopback_only_devices_count_as_blind(self):
-        # /32 addresses carry no adjacency information, so devices with
-        # nothing else are topology-blind and conservatively grouped
-        # together (same as interface-less devices).
-        devices = [
-            _device("a", "10.255.0.1/32"),
-            _device("b", "10.255.0.1/32"),
-        ]
-        assert _hostnames(connected_device_groups(devices)) == [["a", "b"]]
+def _all_pairs(devices):
+    return [
+        (devices[i], devices[j])
+        for i in range(len(devices))
+        for j in range(i + 1, len(devices))
+    ]
 
 
 class TestAtomUniverse:
@@ -271,112 +215,77 @@ class TestDifferingPairCount:
 
 
 class TestFleetAtomizerGrouping:
-    """Connected-group / atomization interplay."""
+    """One universe per connected component of the missing-pair graph."""
+
+    def _two_lans(self):
+        return [
+            _device(name, _acl("FILTER", seed=seed))
+            for name, seed in (("a1", 1), ("a2", 2), ("b1", 3), ("b2", 4))
+        ]
 
     def test_one_universe_per_connected_group(self):
-        devices = [
-            _device("a1", "10.0.0.1/24", acl=_acl("FILTER", seed=1)),
-            _device("a2", "10.0.0.2/24", acl=_acl("FILTER", seed=2)),
-            _device("b1", "10.1.0.1/24", acl=_acl("FILTER", seed=3)),
-            _device("b2", "10.1.0.2/24", acl=_acl("FILTER", seed=4)),
-        ]
-        memo = DiffMemo()
-        atomizer = FleetAtomizer(devices, memo)
-        atomizer.seed()
-        assert atomizer.groups_atomized == 2
-        assert atomizer.groups_fallback == 0
-        assert atomizer.singleton_groups == 0
-        assert len(atomizer.universe_sizes) == 2
-        # Each group's universe id is content-addressed from ITS ACLs.
-        group_a = acl_universe_id(
-            [d.fingerprints.acls["FILTER"] for d in devices[:2]]
-        )
-        group_b = acl_universe_id(
-            [d.fingerprints.acls["FILTER"] for d in devices[2:]]
-        )
-        assert set(atomizer.universe_sizes) == {group_a, group_b}
+        devices = self._two_lans()
+        before = _counter("fleet_atoms.universes")
+        _seed([(devices[0], devices[1]), (devices[2], devices[3])], DiffMemo())
+        assert _counter("fleet_atoms.universes") == before + 2
 
     def test_singleton_groups_are_skipped(self):
-        devices = [
-            _device("a1", "10.0.0.1/24", acl=_acl("FILTER", seed=1)),
-            _device("a2", "10.0.0.2/24", acl=_acl("FILTER", seed=2)),
-            _device("lone", "172.16.0.1/24", acl=_acl("FILTER", seed=3)),
-        ]
+        # Two devices with the same ACL content: the pair's only
+        # fingerprint is a one-node component, seeded 0 without a fold.
+        acl = _acl("FILTER", seed=1)
+        first, second = _device("a1", acl), _device("a2", acl)
         memo = DiffMemo()
-        atomizer = FleetAtomizer(devices, memo)
-        atomizer.seed()
-        assert atomizer.singleton_groups == 1
-        assert atomizer.groups_atomized == 1
-        assert len(atomizer.universe_sizes) == 1
-        # The singleton's ACL was never folded anywhere: no memo seed
-        # mentions its fingerprint.
-        lone_fp = devices[2].fingerprints.acls["FILTER"]
-        a1_fp = devices[0].fingerprints.acls["FILTER"]
-        assert acl_key(lone_fp, a1_fp) not in memo
-        assert acl_key(a1_fp, lone_fp) not in memo
+        before = _counter("fleet_atoms.universes")
+        _seed([(first, second)], memo)
+        assert _counter("fleet_atoms.universes") == before
+        fingerprint = first.fingerprints.acls["FILTER"]
+        assert memo.peek(acl_key(fingerprint, fingerprint))["count"] == 0
 
     def test_cross_group_pairs_are_not_seeded(self):
-        devices = [
-            _device("a1", "10.0.0.1/24", acl=_acl("FILTER", seed=1)),
-            _device("a2", "10.0.0.2/24", acl=_acl("FILTER", seed=2)),
-            _device("b1", "10.1.0.1/24", acl=_acl("FILTER", seed=3)),
-            _device("b2", "10.1.0.2/24", acl=_acl("FILTER", seed=4)),
-        ]
+        devices = self._two_lans()
         memo = DiffMemo()
-        FleetAtomizer(devices, memo).seed()
-        intra = acl_key(
-            devices[0].fingerprints.acls["FILTER"],
-            devices[1].fingerprints.acls["FILTER"],
-        )
-        cross = acl_key(
-            devices[0].fingerprints.acls["FILTER"],
-            devices[2].fingerprints.acls["FILTER"],
-        )
-        assert intra in memo
-        assert cross not in memo
+        _seed([(devices[0], devices[1]), (devices[2], devices[3])], memo)
+        fps = [device.fingerprints.acls["FILTER"] for device in devices]
+        assert acl_key(fps[0], fps[1]) in memo
+        assert acl_key(fps[2], fps[3]) in memo
+        # Only the orientation the matrix looks up is seeded.
+        assert acl_key(fps[1], fps[0]) not in memo
+        assert acl_key(fps[0], fps[2]) not in memo
 
     def test_topology_blind_fleet_is_one_universe(self):
         devices, _ = gateway_fleet(count=5, outliers=4, rule_count=10, seed=9)
-        memo = DiffMemo()
-        atomizer = FleetAtomizer(devices, memo)
-        atomizer.seed()
-        assert atomizer.groups_atomized == 1
-        assert len(atomizer.universe_sizes) == 1
+        before = _counter("fleet_atoms.universes")
+        compare_fleet(devices, workers=1)
+        assert _counter("fleet_atoms.universes") == before + 1
 
 
 class TestSeededMatrix:
     def test_seeded_counts_match_per_pair_diffs(self):
         devices, _ = gateway_fleet(count=5, outliers=4, rule_count=12, seed=4)
         memo = DiffMemo()
-        FleetAtomizer(devices, memo).seed()
-        for i, device1 in enumerate(devices):
-            for device2 in devices[i + 1 :]:
-                for name1, acl1 in device1.acls.items():
-                    for name2, acl2 in device2.acls.items():
-                        key = acl_key(
-                            device1.fingerprints.acls[name1],
-                            device2.fingerprints.acls[name2],
-                        )
-                        entry = memo.get(key)
-                        if entry is None:
-                            continue  # pairing not matched by heuristics
-                        _, differences = diff_acls(
-                            acl1, acl2, space=PacketSpace()
-                        )
-                        assert entry["count"] == len(differences)
+        pairs = _all_pairs(devices)
+        _seed(pairs, memo)
+        checked = 0
+        for device1, device2 in pairs:
+            for name, acl1 in device1.acls.items():
+                acl2 = device2.acls[name]
+                key = acl_key(
+                    device1.fingerprints.acls[name],
+                    device2.fingerprints.acls[name],
+                )
+                _, differences = diff_acls(acl1, acl2, space=PacketSpace())
+                assert memo.peek(key)["count"] == len(differences)
+                checked += 1
+        assert checked == len(pairs)
 
     def test_matrix_replays_with_zero_bdd_applies(self):
         devices, _ = gateway_fleet(count=6, outliers=5, rule_count=12, seed=7)
         memo = DiffMemo()
-        FleetAtomizer(devices, memo).seed()
-        pairs = [
-            (devices[i], devices[j])
-            for i in range(len(devices))
-            for j in range(i + 1, len(devices))
-        ]
+        pairs = _all_pairs(devices)
+        pairings = _seed(pairs, memo)
         before = _counter("bdd.applies")
         outcomes = pairwise_count_outcomes(
-            pairs, workers=1, memo=memo, set_backend="fleet-atoms"
+            pairs, workers=1, memo=memo, pairings=pairings
         )
         assert _counter("bdd.applies") == before  # the acceptance criterion
         assert all(outcome.ok for outcome in outcomes)
@@ -384,86 +293,119 @@ class TestSeededMatrix:
     def test_reports_identical_to_other_backends(self):
         devices, _ = gateway_fleet(count=5, outliers=3, rule_count=10, seed=2)
         reports = {
-            name: fleet_report_to_dict(
-                compare_fleet(devices, workers=1, set_backend=name)
+            name: fleet_report_to_dict(compare_fleet(devices, workers=1, **kw))
+            for name, kw in (
+                ("default", {}),
+                ("bdd", {"set_backend": "bdd"}),
+                ("per-pair", {"use_memo": False}),
             )
-            for name in ("bdd", "atoms", "fleet-atoms")
         }
-        assert reports["fleet-atoms"] == reports["atoms"]
-        assert reports["fleet-atoms"] == reports["bdd"]
-        assert any(count for _, _, count in reports["fleet-atoms"]["matrix"])
+        assert reports["default"] == reports["bdd"]
+        assert reports["default"] == reports["per-pair"]
+        assert any(count for _, _, count in reports["default"]["matrix"])
+
+    def test_seeding_matches_only_the_plans_analyzed_pairs(self, monkeypatch):
+        devices, _ = parameterized_clos_fleet(
+            count=12, roles=3, rule_count=6, seed=0
+        )
+        calls = []
+        real = fleet_module.match_policies
+
+        def counting(device1, device2):
+            calls.append((device1.hostname, device2.hostname))
+            return real(device1, device2)
+
+        monkeypatch.setattr(fleet_module, "match_policies", counting)
+        report = compare_fleet(devices, workers=1)
+        analyzed = report.symmetry.analyzed_pairs
+        assert analyzed < report.symmetry.total_pairs
+        assert len(calls) == len(set(calls)) == analyzed
 
 
 class TestBudgetFallback:
-    def test_overrun_falls_back_per_group_with_note_and_counter(self):
+    def test_overrun_falls_back_per_component_counter_only(self, monkeypatch):
         devices, _ = gateway_fleet(count=4, outliers=3, rule_count=10, seed=6)
         memo = DiffMemo()
+        monkeypatch.setenv(ATOM_BUDGET_ENV, "2")
         before = _counter("fleet_atoms.budget_fallbacks")
-        atomizer = FleetAtomizer(devices, memo, atom_budget=2)
-        atomizer.seed()
+        _seed(_all_pairs(devices), memo)
         assert _counter("fleet_atoms.budget_fallbacks") == before + 1
-        assert atomizer.groups_fallback == 1
-        assert atomizer.groups_atomized == 0
-        assert len(atomizer.notes) == 1
-        note = atomizer.notes[0]
-        assert "falling back to per-pair atoms" in note
-        for device in devices:
-            assert device.hostname in note
-        # No ACL seeds were written for the fallen-back group.
+        # No ACL seeds were written for the fallen-back component.
         assert len(memo) == 0
 
     def test_env_budget_fallback_keeps_report_identical(self, monkeypatch):
         devices, _ = gateway_fleet(count=4, outliers=3, rule_count=10, seed=6)
         baseline = fleet_report_to_dict(
-            compare_fleet(devices, workers=1, set_backend="atoms")
+            compare_fleet(devices, workers=1, use_memo=False)
         )
         monkeypatch.setenv(ATOM_BUDGET_ENV, "4")
         before = _counter("fleet_atoms.budget_fallbacks")
-        report = compare_fleet(devices, workers=1, set_backend="fleet-atoms")
+        report = compare_fleet(devices, workers=1)
         assert _counter("fleet_atoms.budget_fallbacks") > before
-        assert report.notes and "falling back" in report.notes[0]
-        # Schema v4 serializes notes, and the fallback note is supposed
-        # to be there; everything else must match the baseline.
-        fresh = fleet_report_to_dict(report)
-        assert fresh["notes"] and "falling back" in fresh["notes"][0]
-        fresh.pop("notes")
-        baseline.pop("notes")
-        assert fresh == baseline
+        # The fallback is a perf counter, never a report note.
+        assert report.notes == []
+        assert fleet_report_to_dict(report) == baseline
 
     def test_unconstrained_run_has_no_notes(self):
         devices, _ = gateway_fleet(count=4, outliers=2, rule_count=10, seed=6)
-        report = compare_fleet(devices, workers=1, set_backend="fleet-atoms")
+        report = compare_fleet(devices, workers=1)
         assert report.notes == []
 
 
-class TestVectorMemoization:
-    def test_second_seed_reuses_cached_vectors(self):
+class TestPersistedSeeds:
+    def test_second_run_on_the_same_memo_folds_nothing(self):
         devices, _ = gateway_fleet(count=4, outliers=3, rule_count=10, seed=8)
         memo = DiffMemo()
-        before_universes = _counter("fleet_atoms.universes")
-        first = FleetAtomizer(devices, memo)
-        first.seed()
-        assert _counter("fleet_atoms.universes") == before_universes + 1
-        hits_before = _counter("memo.vector_hits")
-        second = FleetAtomizer(devices, memo)
-        second.seed()
-        # Cached vectors: no second universe build, one vector-table hit.
-        assert _counter("fleet_atoms.universes") == before_universes + 1
-        assert _counter("memo.vector_hits") == hits_before + 1
-        assert second.universe_sizes == first.universe_sizes
+        before = _counter("fleet_atoms.universes")
+        first = fleet_report_to_dict(compare_fleet(devices, workers=1, memo=memo))
+        assert _counter("fleet_atoms.universes") == before + 1
+        second = fleet_report_to_dict(compare_fleet(devices, workers=1, memo=memo))
+        assert _counter("fleet_atoms.universes") == before + 1
+        assert first == second
 
-    def test_vector_table_does_not_cross_pickling(self):
+    def test_seeds_cross_pickling(self):
         devices, _ = gateway_fleet(count=3, outliers=2, rule_count=8, seed=8)
         memo = DiffMemo()
-        atomizer = FleetAtomizer(devices, memo)
-        atomizer.seed()
-        (universe_id,) = atomizer.universe_sizes
-        assert memo.get_vectors(universe_id) is not None
+        _seed(_all_pairs(devices), memo)
+        # Matrix workers receive the memo pickled; the seeds travel.
         clone = pickle.loads(pickle.dumps(memo))
-        # Vectors are an in-process cache (BDD-derived, process-local);
-        # the count seeds themselves do survive.
-        assert clone.get_vectors(universe_id) is None
         assert len(clone) == len(memo) > 0
+
+    def test_warm_run_on_a_persistent_cache_folds_nothing(self, tmp_path):
+        devices, _ = gateway_fleet(count=6, outliers=5, rule_count=10, seed=3)
+        cold = fleet_report_to_dict(
+            compare_fleet(
+                devices, workers=1, memo=DiffMemo(ArtifactCache(tmp_path))
+            )
+        )
+        perf.reset()
+        warm = fleet_report_to_dict(
+            compare_fleet(
+                devices, workers=1, memo=DiffMemo(ArtifactCache(tmp_path))
+            )
+        )
+        counters = perf.REGISTRY.counters
+        assert counters.get("fleet_atoms.universes", 0) == 0
+        assert counters.get("memo.misses", 0) == 0
+        assert counters.get("memo.hits", 0) > 0
+        assert warm == cold
+
+    def test_one_device_edit_folds_only_its_pairs(self, tmp_path):
+        devices, _ = gateway_fleet(count=6, outliers=5, rule_count=10, seed=3)
+        compare_fleet(devices, workers=1, memo=DiffMemo(ArtifactCache(tmp_path)))
+        edited = list(devices)
+        edited[0] = _device(devices[0].hostname, _acl("GW_POLICY", seed=99))
+        perf.reset()
+        report = compare_fleet(
+            edited, workers=1, memo=DiffMemo(ArtifactCache(tmp_path))
+        )
+        counters = perf.REGISTRY.counters
+        assert counters.get("fleet_atoms.universes", 0) == 1
+        # The edited ACL against each of the other five.
+        assert counters.get("memo.seeds", 0) == len(devices) - 1
+        assert fleet_report_to_dict(report) == fleet_report_to_dict(
+            compare_fleet(edited, workers=1, use_memo=False)
+        )
 
 
 class TestSeedEntries:

@@ -22,7 +22,6 @@ from repro.core.setalg import (
     DEFAULT_BACKEND,
     AtomsBackend,
     BddBackend,
-    FleetAtomsBackend,
     default_backend,
     default_backend_name,
     resolve_backend,
@@ -201,14 +200,11 @@ class TestBackendResolution:
     def test_name_resolution(self):
         assert isinstance(resolve_backend("bdd"), BddBackend)
         assert isinstance(resolve_backend("atoms"), AtomsBackend)
-        # fleet-atoms IS an AtomsBackend per pair; the fleet-level
-        # seeding is keyed off the name by compare_fleet.
-        fleet = resolve_backend("fleet-atoms")
-        assert isinstance(fleet, FleetAtomsBackend)
-        assert isinstance(fleet, AtomsBackend)
-        assert fleet.name == "fleet-atoms"
-        with pytest.raises(ValueError, match="unknown set-algebra backend"):
-            resolve_backend("cubes")
+        assert BACKEND_NAMES == ("bdd", "atoms")
+        # Fleet-scale seeding is part of the atoms path, not a backend.
+        for name in ("cubes", "fleet-atoms"):
+            with pytest.raises(ValueError, match="unknown set-algebra backend"):
+                resolve_backend(name)
 
     def test_instances_pass_through(self):
         backend = AtomsBackend(atom_budget=5)

@@ -122,6 +122,40 @@ class TestDiffStore:
         assert len(list(small._entries("diffs"))) == 3
         assert perf.snapshot()["counters"].get("cache.evictions", 0) == 3
 
+    def test_puts_below_the_bound_list_the_store_once(
+        self, tmp_path, monkeypatch
+    ):
+        store = ArtifactCache(tmp_path / "store", max_entries=50)
+        listings = []
+        real = ArtifactCache._entries
+
+        def counting(self, name):
+            listings.append(name)
+            return real(self, name)
+
+        monkeypatch.setattr(ArtifactCache, "_entries", counting)
+        for index in range(40):
+            store.put_diff(acl_key(f"fp{index}", "x"), {"count": 0})
+        # Rewriting an existing entry adds nothing to count.
+        store.put_diff(acl_key("fp0", "x"), {"count": 0})
+        assert listings == ["diffs"]
+        monkeypatch.undo()
+        assert len(list(store._entries("diffs"))) == 40
+
+    def test_store_over_the_bound_is_trimmed_to_max_entries(self, tmp_path):
+        root = tmp_path / "store"
+        filler = ArtifactCache(root)
+        for index in range(8):
+            filler.put_diff(acl_key(f"old{index}", "x"), {"count": 0})
+        # A fresh instance over an existing oversized store trims it on
+        # its first write, then keeps it at the bound.
+        small = ArtifactCache(root, max_entries=5)
+        small.put_diff(acl_key("new0", "x"), {"count": 0})
+        assert len(list(small._entries("diffs"))) == 5
+        for index in range(1, 4):
+            small.put_diff(acl_key(f"new{index}", "x"), {"count": 0})
+        assert len(list(small._entries("diffs"))) == 5
+
 
 class TestMaintenance:
     def test_stats_and_clear(self, cache):

@@ -241,6 +241,54 @@ class TestWarmCacheBytes:
         assert cold == warm
 
 
+class TestFleetSeedingBytes:
+    """The seeded default fleet path prints the same ``--json`` bytes
+    cold, warm, after a one-device edit, and under the per-pair ``bdd``
+    backend and ``--compress off`` — on an all-distinct gateway fleet,
+    where every matrix pair is seeded from the shared atom universe."""
+
+    def test_gateway_fleet_is_byte_identical(self, tmp_path, capsys, monkeypatch):
+        from repro.workloads import datacenter
+
+        texts = {}
+
+        def capture(text, filename, *args, **kwargs):
+            texts[filename] = text
+
+        monkeypatch.setattr(datacenter, "parse_cisco", capture)
+        monkeypatch.setattr(datacenter, "parse_juniper", capture)
+        datacenter.gateway_fleet(16, 15)
+        monkeypatch.undo()
+        paths = []
+        for filename, text in sorted(texts.items()):
+            path = tmp_path / filename
+            path.write_text(text)
+            paths.append(str(path))
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+
+        def fleet(*argv):
+            assert main(list(argv) + ["fleet", "--json"] + paths) == 1
+            captured = capsys.readouterr()
+            return captured.out, captured.err
+
+        cold, _ = fleet(*cache)
+        warm, warm_err = fleet(*cache)
+        assert "misses=0" in warm_err
+        assert warm == cold
+        assert fleet("--no-cache", "--set-backend", "bdd")[0] == cold
+        assert main(["--no-cache", "fleet", "--json", "--compress", "off"]
+                    + paths) == 1
+        assert capsys.readouterr().out == cold
+
+        edited = tmp_path / "gw0.cfg"
+        edited.write_text(edited.read_text().replace(" permit ", " deny ", 1))
+        after_edit, _ = fleet(*cache)
+        assert after_edit != cold
+        # The incremental run folded only the edited device's pairs; a
+        # from-scratch run must print the same bytes.
+        assert after_edit == fleet("--no-cache")[0]
+
+
 class TestTranslate:
     def test_translate_verified(self, tmp_path, capsys):
         from repro.workloads.datacenter import _cisco_tor

@@ -401,39 +401,36 @@ class TestWorkerDeath:
         assert set(report.outliers) == set(expected)
 
 
-def _sans_notes(serialized: dict) -> dict:
-    """A serialized fleet report minus its (schema v4) ``notes`` field."""
-    return {key: value for key, value in serialized.items() if key != "notes"}
-
-
 class TestFleetAtomsFaults:
-    """Fault paths of the fleet-scale shared-atom backend: per-group
-    fallbacks must degrade, never corrupt the report."""
+    """Fault paths of fleet-scale seeding on the default path: a
+    component that cannot be atomized falls back to per-pair atoms and
+    must degrade, never corrupt the report."""
 
     def _fleet(self, seed=7):
         return gateway_fleet(count=4, outliers=1, rule_count=8, seed=seed)
+
+    def _baseline(self, devices):
+        from repro.core.serialize import fleet_report_to_dict
+
+        return fleet_report_to_dict(
+            compare_fleet(devices, workers=1, use_memo=False)
+        )
 
     def test_atom_budget_fallback_keeps_report_intact(self, monkeypatch):
         from repro.bdd.atoms import ATOM_BUDGET_ENV
         from repro.core.serialize import fleet_report_to_dict
 
         devices, expected = self._fleet()
-        baseline = fleet_report_to_dict(
-            compare_fleet(devices, workers=1, set_backend="atoms")
-        )
+        baseline = self._baseline(devices)
         monkeypatch.setenv(ATOM_BUDGET_ENV, "2")
         base = perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
-        report = compare_fleet(devices, workers=1, set_backend="fleet-atoms")
+        report = compare_fleet(devices, workers=1)
         assert (
             perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
             > base
         )
-        assert any(
-            "falling back to per-pair atoms" in note for note in report.notes
-        )
-        # The fallback note is *supposed* to appear in the serialized
-        # form (schema v4); everything else must match the baseline.
-        assert _sans_notes(fleet_report_to_dict(report)) == _sans_notes(baseline)
+        # The fallback is a perf counter only: no note, same bytes.
+        assert fleet_report_to_dict(report) == baseline
         assert set(report.outliers) == set(expected)
 
     def test_coverage_guard_fallback_keeps_report_intact(self, monkeypatch):
@@ -442,32 +439,28 @@ class TestFleetAtomsFaults:
         from repro.core.serialize import fleet_report_to_dict
 
         devices, expected = self._fleet()
-        baseline = fleet_report_to_dict(
-            compare_fleet(devices, workers=1, set_backend="atoms")
-        )
+        baseline = self._baseline(devices)
 
-        def tripped(self, fp_to_acl):
+        def tripped(acls):
             raise UniverseCoverageError("injected coverage hole")
 
-        monkeypatch.setattr(
-            fleet_atoms_module.FleetAtomizer, "_acl_vectors", tripped
+        monkeypatch.setattr(fleet_atoms_module, "_fold", tripped)
+        base = perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
+        report = compare_fleet(devices, workers=1)
+        assert (
+            perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
+            > base
         )
-        report = compare_fleet(devices, workers=1, set_backend="fleet-atoms")
-        assert any(
-            "injected coverage hole" in note for note in report.notes
-        )
-        assert _sans_notes(fleet_report_to_dict(report)) == _sans_notes(baseline)
+        assert fleet_report_to_dict(report) == baseline
         assert set(report.outliers) == set(expected)
 
     def test_worker_crash_under_fleet_atoms(self, monkeypatch):
-        """SIGKILLed workers + fleet-atoms seeding: the memo-seeded
-        matrix still completes (serial retry) with an intact report."""
+        """SIGKILLed workers + fleet seeding: the memo-seeded matrix
+        still completes (serial retry) with an intact report."""
         from repro.core.serialize import fleet_report_to_dict
 
         devices, expected = self._fleet()
-        baseline = fleet_report_to_dict(
-            compare_fleet(devices, workers=1, set_backend="atoms")
-        )
+        baseline = self._baseline(devices)
         real = parallel._count_pair
 
         def kill_in_worker(task):
@@ -476,9 +469,7 @@ class TestFleetAtomsFaults:
             return real(task)
 
         monkeypatch.setattr(parallel, "_count_pair", kill_in_worker)
-        report = compare_fleet(
-            devices, workers=2, set_backend="fleet-atoms"
-        )
+        report = compare_fleet(devices, workers=2)
         assert not report.failed_pairs
         assert fleet_report_to_dict(report) == baseline
         assert set(report.outliers) == set(expected)
