@@ -71,7 +71,6 @@ def _run(devices, set_backend: str, memo):
         use_memo=False if memo is None else True,
         memo=memo,
         set_backend=set_backend,
-        compress="exact",
     )
     counters = perf.REGISTRY.snapshot()["counters"]
     return fleet_report_to_dict(report), _reports_seconds(), counters

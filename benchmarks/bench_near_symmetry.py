@@ -1,33 +1,37 @@
-"""Near-symmetry fleet compression — BENCH_near_symmetry.json.
+"""Fleet symmetry compression — BENCH_near_symmetry.json.
 
-The matrix phase of ``compare_fleet`` under all three ``compress``
-modes on the *parameterized* Clos fleet: every device carries unique
-loopbacks, interface subnets, and BGP neighbors, so no two devices are
-byte-identical and exact fingerprint compression degenerates to one
-singleton class per device (analyzing all N(N-1)/2 pairs, same as
-``off``).  Near-symmetry abstracts the rewritable literals into
-template holes, partitions by template fingerprint, and analyzes one
-pair per joint-equality signature — on an R-role fleet that is
-O(R^2) pairs regardless of N, with every other pair's outcome
-replayed through the representative.  The exact-vs-near matrix gap is
-the point of the phase, and the headline ``matrix_speedup``
-(exact matrix seconds / near matrix seconds) carries the >=5x
-assertion.
+The matrix phase of ``compare_fleet`` with compression ``off`` and at
+its default (``near``), on two fleets:
 
-Three runs, all serial, cold, and memo-free (``use_memo=False`` keeps
-the per-pair diff cost honest — with the memo on, exact mode already
-replays most BDD work and the remaining gap narrows to the per-pair
-walk).  All three serialized reports must be byte-identical — the
-speedup is only meaningful if the answers are (the oracle's
-``near-symmetry`` generator checks the same identity on shrunken
-counterexamples).
+* the *templated* Clos fleet: a few role templates stamped onto many
+  hostnames, so the device-fingerprint classes (near planning's first
+  step) already collapse the fleet to one class per role;
+* the *parameterized* Clos fleet: every device carries unique
+  loopbacks, interface subnets, and BGP neighbors, so no two devices
+  are byte-identical and fingerprint classes find nothing.  Near
+  planning abstracts the rewritable literals into template holes,
+  partitions by template fingerprint, and analyzes one pair per
+  joint-equality signature — O(R^2) pairs on an R-role fleet regardless
+  of N, with every other pair's outcome replayed.
+
+Uncompressed, the matrix runs all N(N-1)/2 pairs.  All runs are
+serial, cold, and memo-free (``use_memo=False`` keeps the per-pair diff
+cost honest — with the memo on, repeated component diffs already replay
+as arithmetic and the gap narrows to the per-pair walk).  The guarded
+ratios are ``matrix_speedup`` (parameterized fleet, off matrix seconds
+/ near matrix seconds, with a >=5x assertion) and
+``templated.matrix_speedup``.  Both fleets' serialized reports must be
+identical across the two modes — the speedup is only meaningful if the
+answers are (the oracle's ``symmetry`` and ``near-symmetry`` generators
+check the same identity on shrunken counterexamples).
 
 Workload sizes honour environment knobs so the CI smoke job can run a
 tiny version: ``CAMPION_BENCH_NEARSYM_DEVICES`` (default 32),
 ``CAMPION_BENCH_NEARSYM_ROLES`` (default 3),
 ``CAMPION_BENCH_NEARSYM_RULES`` (rules per role ACL, default 24),
-``CAMPION_BENCH_NEARSYM_UPLINKS`` (interfaces/neighbors per device,
-default 2).
+``CAMPION_BENCH_NEARSYM_UPLINKS`` (interfaces/neighbors per
+parameterized device, default 2).  The templated fleet is all-Cisco,
+matching the single-vendor fleets the paper measures.
 
 Runs under pytest-benchmark or standalone:
 ``PYTHONPATH=src python benchmarks/bench_near_symmetry.py``.
@@ -40,18 +44,20 @@ import time
 from bench_artifacts import write_artifact
 from repro import perf
 from repro.core import compare_fleet, fleet_report_to_dict
-from repro.workloads.datacenter import parameterized_clos_fleet
+from repro.workloads.datacenter import (
+    parameterized_clos_fleet,
+    templated_clos_fleet,
+)
 
 DEVICES = int(os.environ.get("CAMPION_BENCH_NEARSYM_DEVICES", "32"))
 ROLES = int(os.environ.get("CAMPION_BENCH_NEARSYM_ROLES", "3"))
 RULES = int(os.environ.get("CAMPION_BENCH_NEARSYM_RULES", "24"))
 UPLINKS = int(os.environ.get("CAMPION_BENCH_NEARSYM_UPLINKS", "2"))
-SEED = 33
 
-#: Scale gate for the artifact's ``workload_scale`` stamp.  Unlike the
-#: exact-symmetry bench, the >=5x bar holds at smoke scale too: the
-#: exact-mode matrix grows with N^2 while near stays O(roles^2), so
-#: even a 12-device smoke fleet clears it with margin.
+#: Scale gate for the artifact's ``workload_scale`` stamp.  The >=5x
+#: bar holds at smoke scale too: the uncompressed matrix grows with N^2
+#: while near stays O(roles^2), so even a 12-device smoke fleet clears
+#: it with margin.
 FULL_SCALE = DEVICES >= 32 and RULES >= 24
 
 
@@ -60,22 +66,11 @@ def _matrix_seconds() -> float:
     return timers.get("fleet.matrix", {}).get("total_s", 0.0)
 
 
-def _run_all() -> dict:
-    devices, _ = parameterized_clos_fleet(
-        count=DEVICES,
-        roles=ROLES,
-        rule_count=RULES,
-        seed=SEED,
-        uplinks=UPLINKS,
-    )
-    result = {
-        "devices": DEVICES,
-        "roles": ROLES,
-        "rules_per_role": RULES,
-        "uplinks": UPLINKS,
-    }
+def _run_fleet(devices) -> dict:
+    """Off and near on one fleet: timings, plan size, report identity."""
+    result = {}
     reports = {}
-    for compress in ("off", "exact", "near"):
+    for compress in ("off", "near"):
         gc.collect()
         perf.reset()
         start = time.perf_counter()
@@ -85,26 +80,40 @@ def _run_all() -> dict:
         result[f"{compress}_seconds"] = time.perf_counter() - start
         result[f"{compress}_matrix_seconds"] = _matrix_seconds()
         reports[compress] = fleet_report_to_dict(report)
-        if compress != "off":
-            stats = report.symmetry
-            result[f"{compress}_classes"] = stats.classes
-            result[f"{compress}_analyzed_pairs"] = stats.analyzed_pairs
-            if compress == "near":
-                result["matrix_pairs"] = stats.total_pairs
-                result["fallback_pairs"] = stats.fallback_pairs
+    stats = report.symmetry
+    result["classes"] = stats.classes
+    result["analyzed_pairs"] = stats.analyzed_pairs
+    result["matrix_pairs"] = stats.total_pairs
+    result["fallback_pairs"] = stats.fallback_pairs
     result["matrix_speedup"] = (
-        result["exact_matrix_seconds"] / result["near_matrix_seconds"]
-    )
-    result["matrix_speedup_vs_off"] = (
         result["off_matrix_seconds"] / result["near_matrix_seconds"]
     )
-    result["total_speedup"] = (
-        result["exact_seconds"] / result["near_seconds"]
-    )
-    result["identical_reports"] = (
-        reports["exact"] == reports["off"] and reports["near"] == reports["off"]
-    )
+    result["total_speedup"] = result["off_seconds"] / result["near_seconds"]
+    result["identical_reports"] = reports["near"] == reports["off"]
     assert result["identical_reports"], "compressed report diverged"
+    return result
+
+
+def _run_all() -> dict:
+    templated, _ = templated_clos_fleet(
+        count=DEVICES, roles=ROLES, rule_count=RULES, seed=21, vendors=1
+    )
+    parameterized, _ = parameterized_clos_fleet(
+        count=DEVICES, roles=ROLES, rule_count=RULES, seed=33, uplinks=UPLINKS
+    )
+    result = {
+        "devices": DEVICES,
+        "roles": ROLES,
+        "rules_per_role": RULES,
+        "uplinks": UPLINKS,
+        "templated": _run_fleet(templated),
+        "parameterized": _run_fleet(parameterized),
+    }
+    result["matrix_speedup"] = result["parameterized"]["matrix_speedup"]
+    result["identical_reports"] = (
+        result["templated"]["identical_reports"]
+        and result["parameterized"]["identical_reports"]
+    )
     return result
 
 
@@ -118,25 +127,30 @@ def _write(payload: dict):
 
 def _render(payload: dict) -> str:
     lines = [
-        "Fleet matrix with near-symmetry template compression",
+        "Fleet matrix with symmetry compression (off vs near,"
+        " use_memo=False)",
         "",
-        f"Parameterized Clos fleet: {payload['devices']} devices,"
-        f" {payload['roles']} roles, {payload['rules_per_role']} rules/role,"
-        f" {payload['uplinks']} uplinks (unique loopbacks/subnets/peers)",
-        f"  matrix pairs               {payload['matrix_pairs']}",
-        f"  exact classes              {payload['exact_classes']}"
-        f" (analyzed {payload['exact_analyzed_pairs']})",
-        f"  template classes           {payload['near_classes']}"
-        f" (analyzed {payload['near_analyzed_pairs']},"
-        f" {payload['fallback_pairs']} fallback)",
-        f"  off matrix                 {payload['off_matrix_seconds']:.2f}s",
-        f"  exact matrix               {payload['exact_matrix_seconds']:.2f}s",
-        f"  near matrix                {payload['near_matrix_seconds']:.2f}s",
-        f"  matrix speedup (vs exact)  {payload['matrix_speedup']:.2f}x",
-        f"  matrix speedup (vs off)    {payload['matrix_speedup_vs_off']:.2f}x",
-        f"  total speedup (vs exact)   {payload['total_speedup']:.2f}x",
-        f"  identical reports (all 3)  {payload['identical_reports']}",
+        f"{payload['devices']} devices, {payload['roles']} roles,"
+        f" {payload['rules_per_role']} rules/role,"
+        f" {payload['uplinks']} parameterized uplinks",
     ]
+    for name, label in (
+        ("templated", "Templated Clos (clones per role)"),
+        ("parameterized", "Parameterized Clos (unique loopbacks/subnets/peers)"),
+    ):
+        fleet = payload[name]
+        lines += [
+            f"{label}:",
+            f"  template classes           {fleet['classes']}"
+            f" (analyzed {fleet['analyzed_pairs']} of"
+            f" {fleet['matrix_pairs']} pairs,"
+            f" {fleet['fallback_pairs']} fallback)",
+            f"  off matrix                 {fleet['off_matrix_seconds']:.2f}s",
+            f"  near matrix                {fleet['near_matrix_seconds']:.2f}s",
+            f"  matrix speedup             {fleet['matrix_speedup']:.2f}x",
+            f"  total speedup              {fleet['total_speedup']:.2f}x",
+        ]
+    lines.append(f"identical reports (both fleets)  {payload['identical_reports']}")
     return "\n".join(lines)
 
 
@@ -148,12 +162,14 @@ def test_near_symmetry(benchmark, results_dir):
     emit(results_dir, "BENCH_near_symmetry", _render(payload))
 
     assert payload["identical_reports"]
-    assert payload["fallback_pairs"] == 0
-    assert payload["near_analyzed_pairs"] < payload["exact_analyzed_pairs"]
-    speedup = payload["matrix_speedup"]
-    assert speedup >= 5.0, (
-        f"near-symmetry only {speedup:.2f}x over exact on the matrix"
-    )
+    for name in ("templated", "parameterized"):
+        fleet = payload[name]
+        assert fleet["fallback_pairs"] == 0
+        assert fleet["analyzed_pairs"] < fleet["matrix_pairs"]
+        speedup = fleet["matrix_speedup"]
+        assert speedup >= 5.0, (
+            f"{name}: compression only {speedup:.2f}x over off on the matrix"
+        )
 
 
 if __name__ == "__main__":

@@ -32,28 +32,20 @@ means *every* kernel allocation site honours the budget (the historical
 inline fast paths checked it only in ``BddManager._mk``).
 
 Store selection: the ``store`` argument of :class:`~.engine.BddManager`
-(``"flat"``/``"dict"`` or an instance), else the ``CAMPION_BDD_STORE``
-environment variable, else ``"flat"``.
+is a fresh store instance, or ``None`` for a :class:`FlatNodeStore`.
+:class:`DictNodeStore` is the reference the store tests pass in.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Callable, Dict, Optional, Tuple, Union
 
 __all__ = [
-    "BDD_STORE_ENV",
-    "DEFAULT_STORE",
-    "STORE_NAMES",
     "DictNodeStore",
     "FlatNodeStore",
     "resolve_store",
 ]
-
-BDD_STORE_ENV = "CAMPION_BDD_STORE"
-DEFAULT_STORE = "flat"
-STORE_NAMES = ("flat", "dict")
 
 # Terminal ids, mirrored from the engine (kept literal to avoid a
 # circular import; the engine asserts they agree).
@@ -157,9 +149,8 @@ class FlatNodeStore:
 class DictNodeStore:
     """The historical layout: Python lists plus a tuple-keyed dict.
 
-    Kept as a selectable fallback (``CAMPION_BDD_STORE=dict``) and as
-    the reference implementation the flat store's tests compare
-    against.
+    Kept as the reference implementation the flat store's tests
+    compare against.
     """
 
     kind = "dict"
@@ -200,26 +191,16 @@ class DictNodeStore:
 
 NodeStore = Union[FlatNodeStore, DictNodeStore]
 
-_STORE_CLASSES = {"flat": FlatNodeStore, "dict": DictNodeStore}
+def resolve_store(spec: Optional[NodeStore] = None) -> NodeStore:
+    """A fresh :class:`FlatNodeStore` for ``None``, else ``spec`` as-is.
 
-
-def resolve_store(spec: Union[None, str, NodeStore] = None) -> NodeStore:
-    """Resolve a store spec to a fresh (or passed-through) instance.
-
-    ``spec`` may be a store instance (returned as-is — it must be
-    empty/fresh, since the manager seeds terminals through it), a name
-    from ``STORE_NAMES``, or ``None`` — which consults the
-    ``CAMPION_BDD_STORE`` environment variable and defaults to
-    ``"flat"``.
+    A passed-in store must be empty/fresh, since the manager seeds
+    terminals through it.
     """
     if spec is None:
-        spec = os.environ.get(BDD_STORE_ENV, "").strip() or DEFAULT_STORE
+        return FlatNodeStore()
     if isinstance(spec, str):
-        cls = _STORE_CLASSES.get(spec)
-        if cls is None:
-            raise ValueError(
-                f"unknown BDD node store {spec!r}; "
-                f"expected one of {', '.join(STORE_NAMES)}"
-            )
-        return cls()
+        raise TypeError(
+            f"store must be a node store instance, not a name ({spec!r})"
+        )
     return spec

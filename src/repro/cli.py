@@ -284,7 +284,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             node_limit=args.node_limit,
             memo=DiffMemo(cache) if cache is not None else None,
             set_backend=args.set_backend,
-            compress="off" if args.no_compress else args.compress,
+            compress=args.compress,
         )
     except ValueError as exc:
         # duplicate hostnames, too-few devices, unknown reference
@@ -480,19 +480,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     fleet_parser.add_argument(
         "--compress",
-        choices=["off", "exact", "near"],
-        default=None,
-        help="matrix symmetry compression mode: 'exact' collapses "
-        "byte-identical devices, 'near' also collapses devices equal "
-        "modulo rewritable literals (loopbacks, router-ids, BGP peers) "
-        "(default: $CAMPION_FLEET_COMPRESS or near; the report is "
-        "identical in every mode, compression only skips redundant pairs)",
-    )
-    fleet_parser.add_argument(
-        "--no-compress",
-        action="store_true",
-        default=False,
-        help="shorthand for --compress off",
+        choices=["off", "near"],
+        default="near",
+        help="matrix symmetry compression: 'near' collapses devices equal "
+        "modulo rewritable literals (loopbacks, router-ids, BGP peers), "
+        "byte-identical devices included; 'off' analyzes every pair "
+        "(default: near; the report is identical in both modes, "
+        "compression only skips redundant pairs)",
     )
     add_budget_flags(fleet_parser)
     fleet_parser.set_defaults(func=_cmd_fleet)
@@ -519,9 +513,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--generators",
         default=None,
         metavar="NAME[,NAME...]",
-        help="restrict to these case generators (e.g. 'symmetry' or "
-        "'near-symmetry' for the compression cross-checks only; "
-        "default: round-robin over all)",
+        help="restrict to these case generators (e.g. "
+        "'fleet,symmetry,near-symmetry,service' for the fleet A/B "
+        "cross-checks only; default: round-robin over all)",
     )
     selfcheck_parser.set_defaults(func=_cmd_selfcheck)
 

@@ -1,14 +1,18 @@
-"""Near-symmetry fleet compression — equal modulo a parameter substitution.
+"""Fleet symmetry compression — equal modulo a parameter substitution.
 
-Exact symmetry compression (PR 8, ``repro.core.fleet``) collapses
-devices whose semantic content is byte-identical.  Real templated
-fleets are never that clean: every leaf differs in its loopback,
-interface addresses, router-id, and BGP neighbor statements, so
-``partition_by_device_fingerprint`` degenerates to N singleton classes
-and the matrix is back to O(N^2) full diffs.  This module compresses
-that case, following the Control Plane Compression insight (Beckett et
-al., SIGCOMM 2018): devices equal *modulo a parameter substitution*
-can share one analysis under explicit soundness conditions.
+This module owns the matrix-compression decision for
+:func:`repro.core.fleet.compare_fleet`.  Its first step collapses
+devices whose semantic content is byte-identical (device-fingerprint
+classes: intra-class pairs are zero differences, members inherit their
+representative's outcomes verbatim).  Real templated fleets are rarely
+that clean: every leaf differs in its loopback, interface addresses,
+router-id, and BGP neighbor statements, so fingerprint classes
+degenerate to N singletons and the matrix is back to O(N^2) full diffs.
+The second step compresses that case, following the Control Plane
+Compression insight (Beckett et al., SIGCOMM 2018): devices equal
+*modulo a parameter substitution* can share one analysis under explicit
+soundness conditions — byte-identical classes are its identity-
+substitution case.
 
 The machinery rests on template fingerprints
 (:func:`repro.model.fingerprint.compute_template`): a device is
@@ -30,15 +34,15 @@ match semantics).  The soundness theorem this module encodes:
 :func:`pair_signature` canonicalizes ``(template_fp_1, template_fp_2,
 pattern)`` for an unordered pair — difference counts are symmetric, so
 orientation is normalized away.  :func:`plan_near_pairs` then analyzes
-one representative pair per signature and replays its count across the
-class.  Every class is statically checked by
-:func:`verify_template_class` first; a failing class dissolves into
+one representative pair per signature and :meth:`SymmetryPlan.expand_near`
+replays its count across the class.  Every class is statically checked
+by :func:`verify_template_class` first; a failing class dissolves into
 singletons (concrete analysis) with a ``near_symmetry.fallbacks`` perf
 count and a ``FleetReport.notes`` entry — mirroring the atom-budget
-fallback convention.  A representative pair that *fails* at runtime is
-never replayed: its near-symmetric member pairs fall back to concrete
-analysis (``SymmetryPlan.expand_near`` returns them for a second
-fan-out) so one targeted fault cannot poison an entire class.
+fallback convention.  A representative pair that *fails* at runtime
+fails only content-identical pairs; merely near-symmetric member pairs
+fall back to concrete analysis (``expand_near`` returns them for a
+second fan-out), so one targeted fault cannot poison an entire class.
 
 :func:`raw_substitution` / :func:`replay_report_dict` are the
 full-report form of the replay identity: the oracle and the test suite
@@ -47,14 +51,15 @@ localized headers are exactly the representative pair's rewritten
 through the substitution.  ``compare_fleet`` itself never serves
 rewritten reports — the matrix is count-based and reference reports
 are always produced live — so serialized fleet reports stay
-byte-identical to uncompressed runs (the PR 8 contract).
+byte-identical to uncompressed runs.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .. import perf
 from ..model.device import DeviceConfig
@@ -63,9 +68,12 @@ from ..model.fingerprint import (
     DeviceTemplate,
     partition_by_device_fingerprint,
 )
-from .parallel import SymmetryPlan, plan_representative_pairs
+
+if TYPE_CHECKING:
+    from .parallel import PairOutcome
 
 __all__ = [
+    "SymmetryPlan",
     "pair_pattern",
     "pair_signature",
     "verify_template_class",
@@ -79,6 +87,100 @@ __all__ = [
 FALLBACK_COUNTER = "near_symmetry.fallbacks"
 
 _ALLOWED_KINDS = frozenset(_HOLE_FIELDS.values())
+
+
+@dataclass(frozen=True)
+class SymmetryPlan:
+    """Representative-pair plan for a compressed fleet matrix.
+
+    Built by :func:`plan_near_pairs`.  Devices are first grouped into
+    device-fingerprint classes (:attr:`representative`,
+    :attr:`members`); the class representatives are then grouped into
+    template classes, and only one representative pair per replay
+    signature is analyzed (:attr:`pair_keys`).  Every full-fleet pair
+    is recovered by :meth:`expand_near`.
+    """
+
+    #: hostname -> its class representative (smallest hostname in class)
+    representative: Dict[str, str]
+    #: representative -> all class members, sorted (representative first)
+    members: Dict[str, Tuple[str, ...]]
+    #: the unordered representative pairs to actually analyze, sorted
+    pair_keys: Tuple[Tuple[str, str], ...]
+    #: representative pair -> the analyzed pair whose outcome it
+    #: replays (identity entries omitted)
+    replay_key: Dict[Tuple[str, str], Tuple[str, str]] = field(
+        default_factory=dict
+    )
+    #: template fingerprint -> fingerprint-class representatives
+    #: sharing it (post-verification)
+    template_classes: Dict[str, Tuple[str, ...]] = field(
+        default_factory=dict
+    )
+
+    @property
+    def class_count(self) -> int:
+        """Number of template classes."""
+        return len(self.template_classes)
+
+    def expand_near(
+        self,
+        hostnames: Sequence[str],
+        outcomes: Dict[Tuple[str, str], "PairOutcome"],
+    ) -> Tuple[
+        Dict[Tuple[str, str], int],
+        Dict[Tuple[str, str], str],
+        List[Tuple[str, str]],
+    ]:
+        """The full ``(matrix, failed_pairs, fallback_pairs)``.
+
+        Same-class pairs expand to count 0 without consulting
+        ``outcomes`` at all; cross-class pairs take their representative
+        pair's count, or its failure cause verbatim when that pair was
+        analyzed itself (content-identical pairs fail together, as the
+        uncompressed run would for a deterministic failure).  A
+        representative pair that replays *another* signature
+        representative takes that pair's count, but if that pair failed
+        it is merely near-symmetric, not content-identical: its fleet
+        pairs are returned as ``fallback_pairs`` for concrete analysis,
+        so one targeted fault never poisons a whole template class.
+
+        Each representative pair's outcome is looked up once and reused
+        for every fleet pair it stands for.
+        """
+        matrix: Dict[Tuple[str, str], int] = {}
+        failed: Dict[Tuple[str, str], str] = {}
+        fallback: List[Tuple[str, str]] = []
+        ordered = sorted(hostnames)
+        reps = [self.representative[hostname] for hostname in ordered]
+        # rep1 -> rep2 -> (matrix, count) | (failed, cause) | (None, None)
+        # for a fallback: each representative pair resolved once.
+        resolved: Dict[str, Dict[str, Tuple[Optional[dict], object]]] = {}
+        for index, first in enumerate(ordered):
+            rep1 = reps[index]
+            row = resolved.setdefault(rep1, {})
+            for second, rep2 in zip(ordered[index + 1 :], reps[index + 1 :]):
+                if rep1 == rep2:
+                    matrix[(first, second)] = 0
+                    continue
+                verdict = row.get(rep2)
+                if verdict is None:
+                    rep_key = (rep1, rep2) if rep1 < rep2 else (rep2, rep1)
+                    replay = self.replay_key.get(rep_key, rep_key)
+                    outcome = outcomes[replay]
+                    if outcome.ok:
+                        verdict = (matrix, outcome.result)
+                    elif rep_key == replay:
+                        verdict = (failed, outcome.describe())
+                    else:
+                        verdict = (None, None)
+                    row[rep2] = verdict
+                target, value = verdict
+                if target is None:
+                    fallback.append((first, second))
+                else:
+                    target[(first, second)] = value
+        return matrix, failed, fallback
 
 
 def pair_pattern(
@@ -187,51 +289,59 @@ def verify_template_class(devices: Sequence[DeviceConfig]) -> Optional[str]:
 def plan_near_pairs(
     devices: Sequence[DeviceConfig],
 ) -> Tuple[SymmetryPlan, List[str]]:
-    """Build the near-symmetry :class:`SymmetryPlan` for a fleet.
+    """Build the compression :class:`SymmetryPlan` for a fleet.
 
-    Exact-fingerprint classes come first (their intra-class pairs are
-    zero and their members inherit outcomes verbatim, as in PR 8); the
-    exact-class representatives are then partitioned by template
-    fingerprint, each template class is verified, and one
-    representative pair per :func:`pair_signature` is selected for
-    analysis.  Returns the plan plus any fallback notes (dissolved
-    classes); on an all-identical or hole-free fleet this degenerates
-    to exactly the exact-symmetry plan with identity substitutions.
+    Step one partitions the devices by device fingerprint: the
+    representative of each class is its lexicographically-smallest
+    hostname, so the plan — and therefore which pairs run — is fully
+    determined by the fleet's content, never by input order.  Step two
+    partitions those representatives by template fingerprint, verifies
+    each template class, and selects one representative pair per
+    :func:`pair_signature` for analysis.  Returns the plan plus any
+    fallback notes (dissolved classes); on an all-identical or
+    hole-free fleet the template classes are the fingerprint classes,
+    with identity substitutions.
     """
     by_host = {device.hostname: device for device in devices}
-    base = plan_representative_pairs(partition_by_device_fingerprint(devices))
-    reps = sorted(base.members)
+    representative: Dict[str, str] = {}
+    members: Dict[str, Tuple[str, ...]] = {}
+    for hostnames in partition_by_device_fingerprint(devices).values():
+        group = tuple(sorted(hostnames))
+        for hostname in group:
+            representative[hostname] = group[0]
+        members[group[0]] = group
+    reps = sorted(members)
     notes: List[str] = []
 
     grouped: Dict[str, List[str]] = {}
     for rep in reps:
         grouped.setdefault(by_host[rep].template.fingerprint, []).append(rep)
 
-    # template id per exact-class representative; dissolved members get
-    # synthetic singleton ids so every pair touching them analyzes
+    # template id per fingerprint-class representative; dissolved members
+    # get synthetic singleton ids so every pair touching them analyzes
     # concretely (unique id => unique signature).
     template_id: Dict[str, str] = {}
     template_classes: Dict[str, Tuple[str, ...]] = {}
     dissolved = 0
     for fingerprint in sorted(grouped):
-        members = sorted(grouped[fingerprint])
+        template_members = sorted(grouped[fingerprint])
         detail = (
-            verify_template_class([by_host[member] for member in members])
-            if len(members) > 1
+            verify_template_class([by_host[member] for member in template_members])
+            if len(template_members) > 1
             else None
         )
         if detail is None:
-            template_classes[fingerprint] = tuple(members)
-            for member in members:
+            template_classes[fingerprint] = tuple(template_members)
+            for member in template_members:
                 template_id[member] = fingerprint
         else:
             dissolved += 1
             notes.append(
                 "near-symmetry: template class verification failed"
-                f" ({detail}); analyzing its {len(members)} device(s)"
+                f" ({detail}); analyzing its {len(template_members)} device(s)"
                 " concretely"
             )
-            for member in members:
+            for member in template_members:
                 singleton = f"dissolved:{fingerprint}:{member}"
                 template_classes[singleton] = (member,)
                 template_id[member] = singleton
@@ -254,10 +364,9 @@ def plan_near_pairs(
             if target != (first, second):
                 replay_key[(first, second)] = target
     plan = SymmetryPlan(
-        representative=base.representative,
-        members=base.members,
+        representative=representative,
+        members=members,
         pair_keys=tuple(sorted(analyzed.values())),
-        mode="near",
         replay_key=replay_key,
         template_classes=template_classes,
     )

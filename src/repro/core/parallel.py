@@ -55,6 +55,7 @@ from ..model.device import DeviceConfig
 from .config_diff import config_diff, config_diff_summary
 from .match_policies import PolicyPairing
 from .memo import DiffMemo
+from .near_symmetry import SymmetryPlan  # re-export for existing importers
 from .serialize import report_to_dict
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "TIMEOUT_ENV",
     "PairOutcome",
     "SymmetryPlan",
-    "plan_representative_pairs",
     "resolve_workers",
     "resolve_timeout",
     "pairwise_counts",
@@ -153,136 +153,6 @@ class PairOutcome:
             return "ok"
         suffix = " (after retry)" if self.retried else ""
         return f"{self.status}: {self.error}{suffix}"
-
-
-@dataclass(frozen=True)
-class SymmetryPlan:
-    """Representative-pair plan for a symmetry-compressed fleet matrix.
-
-    Built from the device-fingerprint equivalence classes
-    (:func:`repro.model.fingerprint.partition_by_device_fingerprint`):
-    only unordered pairs of class *representatives* are analyzed, and
-    every full-fleet pair is recovered by :meth:`expand_near` — intra-class
-    pairs are zero differences by the fingerprint soundness argument,
-    cross-class pairs copy their representative pair's outcome.
-    """
-
-    #: hostname -> its class representative (smallest hostname in class)
-    representative: Dict[str, str]
-    #: representative -> all class members, sorted (representative first)
-    members: Dict[str, Tuple[str, ...]]
-    #: the unordered representative pairs to actually analyze, sorted
-    pair_keys: Tuple[Tuple[str, str], ...]
-    #: ``"exact"`` (fingerprint classes only) or ``"near"`` (template
-    #: classes; built by ``repro.core.near_symmetry.plan_near_pairs``)
-    mode: str = "exact"
-    #: near mode only: exact-representative pair -> the analyzed pair
-    #: whose outcome it replays (identity entries omitted)
-    replay_key: Dict[Tuple[str, str], Tuple[str, str]] = field(
-        default_factory=dict
-    )
-    #: near mode only: template fingerprint -> exact-class
-    #: representatives sharing it (post-verification)
-    template_classes: Dict[str, Tuple[str, ...]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def class_count(self) -> int:
-        """Number of equivalence classes (== number of representatives)."""
-        if self.mode == "near":
-            return len(self.template_classes)
-        return len(self.members)
-
-    def expand_near(
-        self,
-        hostnames: Sequence[str],
-        outcomes: Dict[Tuple[str, str], "PairOutcome"],
-    ) -> Tuple[
-        Dict[Tuple[str, str], int],
-        Dict[Tuple[str, str], str],
-        List[Tuple[str, str]],
-    ]:
-        """The full ``(matrix, failed_pairs, fallback_pairs)``.
-
-        Same-class pairs expand to count 0 without consulting
-        ``outcomes`` at all; cross-class pairs take their representative
-        pair's count (or its failure cause, verbatim, so a failed
-        representative pair fails every pair it stands for — matching
-        what the uncompressed run would record for a deterministic
-        failure).  In a near plan a representative pair that replays
-        *another* signature representative takes that pair's count, but
-        if that pair failed it is merely near-symmetric, not
-        content-identical: its fleet pairs are returned as
-        ``fallback_pairs`` for concrete analysis, so one targeted fault
-        never poisons a whole template class.  An exact plan has no
-        replay keys, so nothing falls back.
-
-        Each exact-representative pair's outcome is looked up once and
-        reused for every fleet pair it stands for.
-        """
-        matrix: Dict[Tuple[str, str], int] = {}
-        failed: Dict[Tuple[str, str], str] = {}
-        fallback: List[Tuple[str, str]] = []
-        ordered = sorted(hostnames)
-        reps = [self.representative[hostname] for hostname in ordered]
-        # rep1 -> rep2 -> (matrix, count) | (failed, cause) | (None, None)
-        # for a fallback: each representative pair resolved once.
-        resolved: Dict[str, Dict[str, Tuple[Optional[dict], object]]] = {}
-        for index, first in enumerate(ordered):
-            rep1 = reps[index]
-            row = resolved.setdefault(rep1, {})
-            for second, rep2 in zip(ordered[index + 1 :], reps[index + 1 :]):
-                if rep1 == rep2:
-                    matrix[(first, second)] = 0
-                    continue
-                verdict = row.get(rep2)
-                if verdict is None:
-                    rep_key = (rep1, rep2) if rep1 < rep2 else (rep2, rep1)
-                    replay = self.replay_key.get(rep_key, rep_key)
-                    outcome = outcomes[replay]
-                    if outcome.ok:
-                        verdict = (matrix, outcome.result)
-                    elif rep_key == replay:
-                        verdict = (failed, outcome.describe())
-                    else:
-                        verdict = (None, None)
-                    row[rep2] = verdict
-                target, value = verdict
-                if target is None:
-                    fallback.append((first, second))
-                else:
-                    target[(first, second)] = value
-        return matrix, failed, fallback
-
-
-def plan_representative_pairs(
-    classes: Dict[str, Sequence[str]]
-) -> SymmetryPlan:
-    """Build a :class:`SymmetryPlan` from fingerprint equivalence classes.
-
-    ``classes`` maps each device fingerprint to the hostnames sharing
-    it (:func:`repro.model.fingerprint.partition_by_device_fingerprint`).
-    The representative of each class is its lexicographically-smallest
-    hostname, so the plan — and therefore which pairs run — is fully
-    determined by the fleet's content, never by input order.
-    """
-    representative: Dict[str, str] = {}
-    members: Dict[str, Tuple[str, ...]] = {}
-    for hostnames in classes.values():
-        group = tuple(sorted(hostnames))
-        for hostname in group:
-            representative[hostname] = group[0]
-        members[group[0]] = group
-    reps = sorted(members)
-    pair_keys = tuple(
-        (first, second)
-        for index, first in enumerate(reps)
-        for second in reps[index + 1 :]
-    )
-    return SymmetryPlan(
-        representative=representative, members=members, pair_keys=pair_keys
-    )
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

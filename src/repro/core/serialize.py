@@ -179,7 +179,7 @@ def fleet_report_to_dict(report) -> Dict:
     failure entries sorted by hostname pair, notes sorted and deduped
     at the report level), so two runs over the same fleet — cold or
     cache-warm, serial or parallel, symmetry-compressed or not —
-    serialize byte-identically.  CI's cache-smoke and symmetry-smoke
+    serialize byte-identically.  CI's cache-smoke and test
     jobs diff exactly this output.  Schema v4 adds ``partial`` (the
     machine-readable degradation flag), ``notes``, and per-device
     ``coverage``; symmetry-compression statistics stay out, like

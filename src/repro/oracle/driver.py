@@ -8,24 +8,24 @@
 * memoization cross-checks — the same mutated pair analyzed fresh,
   through a cold :class:`~repro.core.memo.DiffMemo`, and through the
   warm memo again, asserting identical counts and reports (with a
-  persistent cache attached when the CLI passes one), and
+  persistent cache attached when the CLI passes one),
 * set-algebra backend cross-checks — the same generated component pair
   diffed and localized under every backend in
   :data:`repro.core.setalg.BACKEND_NAMES`, asserting the serialized
   differences, input-set satcounts, and localizations are identical,
-* fleet seeding cross-checks — a generated gateway fleet compared end
-  to end on the default path (memo on, so the matrix is seeded from
-  shared atom universes) and as the per-pair ``use_memo=False``
-  baseline (:func:`repro.core.fleet.compare_fleet`), asserting the
-  serialized fleet reports are identical; a divergence is shrunk by
-  dropping devices,
-* service round-trips — the same fleet's config *texts* pushed through
-  a live in-thread analysis daemon
-  (:class:`repro.service.ServiceThread`, the real HTTP/JSON path:
-  submit, queue, supervised execution, poll) and compared
-  byte-for-byte against the in-process
-  :func:`~repro.core.fleet.compare_fleet` report; a divergence is
-  shrunk by dropping devices,
+  and
+* fleet A/B cross-checks (``_FLEET_ROWS``) — a generated fleet run two
+  ways through :func:`~repro.core.fleet.compare_fleet` and the
+  serialized reports compared field by field: the seeded default path
+  against the per-pair ``use_memo=False`` baseline (``fleet``), near
+  compression against ``compress="off"`` on templated and
+  parameterized fleets (``symmetry``, ``near-symmetry``, the latter
+  also checking the substitution-replay identity on full reports), and
+  the same config *texts* pushed through a live in-thread analysis
+  daemon (:class:`repro.service.ServiceThread`: submit, queue,
+  supervised execution, poll) against the in-process report
+  (``service``); one shared harness shrinks a divergence by dropping
+  devices,
 
 each derived deterministically from the run seed.  A failing check is
 *shrunk* — lines, clauses, matches, and sets are removed greedily while
@@ -45,11 +45,22 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
+import json
 import random
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..model.acl import Acl
 from ..model.routemap import (
@@ -73,6 +84,7 @@ from ..model.routemap import (
 from ..model.types import Community, Prefix, PrefixRange
 from ..core import setalg
 from ..core.config_diff import config_diff, config_diff_summary
+from ..core.fleet import compare_fleet
 from ..core.memo import DiffMemo
 from ..core.present import (
     localize_acl_difference,
@@ -81,8 +93,12 @@ from ..core.present import (
     localize_route_map_differences,
 )
 from ..core.semantic_diff import diff_acls, diff_route_maps
-from ..core.serialize import report_to_dict, semantic_difference_to_dict
-from ..parsers import parse_cisco, parse_juniper
+from ..core.serialize import (
+    fleet_report_to_dict,
+    report_to_dict,
+    semantic_difference_to_dict,
+)
+from ..parsers import parse_cisco, parse_config, parse_juniper
 from ..workloads.acl_gen import generate_acl_pair
 from ..workloads.datacenter import _cisco_tor, _juniper_tor
 from ..workloads.mutation import apply_random_mutation
@@ -852,328 +868,140 @@ def _run_localize_case(
     )
 
 
-def _fleet_mismatch(devices) -> Optional[str]:
-    """One-line description of a seeded/per-pair report divergence.
+# ---------------------------------------------------------------------------
+# Fleet A/B harness: the fleet, symmetry, near-symmetry, and service rows
+# ---------------------------------------------------------------------------
 
-    Both runs are serial; the default run builds its own fresh memo,
-    so the only variable is the fleet-scale seeding pass (and the memo
-    replay it feeds) against recomputing every pair.
+
+@dataclass(frozen=True)
+class _FleetRow:
+    """One fleet cross-check: build a fleet, run it two ways, compare.
+
+    ``run_a`` and ``run_b`` take ``(env, devices)`` — ``env`` is what
+    ``context`` yields for the case (the live service URL, or ``None``)
+    — and return serialized fleet reports, which must be identical.
+    ``replay_check`` adds a finding beyond report identity; ``shrink``
+    proposes one extra shrinking step when dropping devices stalls.
     """
-    from ..core.fleet import compare_fleet
-    from ..core.serialize import fleet_report_to_dict
 
-    seeded = fleet_report_to_dict(compare_fleet(devices, workers=1))
-    per_pair = fleet_report_to_dict(
+    check: str
+    label: str
+    build: Callable[[random.Random, int], list]
+    run_a: Callable[[object, list], dict]
+    run_b: Callable[[object, list], dict]
+    context: Callable[[], ContextManager] = contextlib.nullcontext
+    replay_check: Optional[Callable[[list], Optional[str]]] = None
+    shrink: Optional[Callable[[list, Callable[[list], bool]], Optional[list]]] = None
+
+
+def _default_report(env, devices) -> dict:
+    """The default path (near compression, memo on), serialized."""
+    return fleet_report_to_dict(compare_fleet(devices, workers=1))
+
+
+def _per_pair_report(env, devices) -> dict:
+    """Memo off: every pair recomputed, no fleet-scale seeding."""
+    return fleet_report_to_dict(
         compare_fleet(devices, workers=1, use_memo=False)
     )
-    if seeded == per_pair:
-        return None
-    keys = sorted(
-        key
-        for key in set(seeded) | set(per_pair)
-        if seeded.get(key) != per_pair.get(key)
-    )
-    return (
-        f"fleet report diverges between the seeded default path and "
-        f"per-pair atoms (fields: {', '.join(keys)})"
+
+
+def _uncompressed_report(env, devices) -> dict:
+    """Compression off: every matrix pair analyzed."""
+    return fleet_report_to_dict(
+        compare_fleet(devices, workers=1, compress="off")
     )
 
 
-def _run_fleet_case(
-    case_seed: int, result: SelfCheckResult
-) -> Optional[SelfCheckFailure]:
-    """Cross-validate the seeded default fleet path against per-pair atoms.
+def _config_texts(devices) -> List[dict]:
+    return [
+        {
+            "name": f"{device.hostname}.cfg",
+            "text": "\n".join(device.raw_lines) + "\n",
+        }
+        for device in devices
+    ]
 
-    A generated gateway fleet — the seeding path end to end: missing-pair
-    collection, universe fold, memo seeding, matrix replay, medoid
-    election, reference reports — must serialize identically to the
-    ``use_memo=False`` baseline.  A divergence is shrunk by dropping
-    devices while it persists, down to the minimal differing sub-fleet.
-    """
+
+def _reparsed_report(env, devices) -> dict:
+    """The default path over the rendered texts the service receives,
+    so the comparison covers the service's parse path too."""
+    parsed = [
+        parse_config(config["text"], filename=config["name"], dialect="auto")
+        for config in _config_texts(devices)
+    ]
+    return _default_report(env, parsed)
+
+
+def _service_report(url, devices) -> dict:
+    return _service_roundtrip(url, _config_texts(devices))["report"]
+
+
+@contextlib.contextmanager
+def _live_service() -> Iterator[str]:
+    """A throwaway in-thread daemon: ephemeral port, temp journal, cache
+    disabled so every run is cold.  Yields its base URL."""
+    import tempfile
+
+    from ..service import ServiceConfig, ServiceThread
+
+    with tempfile.TemporaryDirectory(prefix="campion-oracle-") as tmp:
+        config = ServiceConfig(
+            port=0,
+            journal_path=f"{tmp}/journal.jsonl",
+            no_cache=True,
+            workers=1,
+            job_concurrency=1,
+        )
+        with ServiceThread(config) as service:
+            yield service.url
+
+
+def _build_gateway_fleet(
+    rng: random.Random, case_seed: int, counts=(4, 7), rules=(8, 16)
+) -> list:
+    """Cross-vendor clones of one rule list plus distinct outliers."""
     from ..workloads.datacenter import gateway_fleet
 
-    rng = random.Random(case_seed)
-    count = rng.randint(4, 7)
+    count = rng.randint(*counts)
     devices, _ = gateway_fleet(
         count=count,
         outliers=rng.randint(0, count - 1),
-        rule_count=rng.randint(8, 16),
+        rule_count=rng.randint(*rules),
         seed=case_seed,
     )
-    detail = _fleet_mismatch(devices)
-    if detail is None:
-        from ..core.fleet import compare_fleet
-
-        report = compare_fleet(devices, workers=1)
-        result.differences += sum(report.matrix.values())
-        return None
-
-    def fails(fleet) -> bool:
-        try:
-            return _fleet_mismatch(fleet) is not None
-        except Exception:  # noqa: BLE001 - a shrunk fleet may fail differently
-            return False
-
-    progress = True
-    while progress and len(devices) > 2:
-        progress = False
-        for index in range(len(devices)):
-            candidate = devices[:index] + devices[index + 1 :]
-            if fails(candidate):
-                devices = candidate
-                progress = True
-                break
-    reproducer_lines = [
-        f"fleet of {len(devices)}: "
-        + ", ".join(device.hostname for device in devices)
-    ]
-    for device in devices:
-        for acl in device.acls.values():
-            reproducer_lines.append(f"[{device.hostname}]")
-            reproducer_lines.extend(_render_acl(acl))
-    final_detail = _fleet_mismatch(devices) or detail
-    return SelfCheckFailure(
-        "fleet", case_seed, "fleet-seeding-equivalence", final_detail,
-        "\n".join(reproducer_lines),
-    )
+    return devices
 
 
-def _symmetry_mismatch(devices) -> Optional[str]:
-    """One-line description of a compressed/uncompressed divergence.
+def _build_symmetry_fleet(rng: random.Random, case_seed: int) -> list:
+    """The gateway fleet (a mix of multi-member and singleton
+    fingerprint classes) or the templated Clos fleet (a few role
+    templates stamped onto many hostnames — heavy compression)."""
+    from ..workloads.datacenter import templated_clos_fleet
 
-    Both runs are serial and memo-isolated; the only variable is the
-    symmetry-compression phase — fingerprint partition, representative-
-    pair planning, and count/failure expansion.  The serialized reports
-    (schema v4: matrix, reports, notes, partial flag, coverage) must be
-    identical, which is the compression soundness claim end to end.
-    """
-    from ..core.fleet import compare_fleet
-    from ..core.serialize import fleet_report_to_dict
-
-    reports = {}
-    for compress in (False, True):
-        reports[compress] = fleet_report_to_dict(
-            compare_fleet(devices, workers=1, compress=compress)
-        )
-    if reports[True] == reports[False]:
-        return None
-    keys = sorted(
-        key
-        for key in set(reports[True]) | set(reports[False])
-        if reports[True].get(key) != reports[False].get(key)
-    )
-    return (
-        f"fleet report diverges between compressed and uncompressed runs "
-        f"(fields: {', '.join(keys)})"
-    )
-
-
-def _run_symmetry_case(
-    case_seed: int, result: SelfCheckResult
-) -> Optional[SelfCheckFailure]:
-    """Cross-validate symmetry compression against the uncompressed run.
-
-    Alternates between two fleet shapes: the gateway fleet (cross-
-    vendor clones of one rule list plus distinct outliers — a mix of
-    multi-member and singleton fingerprint classes) and the templated
-    Clos fleet (a few role templates stamped onto many hostnames — the
-    heavy-compression case).  A divergence is shrunk by dropping
-    devices while it persists, like the ``fleet`` generator.
-    """
-    from ..workloads.datacenter import gateway_fleet, templated_clos_fleet
-
-    rng = random.Random(case_seed)
     if rng.random() < 0.5:
-        count = rng.randint(4, 7)
-        devices, _ = gateway_fleet(
-            count=count,
-            outliers=rng.randint(0, count - 1),
-            rule_count=rng.randint(8, 16),
-            seed=case_seed,
-        )
-    else:
-        count = rng.randint(4, 8)
-        devices, _ = templated_clos_fleet(
-            count=count,
-            roles=rng.randint(1, min(3, count)),
-            rule_count=rng.randint(6, 12),
-            seed=case_seed,
-        )
-    detail = _symmetry_mismatch(devices)
-    if detail is None:
-        from ..core.fleet import compare_fleet
-
-        report = compare_fleet(devices, workers=1)
-        result.differences += sum(report.matrix.values())
-        return None
-
-    def fails(fleet) -> bool:
-        try:
-            return _symmetry_mismatch(fleet) is not None
-        except Exception:  # noqa: BLE001 - a shrunk fleet may fail differently
-            return False
-
-    progress = True
-    while progress and len(devices) > 2:
-        progress = False
-        for index in range(len(devices)):
-            candidate = devices[:index] + devices[index + 1 :]
-            if fails(candidate):
-                devices = candidate
-                progress = True
-                break
-    reproducer_lines = [
-        f"fleet of {len(devices)}: "
-        + ", ".join(device.hostname for device in devices)
-    ]
-    for device in devices:
-        for acl in device.acls.values():
-            reproducer_lines.append(f"[{device.hostname}]")
-            reproducer_lines.extend(_render_acl(acl))
-    final_detail = _symmetry_mismatch(devices) or detail
-    return SelfCheckFailure(
-        "symmetry", case_seed, "compression-report-identity", final_detail,
-        "\n".join(reproducer_lines),
+        return _build_gateway_fleet(rng, case_seed)
+    count = rng.randint(4, 8)
+    devices, _ = templated_clos_fleet(
+        count=count,
+        roles=rng.randint(1, min(3, count)),
+        rule_count=rng.randint(6, 12),
+        seed=case_seed,
     )
+    return devices
 
 
-_NEAR_IP_TOKEN = re.compile(r"(?<![\d.])(?:\d{1,3}\.){3}\d{1,3}(?![\d.])")
-
-
-def _order_canonical(report: dict) -> dict:
-    """Sort each top-level finding list into a literal-independent order.
-
-    Serialized reports order findings by their concrete literals, so a
-    non-monotone substitution permutes entries without changing any of
-    them; sorting by JSON encoding makes the replay comparison
-    order-insensitive at the top level while every entry stays
-    compared exactly.
-    """
-    import json
-
-    return {
-        key: sorted(value, key=json.dumps)
-        if isinstance(value, list)
-        else value
-        for key, value in report.items()
-    }
-
-
-def _near_symmetry_mismatch(devices) -> Optional[str]:
-    """One-line description of a near-symmetry soundness violation.
-
-    Two claims are cross-validated.  First, the three-mode report
-    identity: ``compress`` ``off``/``exact``/``near`` must serialize
-    byte-identically (the near plan replays counts through template
-    signatures, so any unsound replay shows up as a diverging matrix).
-    Second, the substitution-replay identity on full reports: when two
-    same-template device pairs admit raw substitutions *and induce the
-    same joint equality pattern over their hole atoms* (the theorem's
-    precondition — a clone pair and a distinct-literal pair are not
-    replay-equivalent even though each device maps individually), the
-    first pair's live report rewritten through the substitutions must
-    equal the second pair's live report *up to entry order*: the
-    serializer orders findings by their concrete literals, and a
-    non-monotone substitution permutes that order without changing any
-    finding.
-    """
-    from ..core.fleet import compare_fleet
-    from ..core.near_symmetry import (
-        pair_pattern,
-        raw_substitution,
-        replay_report_dict,
-    )
-    from ..core.serialize import fleet_report_to_dict
-
-    reports = {}
-    for compress in ("off", "exact", "near"):
-        reports[compress] = fleet_report_to_dict(
-            compare_fleet(devices, workers=1, compress=compress)
-        )
-    for mode in ("exact", "near"):
-        if reports[mode] != reports["off"]:
-            keys = sorted(
-                key
-                for key in set(reports[mode]) | set(reports["off"])
-                if reports[mode].get(key) != reports["off"].get(key)
-            )
-            return (
-                f"fleet report diverges between {mode} compression and"
-                f" the uncompressed run (fields: {', '.join(keys)})"
-            )
-
-    # Replay identity: (a, b) rewritten through per-device substitutions
-    # must equal the live (c, d) report, for same-template a->c, b->d.
-    groups: dict = {}
-    for device in devices:
-        groups.setdefault(device.template.fingerprint, []).append(device)
-    multi = [
-        sorted(group, key=lambda d: d.hostname)
-        for group in groups.values()
-        if len(group) >= 2
-    ]
-    multi.sort(key=lambda group: group[0].hostname)
-    quad = None
-    if multi and len(multi[0]) >= 4:
-        quad = (multi[0][0], multi[0][2], multi[0][1], multi[0][3])
-    elif len(multi) >= 2:
-        quad = (multi[0][0], multi[1][0], multi[0][1], multi[1][1])
-    if quad is not None:
-        first, second, first_image, second_image = quad
-        # Oriented-pattern equality is the replay precondition; the
-        # report-level identity only holds when the pairs agree on
-        # which hole atoms coincide within and across the two sides.
-        same_pattern = pair_pattern(
-            first.template.atom_sequence, second.template.atom_sequence
-        ) == pair_pattern(
-            first_image.template.atom_sequence,
-            second_image.template.atom_sequence,
-        )
-        sub1 = raw_substitution(first, first_image)
-        sub2 = raw_substitution(second, second_image)
-        if same_pattern and sub1 is not None and sub2 is not None:
-            mapping = dict(sub1)
-            conflict = any(
-                mapping.get(key, value) != value
-                for key, value in sub2.items()
-            )
-            if not conflict:
-                mapping.update(sub2)
-                replayed = replay_report_dict(
-                    report_to_dict(config_diff(first, second)), mapping
-                )
-                live = report_to_dict(
-                    config_diff(first_image, second_image)
-                )
-                if _order_canonical(replayed) != _order_canonical(live):
-                    return (
-                        "substitution-replayed report for"
-                        f" ({first.hostname}, {second.hostname}) !="
-                        " live report for"
-                        f" ({first_image.hostname}, {second_image.hostname})"
-                    )
-    return None
-
-
-def _run_near_symmetry_case(
-    case_seed: int, result: SelfCheckResult
-) -> Optional[SelfCheckFailure]:
-    """Cross-validate near-symmetry compression on parameterized fleets.
-
-    The base fleet is the parameterized Clos (unique per-device
-    loopbacks/subnets/peers — exact compression finds nothing, so
-    every collapsed pair exercises the template-signature replay).
-    Cases then randomly stamp in a byte-identical clone (an exact class
-    inside a template class) and *alias substitutions* by rewriting one
-    device's IP literal onto another of its own literals — changing the
-    joint equality pattern, which the signature partition must refuse
-    to replay across.  A divergence is shrunk by dropping devices and
-    by perturbing substitutions toward byte-identical clones while the
-    mismatch persists.
-    """
+def _build_near_fleet(rng: random.Random, case_seed: int) -> list:
+    """The parameterized Clos (unique per-device loopbacks/subnets/
+    peers — fingerprint classes find nothing, so every collapsed pair
+    exercises the template-signature replay), randomly with a
+    byte-identical clone stamped in (a fingerprint class inside a
+    template class) and an *alias substitution*: one device's IP
+    literal rewritten onto another of its own, changing the joint
+    equality pattern, which the signature partition must refuse to
+    replay across."""
     from ..workloads.datacenter import parameterized_clos_fleet
 
-    rng = random.Random(case_seed)
     count = rng.randint(4, 9)
     devices, _ = parameterized_clos_fleet(
         count=count,
@@ -1194,92 +1022,129 @@ def _run_near_symmetry_case(
         mutated = _alias_one_literal(devices[index], rng)
         if mutated is not None:
             devices[index] = mutated
+    return devices
 
-    detail = _near_symmetry_mismatch(devices)
-    if detail is None:
-        from ..core.fleet import compare_fleet
 
-        report = compare_fleet(devices, workers=1, compress="near")
-        result.differences += sum(report.matrix.values())
-        return None
+_NEAR_IP_TOKEN = re.compile(r"(?<![\d.])(?:\d{1,3}\.){3}\d{1,3}(?![\d.])")
 
-    def fails(fleet) -> bool:
-        try:
-            return _near_symmetry_mismatch(fleet) is not None
-        except Exception:  # noqa: BLE001 - a shrunk fleet may fail differently
-            return False
 
-    progress = True
-    while progress and len(devices) > 2:
-        progress = False
-        for index in range(len(devices)):
-            candidate = devices[:index] + devices[index + 1 :]
-            if fails(candidate):
-                devices = candidate
-                progress = True
-                break
-        if progress:
-            continue
-        # Substitution-perturbing shrink: replace one device with a
-        # hostname-renamed clone of another (collapsing two distinct
-        # substitutions into an exact class) while the mismatch holds.
-        # Only accepted when it strictly reduces the number of distinct
-        # device contents (modulo hostname) — otherwise clone swaps
-        # could cycle forever without converging.
-        def distinct_contents(fleet) -> int:
-            return len(
-                {
-                    "\n".join(device.raw_lines).replace(
-                        device.hostname, "HOSTNAME"
-                    )
-                    for device in fleet
-                }
-            )
+def _order_canonical(report: dict) -> dict:
+    """Sort each top-level finding list into a literal-independent order.
 
-        before = distinct_contents(devices)
-        for index in range(len(devices)):
-            for source in devices:
-                if source.hostname == devices[index].hostname:
-                    continue
-                clone_text = "\n".join(source.raw_lines).replace(
-                    source.hostname, devices[index].hostname
-                )
-                try:
-                    clone = parse_cisco(
-                        clone_text, devices[index].filename
-                    )
-                except Exception:  # noqa: BLE001 - mixed-vendor text
-                    continue
-                candidate = list(devices)
-                candidate[index] = clone
-                if distinct_contents(candidate) < before and fails(
-                    candidate
-                ):
-                    devices = candidate
-                    progress = True
-                    break
-            if progress:
-                break
-    reproducer_lines = [
-        f"fleet of {len(devices)}: "
-        + ", ".join(device.hostname for device in devices)
-    ]
-    for device in devices:
-        reproducer_lines.append(f"[{device.hostname}]")
-        reproducer_lines.append(
-            "substitution: "
-            + ", ".join(device.template.substitution)
-        )
-        for acl in device.acls.values():
-            reproducer_lines.extend(_render_acl(acl))
-    final_detail = _near_symmetry_mismatch(devices) or detail
-    return SelfCheckFailure(
-        "near-symmetry",
-        case_seed,
-        "near-compression-report-identity",
-        final_detail,
-        "\n".join(reproducer_lines),
+    Serialized reports order findings by their concrete literals, so a
+    non-monotone substitution permutes entries without changing any of
+    them; sorting by JSON encoding makes the replay comparison
+    order-insensitive at the top level while every entry stays
+    compared exactly.
+    """
+    return {
+        key: sorted(value, key=json.dumps)
+        if isinstance(value, list)
+        else value
+        for key, value in report.items()
+    }
+
+
+def _substitution_replay_mismatch(devices) -> Optional[str]:
+    """One-line description of a substitution-replay violation.
+
+    When two same-template device pairs admit raw substitutions *and
+    induce the same joint equality pattern over their hole atoms* (the
+    theorem's precondition — a clone pair and a distinct-literal pair
+    are not replay-equivalent even though each device maps
+    individually), the first pair's live report rewritten through the
+    substitutions must equal the second pair's live report *up to entry
+    order*: the serializer orders findings by their concrete literals,
+    and a non-monotone substitution permutes that order without
+    changing any finding.
+    """
+    from ..core.near_symmetry import (
+        pair_pattern,
+        raw_substitution,
+        replay_report_dict,
     )
+
+    # (a, b) rewritten through per-device substitutions must equal the
+    # live (c, d) report, for same-template a->c, b->d.
+    groups: dict = {}
+    for device in devices:
+        groups.setdefault(device.template.fingerprint, []).append(device)
+    multi = [
+        sorted(group, key=lambda d: d.hostname)
+        for group in groups.values()
+        if len(group) >= 2
+    ]
+    multi.sort(key=lambda group: group[0].hostname)
+    if multi and len(multi[0]) >= 4:
+        quad = (multi[0][0], multi[0][2], multi[0][1], multi[0][3])
+    elif len(multi) >= 2:
+        quad = (multi[0][0], multi[1][0], multi[0][1], multi[1][1])
+    else:
+        return None
+    first, second, first_image, second_image = quad
+    # Oriented-pattern equality is the replay precondition; the
+    # report-level identity only holds when the pairs agree on which
+    # hole atoms coincide within and across the two sides.
+    same_pattern = pair_pattern(
+        first.template.atom_sequence, second.template.atom_sequence
+    ) == pair_pattern(
+        first_image.template.atom_sequence,
+        second_image.template.atom_sequence,
+    )
+    sub1 = raw_substitution(first, first_image)
+    sub2 = raw_substitution(second, second_image)
+    if not same_pattern or sub1 is None or sub2 is None:
+        return None
+    mapping = dict(sub1)
+    if any(mapping.get(key, value) != value for key, value in sub2.items()):
+        return None
+    mapping.update(sub2)
+    replayed = replay_report_dict(
+        report_to_dict(config_diff(first, second)), mapping
+    )
+    live = report_to_dict(config_diff(first_image, second_image))
+    if _order_canonical(replayed) != _order_canonical(live):
+        return (
+            "substitution-replayed report for"
+            f" ({first.hostname}, {second.hostname}) !="
+            " live report for"
+            f" ({first_image.hostname}, {second_image.hostname})"
+        )
+    return None
+
+
+def _clone_shrink(devices: list, fails: Callable[[list], bool]) -> Optional[list]:
+    """Replace one device with a hostname-renamed clone of another
+    (collapsing two distinct substitutions into one fingerprint class)
+    while the mismatch holds.  Only accepted when it strictly reduces
+    the number of distinct device contents (modulo hostname) —
+    otherwise clone swaps could cycle forever without converging."""
+
+    def distinct_contents(fleet) -> int:
+        return len(
+            {
+                "\n".join(device.raw_lines).replace(device.hostname, "HOSTNAME")
+                for device in fleet
+            }
+        )
+
+    before = distinct_contents(devices)
+    for index, target in enumerate(devices):
+        for source in devices:
+            if source.hostname == target.hostname:
+                continue
+            clone_text = "\n".join(source.raw_lines).replace(
+                source.hostname, target.hostname
+            )
+            try:
+                clone = parse_cisco(clone_text, target.filename)
+            except Exception:  # noqa: BLE001 - mixed-vendor text
+                continue
+            candidate = list(devices)
+            candidate[index] = clone
+            if distinct_contents(candidate) < before and fails(candidate):
+                return candidate
+    return None
 
 
 def _alias_one_literal(device, rng) -> Optional["object"]:
@@ -1313,25 +1178,24 @@ def _service_roundtrip(url: str, configs) -> dict:
     timeout) — the service case treats those as failures too, not just
     report divergence.
     """
-    import json as json_module
     import urllib.request
 
     request = urllib.request.Request(
         url + "/v1/fleet",
-        data=json_module.dumps(
+        data=json.dumps(
             {"configs": configs, "tenant": "oracle", "workers": 1}
         ).encode("utf-8"),
         headers={"Content-Type": "application/json"},
         method="POST",
     )
     with urllib.request.urlopen(request, timeout=30) as response:
-        job_id = json_module.loads(response.read())["job"]["id"]
+        job_id = json.loads(response.read())["job"]["id"]
     deadline = time.time() + 120.0
     while time.time() < deadline:
         with urllib.request.urlopen(
             f"{url}/v1/jobs/{job_id}", timeout=30
         ) as response:
-            document = json_module.loads(response.read())
+            document = json.loads(response.read())
         state = document["job"]["state"]
         if state == "done":
             return document["result"]
@@ -1343,118 +1207,134 @@ def _service_roundtrip(url: str, configs) -> dict:
     raise RuntimeError("service job did not finish within 120s")
 
 
-def _service_mismatch(url: str, devices) -> Optional[str]:
-    """One-line description of an HTTP/in-process divergence, else None.
+_FLEET_ROWS: Dict[str, _FleetRow] = {
+    # The seeding path end to end — missing-pair collection, universe
+    # fold, memo seeding, matrix replay, election, reference reports —
+    # against recomputing every pair.
+    "fleet": _FleetRow(
+        check="fleet-seeding-equivalence",
+        label="the seeded default path and per-pair atoms",
+        build=_build_gateway_fleet,
+        run_a=_default_report,
+        run_b=_per_pair_report,
+    ),
+    # Compression (fingerprint partition, signature planning, count and
+    # failure expansion) against the uncompressed matrix.
+    "symmetry": _FleetRow(
+        check="compression-report-identity",
+        label="near compression and the uncompressed run",
+        build=_build_symmetry_fleet,
+        run_a=_default_report,
+        run_b=_uncompressed_report,
+    ),
+    # The same identity on parameterized fleets, plus the
+    # substitution-replay identity on full reports.
+    "near-symmetry": _FleetRow(
+        check="near-compression-report-identity",
+        label="near compression and the uncompressed run",
+        build=_build_near_fleet,
+        run_a=_default_report,
+        run_b=_uncompressed_report,
+        replay_check=_substitution_replay_mismatch,
+        shrink=_clone_shrink,
+    ),
+    # The real submit/queue/supervise/poll path of a live daemon.
+    "service": _FleetRow(
+        check="service-report-identity",
+        label="in-process compare_fleet and the HTTP service",
+        build=functools.partial(
+            _build_gateway_fleet, counts=(3, 5), rules=(6, 12)
+        ),
+        run_a=_reparsed_report,
+        run_b=_service_report,
+        context=_live_service,
+    ),
+}
 
-    Both sides parse the same rendered texts (not the already-parsed
-    devices), so the comparison covers the service's parse path too;
-    reports are compared as canonical JSON bytes — the byte-identity
-    contract ``fleet --json`` already guarantees across runs.
-    """
-    import json as json_module
 
-    from ..core.fleet import compare_fleet
-    from ..core.serialize import fleet_report_to_dict
-    from ..parsers import parse_config
-
-    configs = [
-        {
-            "name": f"{device.hostname}.cfg",
-            "text": "\n".join(device.raw_lines) + "\n",
-        }
-        for device in devices
-    ]
-    parsed = [
-        parse_config(config["text"], filename=config["name"], dialect="auto")
-        for config in configs
-    ]
-    expected = json_module.dumps(
-        fleet_report_to_dict(compare_fleet(parsed, workers=1)),
-        sort_keys=True,
-    )
+def _fleet_mismatch(
+    row: _FleetRow, env, devices
+) -> Tuple[Optional[str], Optional[dict]]:
+    """A one-line divergence description (or ``None``), plus the A-side
+    report (``None`` when a run raised, which is a finding too)."""
     try:
-        result = _service_roundtrip(url, configs)
+        report_a = row.run_a(env, devices)
+        report_b = row.run_b(env, devices)
     except Exception as exc:  # noqa: BLE001 - any failure is a finding
-        return f"service round-trip failed: {exc}"
-    actual = json_module.dumps(result["report"], sort_keys=True)
-    if actual != expected:
-        for offset, (left, right) in enumerate(zip(expected, actual)):
-            if left != right:
-                return (
-                    "service report diverges from in-process compare_fleet"
-                    f" at byte {offset}"
-                )
-        return (
-            "service report diverges from in-process compare_fleet"
-            f" (lengths {len(expected)} vs {len(actual)})"
-        )
-    return None
-
-
-def _run_service_case(
-    case_seed: int, result: SelfCheckResult
-) -> Optional[SelfCheckFailure]:
-    """Round-trip a generated fleet through the HTTP analysis service.
-
-    A throwaway in-thread daemon (ephemeral port, temp journal, cache
-    disabled so every run is cold) analyzes the fleet via the real
-    submit/queue/supervise/poll path; the returned report must be
-    byte-identical JSON to the in-process ``compare_fleet`` over the
-    same texts.  A divergence is shrunk by dropping devices.
-    """
-    import tempfile
-
-    from ..service import ServiceConfig, ServiceThread
-    from ..workloads.datacenter import gateway_fleet
-
-    rng = random.Random(case_seed)
-    count = rng.randint(3, 5)
-    devices, _ = gateway_fleet(
-        count=count,
-        outliers=rng.randint(0, count - 1),
-        rule_count=rng.randint(6, 12),
-        seed=case_seed,
+        return f"{row.check} run failed: {type(exc).__name__}: {exc}", None
+    fields = sorted(
+        key
+        for key in set(report_a) | set(report_b)
+        if json.dumps(report_a.get(key), sort_keys=True)
+        != json.dumps(report_b.get(key), sort_keys=True)
     )
-    with tempfile.TemporaryDirectory(prefix="campion-oracle-") as tmp:
-        config = ServiceConfig(
-            port=0,
-            journal_path=f"{tmp}/journal.jsonl",
-            no_cache=True,
-            workers=1,
-            job_concurrency=1,
-        )
-        with ServiceThread(config) as service:
-            detail = _service_mismatch(service.url, devices)
-            if detail is None:
-                result.differences += 0
-                return None
+    if fields:
+        return (
+            f"fleet report diverges between {row.label}"
+            f" (fields: {', '.join(fields)})"
+        ), report_a
+    if row.replay_check is not None:
+        return row.replay_check(devices), report_a
+    return None, report_a
 
-            def fails(fleet) -> bool:
-                try:
-                    return _service_mismatch(service.url, fleet) is not None
-                except Exception:  # noqa: BLE001 - shrunk fleet may differ
-                    return False
 
-            progress = True
-            while progress and len(devices) > 2:
-                progress = False
-                for index in range(len(devices)):
-                    candidate = devices[:index] + devices[index + 1 :]
-                    if fails(candidate):
-                        devices = candidate
-                        progress = True
-                        break
-            reproducer_lines = [
-                f"fleet of {len(devices)}: "
-                + ", ".join(device.hostname for device in devices)
-            ]
-            final_detail = _service_mismatch(service.url, devices) or detail
+def _shrink_fleet(
+    devices: list, fails: Callable[[list], bool], shrink=None
+) -> list:
+    """Greedily drop devices (then try ``shrink``) while ``fails`` holds."""
+    progress = True
+    while progress and len(devices) > 2:
+        progress = False
+        for index in range(len(devices)):
+            candidate = devices[:index] + devices[index + 1 :]
+            if fails(candidate):
+                devices = candidate
+                progress = True
+                break
+        if not progress and shrink is not None:
+            candidate = shrink(devices, fails)
+            if candidate is not None:
+                devices = candidate
+                progress = True
+    return devices
+
+
+def _render_fleet(devices) -> str:
+    """Reproducer: the hostnames, then each device's ACLs."""
+    lines = [
+        f"fleet of {len(devices)}: "
+        + ", ".join(device.hostname for device in devices)
+    ]
+    for device in devices:
+        for acl in device.acls.values():
+            lines.append(f"[{device.hostname}]")
+            lines.extend(_render_acl(acl))
+    return "\n".join(lines)
+
+
+def _run_fleet_case(
+    name: str, case_seed: int, result: SelfCheckResult
+) -> Optional[SelfCheckFailure]:
+    """Run one ``_FLEET_ROWS`` cross-check; shrink a divergence by
+    dropping devices, down to the minimal differing sub-fleet."""
+    row = _FLEET_ROWS[name]
+    devices = row.build(random.Random(case_seed), case_seed)
+    with row.context() as env:
+        detail, report = _fleet_mismatch(row, env, devices)
+        if detail is None:
+            result.differences += sum(count for _, _, count in report["matrix"])
+            return None
+
+        def fails(fleet) -> bool:
+            try:
+                return _fleet_mismatch(row, env, fleet)[0] is not None
+            except Exception:  # noqa: BLE001 - a shrunk fleet may fail differently
+                return False
+
+        devices = _shrink_fleet(devices, fails, row.shrink)
+        detail = _fleet_mismatch(row, env, devices)[0] or detail
     return SelfCheckFailure(
-        "service",
-        case_seed,
-        "service-report-identity",
-        final_detail,
-        "\n".join(reproducer_lines),
+        name, case_seed, row.check, detail, _render_fleet(devices)
     )
 
 
@@ -1473,10 +1353,10 @@ _CASE_RUNNERS = {
     "memo": _run_memo_case,
     "backend": _run_backend_case,
     "localize": _run_localize_case,
-    "fleet": _run_fleet_case,
-    "symmetry": _run_symmetry_case,
-    "near-symmetry": _run_near_symmetry_case,
-    "service": _run_service_case,
+    **{
+        name: functools.partial(_run_fleet_case, name)
+        for name in _FLEET_ROWS
+    },
 }
 
 

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import perf
 from ..cache import ArtifactCache
-from ..core import DiffMemo, compare_fleet, fleet_report_to_dict
+from ..core import COMPRESS_MODES, DiffMemo, compare_fleet, fleet_report_to_dict
 from ..model.types import ConfigError
 from ..parsers import parse_config
 
@@ -240,7 +240,7 @@ class Supervisor:
                 ),
                 memo=DiffMemo(cache) if cache is not None else None,
                 set_backend=payload.get("set_backend") or self.set_backend,
-                compress=self._compress_option(payload, "compress", None),
+                compress=self._compress_option(payload, "compress", "near"),
             )
         except JobError:
             raise
@@ -272,13 +272,12 @@ class Supervisor:
         if quarantined:
             perf.add("service.jobs.quarantined_pairs", len(quarantined))
         # Symmetry-compression counters: how much of the matrix phase
-        # the fingerprint equivalence classes let this job skip.  Kept
+        # near-symmetry planning let this job skip.  Kept
         # out of the serialized report (like timings) and surfaced here
         # instead, alongside the other supervision metadata.
         if report.symmetry is not None:
             symmetry = {
                 "compressed": True,
-                "mode": report.symmetry.mode,
                 "devices": report.symmetry.devices,
                 "classes": report.symmetry.classes,
                 "matrix_pairs": report.symmetry.total_pairs,
@@ -369,21 +368,17 @@ class Supervisor:
 
     @staticmethod
     def _compress_option(payload: Dict, key: str, default):
-        # Booleans keep their historical meaning (True = exact,
-        # False = off); strings select a mode by name.
+        # Booleans switch compression on (near) or off; strings select
+        # a mode by name.
         value = payload.get(key)
         if value is None:
             return default
         if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.strip().lower() in (
-            "off",
-            "exact",
-            "near",
-        ):
+            return "near" if value else "off"
+        if isinstance(value, str) and value.strip().lower() in COMPRESS_MODES:
             return value.strip().lower()
         raise JobError(
             f"option {key!r} must be a boolean or one of"
-            " 'off', 'exact', 'near'",
+            f" {', '.join(repr(mode) for mode in COMPRESS_MODES)}",
             permanent=True,
         )

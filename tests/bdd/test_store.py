@@ -3,12 +3,11 @@
 import pytest
 
 from repro.bdd import AnalysisBudgetExceeded, BddManager
-from repro.bdd.store import (
-    BDD_STORE_ENV,
-    DEFAULT_STORE,
-    DictNodeStore,
-    FlatNodeStore,
-    resolve_store,
+from repro.bdd.store import DictNodeStore, FlatNodeStore, resolve_store
+
+#: Both stores, by their ``kind``; pass fresh instances to BddManager.
+STORES = pytest.mark.parametrize(
+    "store_class", [FlatNodeStore, DictNodeStore], ids=["flat", "dict"]
 )
 
 
@@ -26,8 +25,8 @@ class TestStoreEquivalence:
         return [acc, spread, acc ^ spread, spread - acc, ~spread]
 
     def test_identical_node_ids_across_stores(self):
-        flat = BddManager(store="flat")
-        dictionary = BddManager(store="dict")
+        flat = BddManager()
+        dictionary = BddManager(store=DictNodeStore())
         for from_flat, from_dict in zip(
             self._build(flat), self._build(dictionary)
         ):
@@ -37,8 +36,8 @@ class TestStoreEquivalence:
         assert flat._store.unique_entries == flat.node_count - 2
 
     def test_identical_under_compat_kernels(self):
-        flat = BddManager(store="flat", fast_kernels=False)
-        dictionary = BddManager(store="dict", fast_kernels=False)
+        flat = BddManager(fast_kernels=False)
+        dictionary = BddManager(store=DictNodeStore(), fast_kernels=False)
         for from_flat, from_dict in zip(
             self._build(flat), self._build(dictionary)
         ):
@@ -48,7 +47,7 @@ class TestStoreEquivalence:
         # Push well past the initial table capacity so the flat store
         # rehashes several times; find-or-create must keep returning the
         # original ids afterwards.
-        manager = BddManager(store="flat")
+        manager = BddManager(store=FlatNodeStore())
         vars_ = manager.new_vars(16)
         seen = {}
         for i in range(16):
@@ -72,9 +71,9 @@ class TestStoreEquivalence:
 
 
 class TestBudgetHook:
-    @pytest.mark.parametrize("kind", ["flat", "dict"])
-    def test_node_limit_enforced_inside_kernels(self, kind):
-        manager = BddManager(store=kind, node_limit=64)
+    @STORES
+    def test_node_limit_enforced_inside_kernels(self, store_class):
+        manager = BddManager(store=store_class(), node_limit=64)
         vars_ = manager.new_vars(12)
         with pytest.raises(AnalysisBudgetExceeded) as excinfo:
             spread = manager.false
@@ -85,9 +84,9 @@ class TestBudgetHook:
         manager.set_budget()
         assert (vars_[0] & vars_[1]).satcount(2) == 1
 
-    @pytest.mark.parametrize("kind", ["flat", "dict"])
-    def test_no_budget_no_hook(self, kind):
-        manager = BddManager(store=kind)
+    @STORES
+    def test_no_budget_no_hook(self, store_class):
+        manager = BddManager(store=store_class())
         assert manager._store.budget_check is None
         manager.set_budget(node_limit=1000)
         assert manager._store.budget_check is not None
@@ -96,21 +95,14 @@ class TestBudgetHook:
 
 
 class TestResolution:
-    def test_default_is_flat(self, monkeypatch):
-        monkeypatch.delenv(BDD_STORE_ENV, raising=False)
-        assert DEFAULT_STORE == "flat"
+    def test_default_is_flat(self):
         assert isinstance(resolve_store(None), FlatNodeStore)
         assert BddManager().stats()["node_store"] == "flat"
 
-    def test_env_var_selects_store(self, monkeypatch):
-        monkeypatch.setenv(BDD_STORE_ENV, "dict")
-        assert isinstance(resolve_store(None), DictNodeStore)
-        assert BddManager().stats()["node_store"] == "dict"
-
     def test_names_and_instances(self):
-        assert isinstance(resolve_store("flat"), FlatNodeStore)
-        assert isinstance(resolve_store("dict"), DictNodeStore)
-        store = FlatNodeStore()
-        assert resolve_store(store) is store
-        with pytest.raises(ValueError, match="unknown BDD node store"):
-            resolve_store("btree")
+        for store in (FlatNodeStore(), DictNodeStore()):
+            assert resolve_store(store) is store
+        assert BddManager(store=DictNodeStore()).stats()["node_store"] == "dict"
+        for name in ("flat", "dict"):
+            with pytest.raises(TypeError, match="not a name"):
+                resolve_store(name)

@@ -76,8 +76,8 @@ class TestInvarianceAcrossKnobs:
             for hostname, coverage in report.coverage.items()
         }
         for kwargs in (
-            {"compress": False},
-            {"compress": True, "use_memo": False},
+            {"compress": "off"},
+            {"compress": "near", "use_memo": False},
         ):
             other = compare_fleet(devices, **kwargs)
             fresh = {

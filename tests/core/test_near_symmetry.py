@@ -1,9 +1,9 @@
 """Tests for near-symmetry fleet compression (template-signature replay).
 
-The tentpole invariant: ``compare_fleet(compress="near")`` produces a
-report — and a serialized form — byte-identical to the uncompressed and
-exact-compressed runs, on fleets where exact compression finds nothing
-(the parameterized Clos: unique loopbacks/subnets/peers per device).
+The invariant: ``compare_fleet(compress="near")`` produces a report —
+and a serialized form — byte-identical to the uncompressed run, on
+fleets where fingerprint classes find nothing (the parameterized Clos:
+unique loopbacks/subnets/peers per device).
 The supporting machinery (pair patterns, signature canonicalization,
 class verification with dissolution, the replay plan, raw substitutions
 and full-report replay, and the fallback-to-concrete path for failed
@@ -22,6 +22,7 @@ from repro.core import compare_fleet, fleet_report_to_dict, parallel
 from repro.core.config_diff import config_diff
 from repro.core.near_symmetry import (
     FALLBACK_COUNTER,
+    SymmetryPlan,
     pair_pattern,
     pair_signature,
     plan_near_pairs,
@@ -29,7 +30,7 @@ from repro.core.near_symmetry import (
     replay_report_dict,
     verify_template_class,
 )
-from repro.core.parallel import PairOutcome, SymmetryPlan
+from repro.core.parallel import PairOutcome
 from repro.core.serialize import report_to_dict
 from repro.model.fingerprint import (
     TemplateHole,
@@ -155,12 +156,11 @@ class TestVerifyTemplateClass:
 
 class TestPlanNearPairs:
     def test_all_identical_fleet_degenerates_to_exact_plan(self):
-        # Satellite invariant: on a clone fleet the near partitioning
-        # equals the exact classes, with identity substitutions.
+        # On a clone fleet the template classes equal the fingerprint
+        # classes, with identity substitutions.
         fleet = [_named(CISCO_FIGURE1, n) for n in ("a", "b", "c")]
         plan, notes = plan_near_pairs(fleet)
         assert notes == []
-        assert plan.mode == "near"
         assert plan.pair_keys == ()
         assert plan.replay_key == {}
         exact = partition_by_device_fingerprint(fleet)
@@ -296,7 +296,6 @@ def _random_near_plan(rng):
         representative=representative,
         members=members,
         pair_keys=tuple(analyzed),
-        mode="near",
         replay_key=replay_key,
     )
     outcomes = {
@@ -360,14 +359,17 @@ class TestExpandNearReference:
 
 
 class TestThreeModeByteIdentity:
+    """The identity that once spanned three modes now spans two: the
+    fingerprint classes of the retired ``exact`` mode are step one of
+    near planning, so ``near`` must equal ``off``."""
+
     def _identical(self, devices):
         serialized = {
             mode: fleet_report_to_dict(
                 compare_fleet(devices, workers=1, compress=mode)
             )
-            for mode in ("off", "exact", "near")
+            for mode in ("off", "near")
         }
-        assert serialized["exact"] == serialized["off"]
         assert serialized["near"] == serialized["off"]
 
     def test_parameterized_clos_fleet(self):
@@ -392,7 +394,6 @@ class TestThreeModeByteIdentity:
             count=8, roles=2, rule_count=6, seed=2
         )
         stats = compare_fleet(devices, workers=1, compress="near").symmetry
-        assert stats.mode == "near"
         assert stats.classes == 2
         assert stats.analyzed_pairs == 3
         assert stats.total_pairs == 28
@@ -566,7 +567,11 @@ class TestSupervisorCompressOption:
         assert Supervisor._compress_option({}, "compress", None) is None
         assert (
             Supervisor._compress_option({"compress": True}, "compress", None)
-            is True
+            == "near"
+        )
+        assert (
+            Supervisor._compress_option({"compress": False}, "compress", None)
+            == "off"
         )
         assert (
             Supervisor._compress_option(
@@ -578,6 +583,8 @@ class TestSupervisorCompressOption:
     def test_unknown_mode_is_a_permanent_job_error(self):
         from repro.service.supervisor import JobError, Supervisor
 
-        with pytest.raises(JobError) as excinfo:
-            Supervisor._compress_option({"compress": "sorta"}, "compress", None)
-        assert excinfo.value.permanent
+        for mode in ("sorta", "exact"):
+            with pytest.raises(JobError) as excinfo:
+                Supervisor._compress_option({"compress": mode}, "compress", None)
+            assert excinfo.value.permanent
+            assert "'off', 'near'" in str(excinfo.value)

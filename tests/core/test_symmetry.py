@@ -1,12 +1,11 @@
 """Tests for fleet symmetry compression (fingerprint equivalence classes).
 
-The tentpole invariant under test: ``compare_fleet`` with compression
-enabled produces a report — and a serialized form — identical to the
-uncompressed run, on templated fleets, clone fleets, and fleets with no
-symmetry at all.  The supporting machinery (partition determinism,
-representative election, plan expansion, failure expansion, the
-``CAMPION_FLEET_COMPRESS`` switch, ``--no-compress``) is covered
-alongside.
+The invariant under test: ``compare_fleet`` with compression on (the
+default, ``near``) produces a report — and a serialized form —
+identical to ``compress="off"``, on templated fleets, clone fleets, and
+fleets with no symmetry at all.  The supporting machinery (partition
+determinism, representative election, plan expansion, failure
+expansion, mode resolution, ``--compress off``) is covered alongside.
 """
 
 import json
@@ -15,8 +14,9 @@ import pytest
 
 from repro.core import compare_fleet, fleet_report_to_dict
 from repro.core import parallel
-from repro.core.fleet import COMPRESS_ENV, resolve_compress
-from repro.core.parallel import PairOutcome, plan_representative_pairs
+from repro.core.fleet import resolve_compress
+from repro.core.near_symmetry import SymmetryPlan, plan_near_pairs
+from repro.core.parallel import PairOutcome
 from repro.model.fingerprint import partition_by_device_fingerprint
 from repro.parsers import parse_cisco
 from repro.workloads.datacenter import gateway_fleet, templated_clos_fleet
@@ -57,30 +57,63 @@ class TestPartition:
         assert forward == backward
 
 
+def _class_plan(classes):
+    """A plan over fingerprint classes alone: every representative pair
+    analyzed, none replayed."""
+    representative, members = {}, {}
+    for hostnames in classes.values():
+        group = tuple(sorted(hostnames))
+        members[group[0]] = group
+        for hostname in group:
+            representative[hostname] = group[0]
+    reps = sorted(members)
+    pair_keys = tuple(
+        (first, second)
+        for index, first in enumerate(reps)
+        for second in reps[index + 1 :]
+    )
+    return SymmetryPlan(representative, members, pair_keys)
+
+
+def _variant(hostname, prefix):
+    """A figure-1 clone whose NETS prefix list matches ``prefix``."""
+    return _named(CISCO_FIGURE1.replace("10.100.0.0/16", prefix), hostname)
+
+
 class TestPlan:
     CLASSES = {"f1": ("b", "a"), "f2": ("c",)}
 
     def test_representative_is_smallest_hostname(self):
-        plan = plan_representative_pairs(self.CLASSES)
+        fleet = [
+            _named(CISCO_FIGURE1, "b"),
+            _named(CISCO_FIGURE1, "a"),
+            _variant("c", "10.101.0.0/16"),
+        ]
+        plan, notes = plan_near_pairs(fleet)
+        assert notes == []
         assert plan.representative == {"a": "a", "b": "a", "c": "c"}
         assert plan.members == {"a": ("a", "b"), "c": ("c",)}
         assert plan.class_count == 2
 
     def test_pair_keys_are_sorted_representative_pairs(self):
-        plan = plan_representative_pairs(
-            {"f1": ("d", "b"), "f2": ("a",), "f3": ("c",)}
-        )
+        fleet = [
+            _named(CISCO_FIGURE1, "d"),
+            _named(CISCO_FIGURE1, "b"),
+            _variant("a", "10.101.0.0/16"),
+            _variant("c", "10.102.0.0/16"),
+        ]
+        plan, _ = plan_near_pairs(fleet)
         assert plan.pair_keys == (("a", "b"), ("a", "c"), ("b", "c"))
 
     def test_expand_intra_class_pairs_to_zero_without_outcomes(self):
-        plan = plan_representative_pairs({"f": ("a", "b", "c")})
+        plan = _class_plan({"f": ("a", "b", "c")})
         # No representative pair exists, so no outcome is ever consulted.
         matrix, failed, fallback = plan.expand_near(["a", "b", "c"], {})
         assert matrix == {("a", "b"): 0, ("a", "c"): 0, ("b", "c"): 0}
         assert failed == {} and fallback == []
 
     def test_expand_copies_representative_count_across_class(self):
-        plan = plan_representative_pairs(self.CLASSES)
+        plan = _class_plan(self.CLASSES)
         outcome = PairOutcome(index=0, status="ok", result=7)
         matrix, failed, fallback = plan.expand_near(
             ["a", "b", "c"], {("a", "c"): outcome}
@@ -89,7 +122,7 @@ class TestPlan:
         assert failed == {} and fallback == []
 
     def test_expand_copies_representative_failure_verbatim(self):
-        plan = plan_representative_pairs(self.CLASSES)
+        plan = _class_plan(self.CLASSES)
         outcome = PairOutcome(index=0, status="error", error="boom")
         matrix, failed, fallback = plan.expand_near(
             ["a", "b", "c"], {("a", "c"): outcome}
@@ -99,7 +132,7 @@ class TestPlan:
             ("a", "c"): outcome.describe(),
             ("b", "c"): outcome.describe(),
         }
-        assert fallback == []  # an exact plan never falls back
+        assert fallback == []  # an analyzed pair's failure never falls back
 
 
 class TestCompressedEqualsUncompressed:
@@ -107,8 +140,8 @@ class TestCompressedEqualsUncompressed:
     these are the deterministic fixed-fleet versions."""
 
     def _identical(self, devices):
-        compressed = compare_fleet(devices, compress=True)
-        uncompressed = compare_fleet(devices, compress=False)
+        compressed = compare_fleet(devices)
+        uncompressed = compare_fleet(devices, compress="off")
         assert fleet_report_to_dict(compressed) == fleet_report_to_dict(
             uncompressed
         )
@@ -149,10 +182,10 @@ class TestCompressedEqualsUncompressed:
             count=6, roles=2, rule_count=6, seed=0, vendors=1
         )
         baseline = fleet_report_to_dict(
-            compare_fleet(devices, compress=False, use_memo=False)
+            compare_fleet(devices, compress="off", use_memo=False)
         )
         compressed = fleet_report_to_dict(
-            compare_fleet(devices, compress=True, use_memo=False)
+            compare_fleet(devices, use_memo=False)
         )
         assert compressed == baseline
 
@@ -174,10 +207,11 @@ class TestFailureExpansion:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(parallel, "_count_pair", boom)
-        # Pinned to exact mode: near-symmetry deliberately does NOT fail
-        # the whole class (members fall back to concrete analysis; see
-        # tests/core/test_near_symmetry.py).
-        report = compare_fleet(devices, workers=1, compress="exact")
+        # The failed pair was analyzed itself, so the pairs it stands
+        # for are content-identical and fail with it; merely
+        # near-symmetric members fall back to concrete analysis
+        # instead (see tests/core/test_near_symmetry.py).
+        report = compare_fleet(devices, workers=1)
         # The intra-class pair never ran _count_pair, so it survives ...
         assert report.matrix[(first, second)] == 0
         # ... which makes `first` the medoid; the reference phase then
@@ -192,34 +226,11 @@ class TestFailureExpansion:
 
 
 class TestResolveCompress:
-    def test_default_is_near(self, monkeypatch):
-        monkeypatch.delenv(COMPRESS_ENV, raising=False)
+    def test_default_is_near(self):
         assert resolve_compress() == "near"
         assert resolve_compress(None) == "near"
 
-    @pytest.mark.parametrize(
-        "raw", ["0", "false", "no", "off", "False", " OFF ", "NO"]
-    )
-    def test_env_disables(self, monkeypatch, raw):
-        monkeypatch.setenv(COMPRESS_ENV, raw)
-        assert resolve_compress() == "off"
-
-    @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", "anything"])
-    def test_env_enables_near(self, monkeypatch, raw):
-        # Historical truthy values select the strongest compression.
-        monkeypatch.setenv(COMPRESS_ENV, raw)
-        assert resolve_compress() == "near"
-
-    @pytest.mark.parametrize("raw", ["exact", "EXACT", " exact "])
-    def test_env_selects_exact(self, monkeypatch, raw):
-        monkeypatch.setenv(COMPRESS_ENV, raw)
-        assert resolve_compress() == "exact"
-
-    def test_booleans_keep_their_historical_meaning(self):
-        assert resolve_compress(True) == "exact"
-        assert resolve_compress(False) == "off"
-
-    @pytest.mark.parametrize("mode", ["off", "exact", "near"])
+    @pytest.mark.parametrize("mode", ["off", "near"])
     def test_mode_strings_pass_through(self, mode):
         assert resolve_compress(mode) == mode
         assert resolve_compress(mode.upper()) == mode
@@ -228,37 +239,29 @@ class TestResolveCompress:
         with pytest.raises(ValueError, match="compress must be one of"):
             resolve_compress("sorta")
 
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(COMPRESS_ENV, "near")
-        assert resolve_compress(False) == "off"
-        monkeypatch.setenv(COMPRESS_ENV, "0")
-        assert resolve_compress(True) == "exact"
-        assert resolve_compress("near") == "near"
-
-    def test_compare_fleet_honors_environment(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["exact", True, False])
+    def test_exact_and_booleans_are_rejected(self, mode):
+        with pytest.raises(ValueError, match="off, near"):
+            resolve_compress(mode)
         fleet = [_named(CISCO_FIGURE1, name) for name in ("a", "b")]
-        monkeypatch.setenv(COMPRESS_ENV, "0")
-        assert compare_fleet(fleet).symmetry is None
-        monkeypatch.setenv(COMPRESS_ENV, "exact")
-        assert compare_fleet(fleet).symmetry.mode == "exact"
-        monkeypatch.setenv(COMPRESS_ENV, "1")
-        assert compare_fleet(fleet).symmetry.mode == "near"
+        with pytest.raises(ValueError, match="off, near"):
+            compare_fleet(fleet, compress=mode)
 
 
 class TestSymmetryStats:
     def test_render_mentions_classes_and_pairs(self):
-        fleet = [_named(CISCO_FIGURE1, name) for name in ("a", "b", "c")]
-        stats = compare_fleet(fleet, compress="exact").symmetry
-        rendered = stats.render()
-        assert "3 device(s)" in rendered
-        assert "1 fingerprint class(es)" in rendered
-        assert "analyzed 0 of 3" in rendered
+        devices, _ = templated_clos_fleet(
+            count=8, roles=2, rule_count=6, seed=3, vendors=2
+        )
+        rendered = compare_fleet(devices).symmetry.render()
+        assert "8 device(s)" in rendered
+        assert "4 template class(es)" in rendered
+        assert "analyzed 6 of 28" in rendered
 
     def test_near_render_mentions_template_classes(self):
         fleet = [_named(CISCO_FIGURE1, name) for name in ("a", "b", "c")]
         stats = compare_fleet(fleet).symmetry  # default mode is near
         rendered = stats.render()
-        assert stats.mode == "near"
         assert "3 device(s)" in rendered
         assert "1 template class(es)" in rendered
         assert "analyzed 0 of 3" in rendered
@@ -287,7 +290,7 @@ class TestCli:
         paths = self._write_fleet(tmp_path, devices)
         code = main(["fleet", "--json"] + paths)
         compressed_out = capsys.readouterr().out
-        code_off = main(["fleet", "--json", "--no-compress"] + paths)
+        code_off = main(["fleet", "--json", "--compress", "off"] + paths)
         uncompressed_out = capsys.readouterr().out
         assert code == code_off == 0
         assert compressed_out == uncompressed_out
@@ -304,5 +307,5 @@ class TestCli:
         paths = self._write_fleet(tmp_path, devices)
         main(["fleet"] + paths)
         assert "symmetry:" in capsys.readouterr().out
-        main(["fleet", "--no-compress"] + paths)
+        main(["fleet", "--compress", "off"] + paths)
         assert "symmetry:" not in capsys.readouterr().out

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.model import AclAction, AclLine, IpWildcard, Prefix
-from repro.oracle import run_selfcheck
+from repro.oracle import driver, run_selfcheck
 from repro.oracle.driver import (
     _random_route_map,
     _render_route_map,
@@ -95,6 +95,30 @@ class TestShrinking:
         shrunk1, shrunk2 = _shrink_route_map_pair(map1, map2, fails)
         assert [clause.name for clause in shrunk1.clauses] == [marker]
         assert shrunk2.clauses == ()
+
+
+class TestFleetHarness:
+    @pytest.mark.parametrize(
+        "name", ["fleet", "symmetry", "near-symmetry", "service"]
+    )
+    def test_dropped_report_is_caught_and_shrunk(self, monkeypatch, name):
+        row = driver._FLEET_ROWS[name]
+
+        def dropping(env, devices):
+            report = row.run_a(env, devices)
+            del report["reports"][sorted(report["reports"])[0]]
+            return report
+
+        monkeypatch.setitem(
+            driver._FLEET_ROWS, name, dataclasses.replace(row, run_a=dropping)
+        )
+        result = run_selfcheck(seed=0, pairs=1, generators=[name])
+        (failure,) = result.failures
+        assert failure.generator == name
+        assert failure.check == row.check
+        assert failure.detail.endswith("(fields: reports)")
+        assert failure.reproducer.startswith("fleet of 2: ")
+        assert len(failure.reproducer.splitlines()[0].split(", ")) == 2
 
 
 class TestCliSelfcheck:

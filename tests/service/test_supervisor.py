@@ -51,6 +51,23 @@ class TestRunJob:
         assert result["supervision"]["mode"] == "serial"
         assert result["supervision"]["quarantined_pairs"] == {}
 
+    def test_boolean_compress_matches_mode_names(self, small_fleet):
+        configs, _, _ = small_fleet
+        supervisor = Supervisor(cache=None, workers=1)
+
+        def run(compress):
+            return supervisor.run_job(
+                {"configs": configs, "compress": compress}, None
+            )
+
+        for flag, mode in ((True, "near"), (False, "off")):
+            by_flag, by_name = run(flag), run(mode)
+            assert by_flag["report"] == by_name["report"]
+            assert by_flag["symmetry"] == by_name["symmetry"]
+        assert run(True)["report"] == run(False)["report"]
+        assert run(True)["symmetry"]["compressed"] is True
+        assert "mode" not in run(True)["symmetry"]
+
     def test_duplicate_hostnames_permanent(self, small_fleet):
         configs, _, _ = small_fleet
         supervisor = Supervisor(cache=None, workers=1)

@@ -188,6 +188,13 @@ class TestExitCodes:
         assert main(["fleet", "--reference", "ghost", cisco, juniper]) == 2
         assert "ghost" in capsys.readouterr().err
 
+    def test_fleet_compress_exact_exits_two(self, config_files, capsys):
+        cisco, juniper = config_files
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--compress", "exact", cisco, juniper])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'exact'" in capsys.readouterr().err
+
 
 class TestWarmCacheBytes:
     """A warm run replays cached localized differences; its ``--json``

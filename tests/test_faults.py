@@ -174,11 +174,11 @@ class TestFleetFaults:
                 raise RuntimeError("injected crash")
             return real(task)
 
-        # compress=False: the injected fault targets *hostnames*, which
+        # compress="off": the injected fault targets *hostnames*, which
         # symmetry compression would reroute through class
         # representatives (gateway clones share a fingerprint class).
         monkeypatch.setattr(parallel, "_count_pair", faulty)
-        report = compare_fleet(devices, workers=2, timeout=30.0, compress=False)
+        report = compare_fleet(devices, workers=2, timeout=30.0, compress="off")
         assert report.is_partial()
         assert list(report.failed_pairs) == [tuple(sorted(doomed))]
         assert "injected crash" in next(iter(report.failed_pairs.values()))
@@ -190,11 +190,11 @@ class TestFleetFaults:
     def test_fleet_all_pairs_failed(self, monkeypatch):
         monkeypatch.setattr(parallel, "_count_pair", crash_everywhere)
         devices, _ = gateway_fleet(count=3, outliers=0, rule_count=6, seed=1)
-        # compress=False: with compression the conforming clones' intra-
+        # compress="off": with compression the conforming clones' intra-
         # class pairs expand to 0 without running _count_pair, so not
         # every pair can fail.
         with pytest.raises(RuntimeError, match="all 3 pairwise"):
-            compare_fleet(devices, workers=2, compress=False)
+            compare_fleet(devices, workers=2, compress="off")
 
     def test_near_all_pairs_failed_counts_fallback_pairs(self, monkeypatch):
         """Under near compression the one analyzed pair fails, its 9
