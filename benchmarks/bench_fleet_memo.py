@@ -24,7 +24,7 @@ tiny version: ``CAMPION_BENCH_MEMO_FLEET`` (devices, default 12),
 Runs under pytest-benchmark or standalone:
 ``PYTHONPATH=src python benchmarks/bench_fleet_memo.py``.  With
 ``--write-configs DIR`` it instead materializes the fleet's config
-files into DIR (for the CI cache-smoke job) and exits.
+files into DIR (for the CI fleet checks) and exits.
 """
 
 import contextlib

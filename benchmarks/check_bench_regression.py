@@ -13,8 +13,8 @@ Run the benchmarks first (they write the fresh artifacts), then::
     python benchmarks/check_bench_regression.py [--tolerance 0.30]
 
 ``--artifacts NAME[,NAME...]`` restricts the guard to a subset of the
-tracked artifacts, so a CI job that only produced some of them (the
-service-smoke job, say) doesn't fail on the ones it never ran.
+tracked artifacts, so a run that only produced some of them doesn't
+fail on the ones it never ran.
 
 Baselines are regenerated by running the benchmark at the smoke scale
 CI uses and copying the JSON from ``benchmarks/results/`` into

@@ -1,7 +1,6 @@
 """From-scratch ROBDD engine (JavaBDD substitute) and bit-vector helpers."""
 
 from .atoms import (
-    ATOM_BUDGET_ENV,
     AtomBudgetExceeded,
     AtomRefinement,
     default_atom_budget,
@@ -13,7 +12,6 @@ from .store import DictNodeStore, FlatNodeStore, resolve_store
 from .vector import BitVector
 
 __all__ = [
-    "ATOM_BUDGET_ENV",
     "AnalysisBudgetExceeded",
     "AtomBudgetExceeded",
     "AtomRefinement",

@@ -30,8 +30,7 @@ nearly-equivalent 10,000-rule ACL pair therefore refines in ~n dict
 lookups plus a few dozen BDD operations, instead of the O(n²) pairwise
 applies.
 
-Atom counts are bounded by ``atom_budget`` (argument, else the
-``CAMPION_ATOM_BUDGET`` environment variable, else
+Atom counts are bounded by ``atom_budget`` (argument, else
 :func:`default_atom_budget`); adversarial partition pairs whose joint
 refinement genuinely is quadratic raise :class:`AtomBudgetExceeded` so
 the caller can fall back to the pairwise backend instead of materializing
@@ -40,14 +39,12 @@ millions of atoms and megabyte-long bitsets.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 from .engine import Bdd
 
 __all__ = [
-    "ATOM_BUDGET_ENV",
     "AtomBudgetExceeded",
     "AtomRefinement",
     "default_atom_budget",
@@ -55,8 +52,6 @@ __all__ = [
     "resolve_atom_budget",
     "refine_partitions",
 ]
-
-ATOM_BUDGET_ENV = "CAMPION_ATOM_BUDGET"
 
 
 def iter_set_bits(mask: int) -> Iterator[int]:
@@ -101,18 +96,10 @@ def default_atom_budget(count1: int, count2: int) -> int:
 def resolve_atom_budget(
     budget: Optional[int], count1: int, count2: int
 ) -> int:
-    """Resolve the effective atom budget: argument, else the
-    ``CAMPION_ATOM_BUDGET`` environment variable, else the default."""
+    """Resolve the effective atom budget: argument, else
+    :func:`default_atom_budget`."""
     if budget is not None:
         return budget
-    raw = os.environ.get(ATOM_BUDGET_ENV, "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{ATOM_BUDGET_ENV} must be an integer, got {raw!r}"
-            ) from None
     return default_atom_budget(count1, count2)
 
 

@@ -31,8 +31,8 @@ Soundness notes:
   pair can own many shared atoms.  Counting differing pairs therefore
   counts distinct ``(class1, class2)`` pairs, never popcounts.
 
-Atom counts are bounded by the same ``CAMPION_ATOM_BUDGET`` contract as
-the per-pair refinement: the budget here caps the whole universe, and
+Atom counts are bounded by the same atom-budget contract as the
+per-pair refinement: the budget here caps the whole universe, and
 an overrun raises :class:`AtomBudgetExceeded`, and the caller falls back
 to per-pair refinement for the pairs that universe would have served.
 """
@@ -79,7 +79,7 @@ class AtomUniverse:
 
     def __init__(self, atom_budget: Optional[int] = None) -> None:
         #: Absolute cap on universe atoms (``None`` resolves per fold
-        #: via :func:`resolve_atom_budget`, honouring the environment).
+        #: via :func:`resolve_atom_budget` to the size-relative default).
         self.atom_budget = atom_budget
         self.atoms: List[Bdd] = []
         self._vectors: List[List[int]] = []

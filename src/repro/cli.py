@@ -48,8 +48,6 @@ from . import perf
 from .baseline import monolithic_route_map_check, monolithic_static_route_check
 from .cache import ArtifactCache, resolve_cache_dir
 from .core import (
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
     DiffMemo,
     compare_fleet,
     config_diff,
@@ -180,7 +178,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         node_limit=args.node_limit,
         time_budget=args.timeout,
         memo=DiffMemo(cache) if cache is not None else None,
-        set_backend=args.set_backend,
     )
     diff_time = time.time() - start
     if args.json:
@@ -258,7 +255,6 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
             pairs=args.pairs,
             on_progress=progress,
             cache=cache,
-            set_backend=args.set_backend,
             generators=(
                 [name.strip() for name in args.generators.split(",") if name.strip()]
                 if args.generators
@@ -283,7 +279,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             node_limit=args.node_limit,
             memo=DiffMemo(cache) if cache is not None else None,
-            set_backend=args.set_backend,
             compress=args.compress,
         )
     except ValueError as exc:
@@ -332,7 +327,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers or 1,
         timeout=args.timeout,
         node_limit=args.node_limit,
-        set_backend=args.set_backend,
         drain_grace=args.drain_grace,
     )
     service = AnalysisService(config)
@@ -393,14 +387,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="record-and-skip unparseable stanzas (default)",
     )
     parser.add_argument(
-        "--set-backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help="SemanticDiff set-algebra backend: atomic-predicate bitsets "
-        "or the pairwise BDD loop (default: $CAMPION_SET_BACKEND or "
-        f"{DEFAULT_BACKEND}; results are identical, only speed differs)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -421,7 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             type=float,
             default=None,
             metavar="SECONDS",
-            help="per-pair wall-clock budget (default: $CAMPION_PAIR_TIMEOUT)",
+            help="per-pair wall-clock budget (default: unbounded)",
         )
         subparser.add_argument(
             "--node-limit",
@@ -471,7 +457,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="processes for the pairwise matrix (default: $CAMPION_WORKERS or 1)",
+        help="processes for the pairwise matrix (default: 1)",
     )
     fleet_parser.add_argument(
         "--json",

@@ -109,7 +109,7 @@ def config_diff(
     memo-less run.
 
     ``set_backend`` selects the SemanticDiff set-algebra backend by name
-    (see :mod:`repro.core.setalg`); ``None`` uses the process default.
+    (see :mod:`repro.core.setalg`); ``None`` uses ``atoms``.
     Reports are identical for every backend.
     """
     report, _ = _walk_components(

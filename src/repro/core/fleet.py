@@ -58,7 +58,6 @@ from .memo import DiffMemo
 from .near_symmetry import FALLBACK_COUNTER, plan_near_pairs
 from .parallel import pairwise_count_outcomes, resolve_timeout, resolve_workers
 from .results import CampionReport
-from .setalg import default_backend_name
 
 __all__ = [
     "COMPRESS_MODES",
@@ -313,17 +312,16 @@ def compare_fleet(
     instance says nothing about the others.
 
     ``workers`` fans the matrix phase over that many processes
-    (``None`` consults the ``CAMPION_WORKERS`` environment variable,
-    defaulting to serial).  Workers return only difference counts; the
+    (``None`` = serial).  Workers return only difference counts; the
     n-1 reference reports are always computed in this process, so the
     resulting :class:`FleetReport` — and its serialized form — is
     identical whatever the worker count.
 
-    ``timeout`` bounds each pair's wall clock (``None`` consults
-    ``CAMPION_PAIR_TIMEOUT``); ``node_limit`` bounds each pair's BDD
-    allocation.  Either tripping turns that pair into a ``failed_pairs``
-    entry (matrix phase) or a per-component degradation inside the
-    report (reference phase) rather than sinking the run.
+    ``timeout`` bounds each pair's wall clock (``None`` = unbounded);
+    ``node_limit`` bounds each pair's BDD allocation.  Either tripping
+    turns that pair into a ``failed_pairs`` entry (matrix phase) or a
+    per-component degradation inside the report (reference phase)
+    rather than sinking the run.
 
     Fingerprint memoization is on by default (``use_memo=True``): each
     unique component-content pair is diffed once and replayed across
@@ -335,8 +333,8 @@ def compare_fleet(
     Reports and counts are identical in every mode.
 
     ``set_backend`` names the SemanticDiff set-algebra backend used in
-    the matrix workers and the reference reports (``None`` = process
-    default; see :mod:`repro.core.setalg`) — another knob that changes
+    the matrix workers and the reference reports (``None`` = ``atoms``;
+    see :mod:`repro.core.setalg`) — another knob that changes
     only the wall clock, never the report.
 
     With a memo on the ``atoms`` backend, each matrix fan-out is
@@ -371,11 +369,10 @@ def compare_fleet(
     compress = resolve_compress(compress)
     if memo is None and use_memo:
         memo = DiffMemo()
-    backend_name = (
-        set_backend if set_backend is not None else default_backend_name()
-    )
     seeding = (
-        memo is not None and node_limit is None and backend_name == "atoms"
+        memo is not None
+        and node_limit is None
+        and set_backend in (None, "atoms")
     )
 
     def count_outcomes(pair_keys: List[Tuple[str, str]]):

@@ -29,7 +29,8 @@ their community vocabulary depends on the pair, so one shared universe
 would be unsound there, and the memo already runs each distinct
 route-map pair once.
 
-A component whose fold trips the atom budget (``CAMPION_ATOM_BUDGET``)
+A component whose fold trips the atom budget
+(:func:`~repro.bdd.atoms.default_atom_budget` of its total class count)
 or violates universe coverage is simply not seeded — its pairs run
 through per-pair atoms in the matrix — and only the perf counter
 ``fleet_atoms.budget_fallbacks`` records it, so the report is the same

@@ -33,7 +33,7 @@ Pluggable localization algebra
 The traversal and both minimality prunes are written once against a
 tiny set-algebra adapter and instantiated two ways:
 
-* **BDD** (``--set-backend bdd``): containment is ``part.implies(target)``
+* **BDD** (``backend="bdd"``): containment is ``part.implies(target)``
   on BDDs, exactly the original formulation.
 * **Atom bitsets** (``atoms``, the default): the
   remainders of the DAG's nodes — each node's predicate minus its
@@ -74,7 +74,6 @@ from typing import (
 
 from .. import perf
 from ..bdd import Bdd
-from . import setalg
 from .ddnf import DdnfDag, DdnfNode, RangeAlgebra, cached_dag
 
 __all__ = [
@@ -402,8 +401,8 @@ class LocalizeSession:
     range-predicate caches (one per dimension — repeated localizations
     used to rebuild identical range BDDs per call) and the
     :class:`DagAtoms` decompositions (one per dimension and DAG).
-    ``backend`` pins the localization algebra; ``None`` defers to the
-    process default at each call.
+    ``backend`` pins the localization algebra; ``None`` means
+    ``"atoms"``.
     """
 
     def __init__(self, backend: Optional[str] = None) -> None:
@@ -685,7 +684,7 @@ def header_localize(
 
     ``backend`` selects the localization algebra (``"bdd"`` vs the
     bitset-backed ``"atoms"``); ``None`` defers to the
-    session's backend, then to the process default.  ``session``/
+    session's backend, then to ``"atoms"``.  ``session``/
     ``dimension`` share predicate caches and atom decompositions across
     the differences of one component pair.
     """
@@ -709,7 +708,7 @@ def header_localize(
         if name is None and session is not None:
             name = session.backend
         if name is None:
-            name = setalg.default_backend_name()
+            name = "atoms"
 
         if name == "atoms":
             if session is not None:

@@ -26,12 +26,11 @@ and worker processes are killed and joined deterministically on both
 ``KeyboardInterrupt`` and normal exit, so stuck workers never outlive
 the run as leaked fork children.
 
-Worker resolution: an explicit ``workers=N`` argument wins; ``None``
-falls back to the ``CAMPION_WORKERS`` environment variable, then to 1
+Worker resolution: an explicit ``workers=N`` argument, else 1
 (serial).  ``workers=1`` never touches :mod:`multiprocessing` — callers
 on constrained platforms keep the exact serial code path.  The per-pair
-wall-clock timeout resolves the same way through ``timeout=`` and the
-``CAMPION_PAIR_TIMEOUT`` environment variable (``None`` = unbounded).
+wall-clock timeout is the ``timeout=`` argument, else ``None``
+(unbounded).
 
 The ``fork`` start method is preferred (cheap, inherits the parsed
 configs' module state); platforms without it fall back to the default
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
-import os
 import random
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -59,8 +57,6 @@ from .near_symmetry import SymmetryPlan  # re-export for existing importers
 from .serialize import report_to_dict
 
 __all__ = [
-    "WORKERS_ENV",
-    "TIMEOUT_ENV",
     "PairOutcome",
     "SymmetryPlan",
     "resolve_workers",
@@ -70,9 +66,6 @@ __all__ = [
     "diff_pairs",
     "diff_pair_outcomes",
 ]
-
-WORKERS_ENV = "CAMPION_WORKERS"
-TIMEOUT_ENV = "CAMPION_PAIR_TIMEOUT"
 
 #: Fresh pool generations granted per fan-out after worker death.  The
 #: cap bounds the worst case — a task that deterministically kills its
@@ -102,9 +95,9 @@ _Pair = Tuple[DeviceConfig, DeviceConfig]
 # (or None): every task in one fan-out references the same memo object,
 # so each worker process accumulates component results across its tasks
 # and drains them back via ``PairOutcome.memo_updates``.  Slot 6 is the
-# SemanticDiff set-algebra backend *name* (or None for the worker's
-# default) — backend instances hold BDD handles and never cross
-# processes, names always pickle.  Slot 7 is the pair's MatchPolicies
+# SemanticDiff set-algebra backend *name* (or None for atoms) — backend
+# instances hold BDD handles and never cross processes, names always
+# pickle.  Slot 7 is the pair's MatchPolicies
 # result when the caller already computed it (or None to match in the
 # worker).
 _Task = Tuple[
@@ -156,38 +149,19 @@ class PairOutcome:
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve a worker count: argument, else ``CAMPION_WORKERS``, else 1."""
+    """Resolve a worker count: argument, else 1."""
     if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from None
+        return 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
 
 
 def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Resolve the per-pair wall-clock timeout in seconds.
-
-    Argument wins, else ``CAMPION_PAIR_TIMEOUT``, else ``None``
-    (unbounded, the historical behavior).
-    """
+    """Resolve the per-pair wall-clock timeout in seconds: argument,
+    else ``None`` (unbounded)."""
     if timeout is None:
-        raw = os.environ.get(TIMEOUT_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            timeout = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{TIMEOUT_ENV} must be a number of seconds, got {raw!r}"
-            ) from None
+        return None
     if timeout <= 0:
         raise ValueError(f"timeout must be positive, got {timeout}")
     return timeout
@@ -642,8 +616,8 @@ def pairwise_count_outcomes(
     unique fingerprint-pair component diff runs once per process at
     most; worker-computed entries are merged back into the parent memo
     before this returns.  ``set_backend`` names the SemanticDiff
-    set-algebra backend applied inside each worker (``None`` = each
-    worker's process default); results are backend-independent.
+    set-algebra backend applied inside each worker (``None`` = atoms);
+    results are backend-independent.
     ``pairings`` (aligned with ``pairs``) hands over MatchPolicies
     results the caller already computed, so no pair is matched twice.
     """

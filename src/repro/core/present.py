@@ -33,9 +33,7 @@ from .ddnf import address_prefix_algebra, prefix_range_algebra
 from .results import CampionReport, ComponentKind, SemanticDifference, StructuralDifference
 
 __all__ = [
-    "localize_route_map_difference",
     "localize_route_map_differences",
-    "localize_acl_difference",
     "localize_acl_differences",
     "render_semantic_difference",
     "render_structural_difference",
@@ -68,19 +66,6 @@ def localize_route_map_differences(
         _localize_route_map(
             space, difference, ranges, session, exhaustive_communities
         )
-
-
-def localize_route_map_difference(
-    space: RouteSpace,
-    difference: SemanticDifference,
-    map1: RouteMap,
-    map2: RouteMap,
-    exhaustive_communities: bool = False,
-) -> None:
-    """Single-difference form of :func:`localize_route_map_differences`."""
-    localize_route_map_differences(
-        space, [difference], map1, map2, exhaustive_communities
-    )
 
 
 def _localize_route_map(
@@ -188,16 +173,6 @@ def localize_acl_differences(
 
     for difference in differences:
         _localize_acl(space, difference, dimensions, session)
-
-
-def localize_acl_difference(
-    space: PacketSpace,
-    difference: SemanticDifference,
-    acl1: Acl,
-    acl2: Acl,
-) -> None:
-    """Single-difference form of :func:`localize_acl_differences`."""
-    localize_acl_differences(space, [difference], acl1, acl2)
 
 
 def _localize_acl(

@@ -75,7 +75,7 @@ def semantic_diff_classes(
 
     ``backend`` selects the set-algebra backend (a name from
     :data:`repro.core.setalg.BACKEND_NAMES`, a backend instance, or
-    ``None`` for the process default); the result is identical for every
+    ``None`` for ``atoms``); the result is identical for every
     backend, only the wall clock differs.
     """
     differences: List[SemanticDifference] = []

@@ -21,12 +21,12 @@ makes the algebra pluggable:
   ``setalg.atom_budget_fallbacks``; a human-readable note lands on
   ``AtomsBackend.notes``).
 
-Backend selection resolves explicit argument → process default set via
-:func:`set_default_backend` (the CLI's ``--set-backend``) → the
-``CAMPION_SET_BACKEND`` environment variable → ``"atoms"``.  Backends
-are cross-validated end-to-end by the differential-testing oracle
-(``campion selfcheck``) and the equivalence property suite, which assert
-identical difference sets, satcounts, and localizations.
+Backend selection is an explicit argument, else ``"atoms"``; there is
+no process-wide default, so concurrent comparisons cannot disturb one
+another's choice.  Backends are cross-validated end-to-end by the
+differential-testing oracle (``campion selfcheck``) and the equivalence
+property suite, which assert identical difference sets, satcounts, and
+localizations.
 
 Perf counters: ``setalg.atoms`` (atoms materialized), ``setalg.atom_probes``
 (refinement intersection probes), ``setalg.bitset_ops`` (bitwise
@@ -36,7 +36,6 @@ remainders outside the joint covered space), ``setalg.atom_budget_fallbacks``.
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -47,7 +46,6 @@ from ..bdd.atoms import AtomBudgetExceeded, iter_set_bits, refine_partitions
 from ..encoding.classes import EquivalenceClass
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKEND_NAMES",
     "DEFAULT_BACKEND",
     "SetAlgebraBackend",
@@ -55,12 +53,8 @@ __all__ = [
     "AtomsBackend",
     "canonical_action_key",
     "resolve_backend",
-    "set_default_backend",
-    "default_backend_name",
-    "default_backend",
 ]
 
-BACKEND_ENV = "CAMPION_SET_BACKEND"
 DEFAULT_BACKEND = "atoms"
 BACKEND_NAMES = ("bdd", "atoms")
 
@@ -250,9 +244,9 @@ class AtomsBackend(SetAlgebraBackend):
     agreement region; both backends therefore emit identical pair lists
     with identical (hash-consed) overlap BDDs.
 
-    ``atom_budget`` bounds the refinement (``None`` resolves through
-    ``CAMPION_ATOM_BUDGET`` and the size-relative default); exceeding it
-    falls back to :class:`BddBackend` for that pairing, recording the
+    ``atom_budget`` bounds the refinement (``None`` means the
+    size-relative default); exceeding it falls back to
+    :class:`BddBackend` for that pairing, recording the
     ``setalg.atom_budget_fallbacks`` counter and a note on ``notes``.
     """
 
@@ -336,10 +330,6 @@ class AtomsBackend(SetAlgebraBackend):
 
 BackendSpec = Union[None, str, SetAlgebraBackend]
 
-#: Process-wide default override (the CLI's ``--set-backend``); ``None``
-#: defers to the environment variable, then to ``DEFAULT_BACKEND``.
-_default_spec: Optional[str] = None
-
 
 def _validate_name(name: str) -> str:
     if name not in BACKEND_NAMES:
@@ -350,52 +340,17 @@ def _validate_name(name: str) -> str:
     return name
 
 
-def set_default_backend(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-default backend name."""
-    global _default_spec
-    _default_spec = None if name is None else _validate_name(name)
-
-
-def default_backend_name() -> str:
-    """The backend name an unqualified comparison resolves to."""
-    if _default_spec is not None:
-        return _default_spec
-    raw = os.environ.get(BACKEND_ENV, "").strip()
-    if raw:
-        return _validate_name(raw)
-    return DEFAULT_BACKEND
-
-
-class default_backend:
-    """Context manager scoping :func:`set_default_backend` to a block."""
-
-    def __init__(self, name: Optional[str]) -> None:
-        self._name = name
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> "default_backend":
-        global _default_spec
-        self._previous = _default_spec
-        set_default_backend(self._name)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        global _default_spec
-        _default_spec = self._previous
-
-
 def resolve_backend(spec: BackendSpec = None) -> SetAlgebraBackend:
     """Resolve a backend spec to an instance.
 
     ``spec`` may be a backend instance (returned as-is), a name from
-    ``BACKEND_NAMES``, or ``None`` — which resolves through the process
-    default, then ``CAMPION_SET_BACKEND``, then ``DEFAULT_BACKEND``.
+    ``BACKEND_NAMES``, or ``None`` — which means ``DEFAULT_BACKEND``.
     Name specs get a fresh instance, so fallback notes are scoped to one
     comparison's caller.
     """
     if isinstance(spec, SetAlgebraBackend):
         return spec
-    name = default_backend_name() if spec is None else _validate_name(spec)
+    name = DEFAULT_BACKEND if spec is None else _validate_name(spec)
     if name == "bdd":
         return BddBackend()
     return AtomsBackend()

@@ -87,9 +87,7 @@ from ..core.config_diff import config_diff, config_diff_summary
 from ..core.fleet import compare_fleet
 from ..core.memo import DiffMemo
 from ..core.present import (
-    localize_acl_difference,
     localize_acl_differences,
-    localize_route_map_difference,
     localize_route_map_differences,
 )
 from ..core.semantic_diff import diff_acls, diff_route_maps
@@ -625,25 +623,39 @@ def _run_memo_case(
     return None
 
 
-def _backend_report(kind: str, component1, component2) -> List[dict]:
-    """Diff + localize one component pair under one backend, serialized.
+def _localized_differences(
+    kind: str,
+    component1,
+    component2,
+    set_backend: Optional[str],
+    backend: str,
+) -> List[dict]:
+    """Diff one component pair under ``set_backend`` and localize under
+    ``backend``, serialized.
 
-    Each call builds a fresh space (fresh BDD manager), so the two
-    backends share no cached state whatsoever; the serialized dicts are
-    manager-independent, which is what makes them comparable.  Satcounts
-    of the raw input sets ride along — the dict's localization view
-    could in principle coarsen an input-set discrepancy away.
+    Both backends are explicit arguments.  Each call builds a fresh space
+    (fresh BDD manager), so runs share no cached state whatsoever; the
+    serialized dicts are manager-independent, which is what makes them
+    comparable.  Satcounts of the raw input sets ride along — the dict's
+    localization view could in principle coarsen an input-set
+    discrepancy away.
     """
-    differ = diff_acls if kind == "acl" else diff_route_maps
-    space, differences = differ(component1, component2)
+    if kind == "acl":
+        space, differences = diff_acls(
+            component1, component2, set_backend=set_backend
+        )
+        localize_acl_differences(
+            space, differences, component1, component2, backend=backend
+        )
+    else:
+        space, differences = diff_route_maps(
+            component1, component2, set_backend=set_backend
+        )
+        localize_route_map_differences(
+            space, differences, component1, component2, backend=backend
+        )
     payload = []
     for difference in differences:
-        if kind == "acl":
-            localize_acl_difference(space, difference, component1, component2)
-        else:
-            localize_route_map_difference(
-                space, difference, component1, component2
-            )
         entry = semantic_difference_to_dict(difference)
         entry["input_satcount"] = difference.input_set.satcount()
         payload.append(entry)
@@ -652,10 +664,10 @@ def _backend_report(kind: str, component1, component2) -> List[dict]:
 
 def _backend_mismatch(kind: str, component1, component2) -> Optional[str]:
     """One-line description of any bdd/atoms divergence, else ``None``."""
-    reports = {}
-    for name in setalg.BACKEND_NAMES:
-        with setalg.default_backend(name):
-            reports[name] = _backend_report(kind, component1, component2)
+    reports = {
+        name: _localized_differences(kind, component1, component2, name, name)
+        for name in setalg.BACKEND_NAMES
+    }
     baseline = reports["bdd"]
     for name in setalg.BACKEND_NAMES[1:]:
         report = reports[name]
@@ -708,7 +720,9 @@ def _run_backend_case(
 
     detail = _backend_mismatch(kind, component1, component2)
     if detail is None:
-        result.differences += len(_backend_report(kind, component1, component2))
+        result.differences += len(
+            _localized_differences(kind, component1, component2, "bdd", "bdd")
+        )
         return None
 
     def fails(c1, c2) -> bool:
@@ -731,37 +745,6 @@ def _run_backend_case(
     )
 
 
-def _localization_payload(kind: str, component1, component2, backend: str) -> List[dict]:
-    """Diff one pair, then localize under one explicit algebra backend.
-
-    Unlike :func:`_backend_report` (which swaps the *whole* process
-    default, exercising SemanticDiff and HeaderLocalize together), the
-    diff here runs under the process default and only the localization
-    algebra is forced, isolating the bitset-vs-BDD ``get_match`` /
-    ``minimal_flat_terms`` paths the differential targets.
-    """
-    differ = diff_acls if kind == "acl" else diff_route_maps
-    space, differences = differ(component1, component2)
-    if kind == "acl":
-        localize_acl_differences(
-            space, differences, component1, component2, backend=backend
-        )
-    else:
-        localize_route_map_differences(
-            space, differences, component1, component2, backend=backend
-        )
-    payload = []
-    for difference in differences:
-        entry = semantic_difference_to_dict(difference)
-        payload.append(
-            {
-                "localization": entry.get("localization"),
-                "extra_localizations": entry.get("extra_localizations"),
-            }
-        )
-    return payload
-
-
 def _localization_mismatch(kind: str, component1, component2) -> Optional[str]:
     """One-line description of any bdd/atoms localization divergence.
 
@@ -771,7 +754,7 @@ def _localization_mismatch(kind: str, component1, component2) -> Optional[str]:
     dimension.
     """
     payloads = {
-        name: _localization_payload(kind, component1, component2, name)
+        name: _localized_differences(kind, component1, component2, None, name)
         for name in ("bdd", "atoms")
     }
     baseline, candidate = payloads["bdd"], payloads["atoms"]
@@ -781,7 +764,7 @@ def _localization_mismatch(kind: str, component1, component2) -> Optional[str]:
             f"atoms localized {len(candidate)}"
         )
     for index, (entry1, entry2) in enumerate(zip(baseline, candidate)):
-        loc1, loc2 = entry1["localization"], entry2["localization"]
+        loc1, loc2 = entry1.get("localization"), entry2.get("localization")
         if loc1 != loc2:
             terms1 = (loc1 or {}).get("terms", [])
             terms2 = (loc2 or {}).get("terms", [])
@@ -795,9 +778,9 @@ def _localization_mismatch(kind: str, component1, component2) -> Optional[str]:
                 f"difference #{index} localization diverges "
                 f"({len(terms1)} vs {len(terms2)} term(s))"
             )
-        if entry1["extra_localizations"] != entry2["extra_localizations"]:
-            extras1 = entry1["extra_localizations"] or {}
-            extras2 = entry2["extra_localizations"] or {}
+        extras1 = entry1.get("extra_localizations") or {}
+        extras2 = entry2.get("extra_localizations") or {}
+        if extras1 != extras2:
             keys = sorted(
                 key
                 for key in set(extras1) | set(extras2)
@@ -841,10 +824,12 @@ def _run_localize_case(
 
     detail = _localization_mismatch(kind, component1, component2)
     if detail is None:
-        payload = _localization_payload(kind, component1, component2, "bdd")
+        payload = _localized_differences(
+            kind, component1, component2, None, "bdd"
+        )
         result.differences += len(payload)
         result.localizations += sum(
-            1 for entry in payload if entry["localization"] is not None
+            1 for entry in payload if entry.get("localization") is not None
         )
         return None
 
@@ -1365,7 +1350,6 @@ def run_selfcheck(
     pairs: int = 50,
     on_progress: Optional[Callable[[int, int], None]] = None,
     cache=None,
-    set_backend: Optional[str] = None,
     generators: Optional[Sequence[str]] = None,
 ) -> SelfCheckResult:
     """Run the differential harness on ``pairs`` generated cases.
@@ -1375,11 +1359,6 @@ def run_selfcheck(
     All failures are collected (the run does not stop at the first).
     ``cache`` (an :class:`~repro.cache.ArtifactCache`, or ``None``) is
     threaded into the memoization cross-check cases only.
-
-    ``set_backend`` scopes the process-default set-algebra backend to
-    this run, so the whole harness — every brute-force comparison, not
-    just the dedicated backend cross-check cases — exercises that
-    backend; the backend cases themselves always compare both.
 
     ``generators`` restricts the run to a subset of case generators
     (names from ``--generators`` / this module's ``_GENERATORS``), so a
@@ -1397,22 +1376,16 @@ def run_selfcheck(
         pool = _GENERATORS
     result = SelfCheckResult(seed=seed, pairs=pairs)
     start = time.time()
-    scope = (
-        setalg.default_backend(set_backend)
-        if set_backend is not None
-        else contextlib.nullcontext()
-    )
-    with scope:
-        for index in range(pairs):
-            kind = pool[index % len(pool)]
-            case_seed = seed * 1_000_003 + index
-            if kind == "memo":
-                failure = _run_memo_case(case_seed, result, cache=cache)
-            else:
-                failure = _CASE_RUNNERS[kind](case_seed, result)
-            if failure is not None:
-                result.failures.append(failure)
-            if on_progress is not None:
-                on_progress(index + 1, pairs)
+    for index in range(pairs):
+        kind = pool[index % len(pool)]
+        case_seed = seed * 1_000_003 + index
+        if kind == "memo":
+            failure = _run_memo_case(case_seed, result, cache=cache)
+        else:
+            failure = _CASE_RUNNERS[kind](case_seed, result)
+        if failure is not None:
+            result.failures.append(failure)
+        if on_progress is not None:
+            on_progress(index + 1, pairs)
     result.elapsed = time.time() - start
     return result

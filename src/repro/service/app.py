@@ -75,7 +75,6 @@ class ServiceConfig:
     workers: int = 1
     timeout: Optional[float] = None
     node_limit: Optional[int] = None
-    set_backend: Optional[str] = None
     drain_grace: float = 30.0
     max_body: int = 8 * 1024 * 1024
 
@@ -104,7 +103,6 @@ class AnalysisService:
             workers=self.config.workers,
             timeout=self.config.timeout,
             node_limit=self.config.node_limit,
-            set_backend=self.config.set_backend,
             breaker=self.breaker,
         )
         self.http = HttpServer(

@@ -150,14 +150,12 @@ class Supervisor:
         workers: int = 1,
         timeout: Optional[float] = None,
         node_limit: Optional[int] = None,
-        set_backend: Optional[str] = None,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.cache = cache
         self.workers = workers
         self.timeout = timeout
         self.node_limit = node_limit
-        self.set_backend = set_backend
         self.breaker = breaker or CircuitBreaker()
 
     # -- payload -------------------------------------------------------------
@@ -204,7 +202,7 @@ class Supervisor:
         """
         configs = self.validate_payload(payload)
         cache = tenant_cache if tenant_cache is not None else self.cache
-        requested = int(payload.get("workers") or self.workers)
+        requested = self._int_option(payload, "workers", self.workers)
         effective_workers = self.breaker.decide_workers(requested)
         if effective_workers < requested:
             perf.add("service.jobs.degraded_serial")
@@ -239,7 +237,6 @@ class Supervisor:
                     payload, "node_limit", self.node_limit
                 ),
                 memo=DiffMemo(cache) if cache is not None else None,
-                set_backend=payload.get("set_backend") or self.set_backend,
                 compress=self._compress_option(payload, "compress", "near"),
             )
         except JobError:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bdd import (
-    ATOM_BUDGET_ENV,
     AtomBudgetExceeded,
     BddManager,
     default_atom_budget,
@@ -150,17 +149,9 @@ class TestBudget:
         assert default_atom_budget(2, 2) == 2048
         assert default_atom_budget(1000, 1000) == 8000
 
-    def test_resolve_prefers_argument(self, monkeypatch):
-        monkeypatch.setenv(ATOM_BUDGET_ENV, "7")
+    def test_resolve_prefers_argument(self):
         assert resolve_atom_budget(3, 10, 10) == 3
-        assert resolve_atom_budget(None, 10, 10) == 7
-        monkeypatch.delenv(ATOM_BUDGET_ENV)
         assert resolve_atom_budget(None, 10, 10) == 2048
-
-    def test_invalid_env_budget_rejected(self, monkeypatch):
-        monkeypatch.setenv(ATOM_BUDGET_ENV, "plenty")
-        with pytest.raises(ValueError, match=ATOM_BUDGET_ENV):
-            resolve_atom_budget(None, 1, 1)
 
     def test_quadratic_refinement_trips_the_budget(self, manager):
         # Cross partitions over disjoint variable sets: every pair of

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro import perf
-from repro.bdd import ATOM_BUDGET_ENV, AtomBudgetExceeded, BddManager
+from repro.bdd import AtomBudgetExceeded, BddManager, atoms
 from repro.bdd.atoms import refine_partitions
 from repro.bdd.fleet_atoms import (
     AtomUniverse,
@@ -326,7 +326,7 @@ class TestBudgetFallback:
     def test_overrun_falls_back_per_component_counter_only(self, monkeypatch):
         devices, _ = gateway_fleet(count=4, outliers=3, rule_count=10, seed=6)
         memo = DiffMemo()
-        monkeypatch.setenv(ATOM_BUDGET_ENV, "2")
+        monkeypatch.setattr(atoms, "default_atom_budget", lambda n1, n2: 2)
         before = _counter("fleet_atoms.budget_fallbacks")
         _seed(_all_pairs(devices), memo)
         assert _counter("fleet_atoms.budget_fallbacks") == before + 1
@@ -338,7 +338,7 @@ class TestBudgetFallback:
         baseline = fleet_report_to_dict(
             compare_fleet(devices, workers=1, use_memo=False)
         )
-        monkeypatch.setenv(ATOM_BUDGET_ENV, "4")
+        monkeypatch.setattr(atoms, "default_atom_budget", lambda n1, n2: 4)
         before = _counter("fleet_atoms.budget_fallbacks")
         report = compare_fleet(devices, workers=1)
         assert _counter("fleet_atoms.budget_fallbacks") > before

@@ -8,13 +8,13 @@ both the university and datacenter workloads.
 import pytest
 
 from repro.core import (
-    WORKERS_ENV,
     compare_fleet,
     config_diff,
     diff_pairs,
     pairwise_counts,
     report_to_dict,
     report_to_json,
+    resolve_timeout,
     resolve_workers,
 )
 from repro.workloads.datacenter import gateway_fleet
@@ -33,24 +33,21 @@ def fleet_as_json(report):
 
 
 class TestResolveWorkers:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "7")
+    def test_explicit_argument_wins(self):
         assert resolve_workers(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "5")
-        assert resolve_workers(None) == 5
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    def test_default_is_serial(self):
         assert resolve_workers(None) == 1
 
-    def test_invalid_values_rejected(self, monkeypatch):
+    def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(0)
-        monkeypatch.setenv(WORKERS_ENV, "banana")
+
+    def test_timeout_is_argument_or_unbounded(self):
+        assert resolve_timeout(2.5) == 2.5
+        assert resolve_timeout(None) is None
         with pytest.raises(ValueError):
-            resolve_workers(None)
+            resolve_timeout(-1.0)
 
 
 class TestParallelFleet:
@@ -99,11 +96,3 @@ class TestBatchHelpers:
         expected = [report_to_dict(config_diff(a, b)) for a, b in pairs]
         assert diff_pairs(pairs, workers=1) == expected
         assert diff_pairs(pairs, workers=2) == expected
-
-    def test_env_var_drives_fleet(self, monkeypatch):
-        devices, _ = gateway_fleet(count=3, outliers=1, rule_count=6, seed=1)
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        via_env = compare_fleet(devices)
-        monkeypatch.delenv(WORKERS_ENV)
-        serial = compare_fleet(devices)
-        assert fleet_as_json(via_env) == fleet_as_json(serial)

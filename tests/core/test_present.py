@@ -6,7 +6,7 @@ from repro.core import (
     ComponentKind,
     config_diff,
     diff_acls,
-    localize_acl_difference,
+    localize_acl_differences,
     render_report,
     render_semantic_difference,
     render_structural_difference,
@@ -87,7 +87,7 @@ class TestAclLocalization:
         space, differences = diff_acls(cisco, juniper, "r1", "r2")
         assert len(differences) == 1
         difference = differences[0]
-        localize_acl_difference(space, difference, cisco, juniper)
+        localize_acl_differences(space, [difference], cisco, juniper)
         src_localization = difference.extra_localizations["srcIp"]
         assert [str(p) for p in src_localization.included] == ["9.140.0.0/23"]
         dst_localization = difference.extra_localizations["dstIp"]
@@ -97,7 +97,7 @@ class TestAclLocalization:
         cisco, juniper = self._acls()
         space, differences = diff_acls(cisco, juniper, "r1", "r2")
         difference = differences[0]
-        localize_acl_difference(space, difference, cisco, juniper)
+        localize_acl_differences(space, [difference], cisco, juniper)
         rendered = render_semantic_difference(difference)
         assert "9.140.0.0/23" in rendered
         assert "ACL Name" in rendered
@@ -119,7 +119,7 @@ class TestAclLocalization:
         acl2 = Acl(name="F", lines=())
         space, differences = diff_acls(acl1, acl2)
         difference = differences[0]
-        localize_acl_difference(space, difference, acl1, acl2)
+        localize_acl_differences(space, [difference], acl1, acl2)
         assert difference.example.get("protocol") == "tcp"
         assert difference.example.get("dstPort") == "22"
 

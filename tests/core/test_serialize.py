@@ -120,7 +120,7 @@ class TestFleetReportDict:
         data = fleet_report_to_dict(fleet_report)
         assert json.loads(json.dumps(data)) == data
         # Deliberately timing-free: two runs over the same fleet must
-        # serialize byte-identically (the CI cache-smoke job diffs them).
+        # serialize byte-identically (the CI test job diffs them).
         assert "seconds" not in json.dumps(data)
 
     def test_matrix_is_sorted(self, fleet_report):

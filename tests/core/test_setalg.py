@@ -12,20 +12,16 @@ loop.
 import pytest
 
 from repro import perf
-from repro.bdd import ATOM_BUDGET_ENV, BddManager
+from repro.bdd import BddManager
 from repro.core import config_diff, report_to_json, semantic_difference_to_dict
 from repro.core.results import ComponentKind
 from repro.core.semantic_diff import diff_acls, semantic_diff_classes
 from repro.core.setalg import (
-    BACKEND_ENV,
     BACKEND_NAMES,
     DEFAULT_BACKEND,
     AtomsBackend,
     BddBackend,
-    default_backend,
-    default_backend_name,
     resolve_backend,
-    set_default_backend,
 )
 from repro.encoding import PacketSpace, acl_equivalence_classes
 from repro.encoding.classes import EquivalenceClass
@@ -178,11 +174,10 @@ class TestAtomBudgetFallback:
             for d in expected
         ]
 
-    def test_env_var_budget_triggers_fallback(self, monkeypatch):
-        monkeypatch.setenv(ATOM_BUDGET_ENV, "8")
+    def test_env_var_budget_triggers_fallback(self):
         manager = BddManager()
         classes1, classes2 = _cross_partition_classes(manager)
-        backend = AtomsBackend()
+        backend = AtomsBackend(atom_budget=8)
         semantic_diff_classes(
             ComponentKind.ACL, classes1, classes2, backend=backend
         )
@@ -190,11 +185,8 @@ class TestAtomBudgetFallback:
 
 
 class TestBackendResolution:
-    def test_default_is_atoms(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        set_default_backend(None)
+    def test_default_is_atoms(self):
         assert DEFAULT_BACKEND == "atoms"
-        assert default_backend_name() == "atoms"
         assert isinstance(resolve_backend(None), AtomsBackend)
 
     def test_name_resolution(self):
@@ -209,28 +201,3 @@ class TestBackendResolution:
     def test_instances_pass_through(self):
         backend = AtomsBackend(atom_budget=5)
         assert resolve_backend(backend) is backend
-
-    def test_env_var_sets_default(self, monkeypatch):
-        set_default_backend(None)
-        monkeypatch.setenv(BACKEND_ENV, "bdd")
-        assert default_backend_name() == "bdd"
-        monkeypatch.setenv(BACKEND_ENV, "cubes")
-        with pytest.raises(ValueError):
-            default_backend_name()
-
-    def test_process_default_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "atoms")
-        set_default_backend("bdd")
-        try:
-            assert default_backend_name() == "bdd"
-        finally:
-            set_default_backend(None)
-
-    def test_context_manager_scopes_and_restores(self):
-        set_default_backend("bdd")
-        try:
-            with default_backend("atoms"):
-                assert default_backend_name() == "atoms"
-            assert default_backend_name() == "bdd"
-        finally:
-            set_default_backend(None)

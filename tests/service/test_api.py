@@ -78,6 +78,16 @@ class TestSubmitAndPoll:
         assert final["job"]["attempts"] == 1  # permanent: never retried
         assert "'off', 'near'" in final["job"]["error"]
 
+    def test_non_integer_workers_fails_permanently(self, service, small_fleet):
+        configs, _, _ = small_fleet
+        _, body = http_json(
+            f"{service.url}/v1/fleet", {"configs": configs, "workers": "two"}
+        )
+        final = wait_for_job(service.url, body["job"]["id"])
+        assert final["job"]["state"] == "failed"
+        assert final["job"]["attempts"] == 1  # permanent: never retried
+        assert "option 'workers' is not an integer" in final["job"]["error"]
+
 
 class TestHealth:
     def test_healthz_reports_queue_and_workers(self, service):

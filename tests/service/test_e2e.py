@@ -1,6 +1,6 @@
 """End-to-end daemon lifecycle via ``campion serve`` subprocesses.
 
-These are the same scenarios the CI ``service-smoke`` job drives:
+These are the same scenarios the CI ``test`` job drives:
 graceful SIGTERM drain with exit code 0, and kill -9 crash recovery
 over a shared journal.
 """

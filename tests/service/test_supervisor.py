@@ -85,6 +85,23 @@ class TestRunJob:
             )
         assert excinfo.value.permanent
 
+    def test_non_integer_workers_permanent(self, small_fleet):
+        configs, _, _ = small_fleet
+        supervisor = Supervisor(cache=None, workers=1)
+        with pytest.raises(JobError) as excinfo:
+            supervisor.run_job({"configs": configs, "workers": "two"}, None)
+        assert excinfo.value.permanent
+        assert "option 'workers' is not an integer" in str(excinfo.value)
+
+    def test_set_backend_key_is_ignored(self, small_fleet):
+        configs, _, _ = small_fleet
+        supervisor = Supervisor(cache=None, workers=1)
+        plain = supervisor.run_job({"configs": configs}, None)
+        keyed = supervisor.run_job(
+            {"configs": configs, "set_backend": "cubes"}, None
+        )
+        assert keyed["report"] == plain["report"]
+
     def test_crashed_pair_quarantined_not_fatal(self, small_fleet, monkeypatch):
         """A pair whose worker keeps dying (even through the serial
         retry) lands in quarantined_pairs; the job still succeeds."""

@@ -1,8 +1,13 @@
 """Tests for the campion CLI."""
 
+import json
+
 import pytest
 
+from repro import perf
 from repro.cli import main
+from repro.core import compare_fleet, fleet_report_to_dict
+from repro.parsers import load_config
 from repro.workloads.figure1 import (
     CISCO_FIGURE1,
     CISCO_STATIC_SECTION2,
@@ -195,6 +200,13 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         assert "invalid choice: 'exact'" in capsys.readouterr().err
 
+    def test_set_backend_flag_exits_two(self, config_files, capsys):
+        cisco, juniper = config_files
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--set-backend", "bdd", "fleet", cisco, juniper])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bdd'" in capsys.readouterr().err
+
 
 class TestWarmCacheBytes:
     """A warm run replays cached localized differences; its ``--json``
@@ -248,9 +260,17 @@ class TestWarmCacheBytes:
         assert cold == warm
 
 
+def _bdd_reference_json(paths):
+    """The in-process ``fleet --json`` bytes of the per-pair ``bdd``
+    backend with no memo — the reference the seeded default must match."""
+    devices = [load_config(path) for path in paths]
+    report = compare_fleet(devices, set_backend="bdd", use_memo=False)
+    return json.dumps(fleet_report_to_dict(report), indent=2) + "\n"
+
+
 class TestFleetSeedingBytes:
     """The seeded default fleet path prints the same ``--json`` bytes
-    cold, warm, after a one-device edit, and under the per-pair ``bdd``
+    cold, warm, after a one-device edit, and as the per-pair ``bdd``
     backend and ``--compress off`` — on an all-distinct gateway fleet,
     where every matrix pair is seeded from the shared atom universe."""
 
@@ -282,7 +302,7 @@ class TestFleetSeedingBytes:
         warm, warm_err = fleet(*cache)
         assert "misses=0" in warm_err
         assert warm == cold
-        assert fleet("--no-cache", "--set-backend", "bdd")[0] == cold
+        assert _bdd_reference_json(paths) == cold
         assert main(["--no-cache", "fleet", "--json", "--compress", "off"]
                     + paths) == 1
         assert capsys.readouterr().out == cold
@@ -294,6 +314,38 @@ class TestFleetSeedingBytes:
         # The incremental run folded only the edited device's pairs; a
         # from-scratch run must print the same bytes.
         assert after_edit == fleet("--no-cache")[0]
+
+    def test_conforming_fleet_ignores_removed_knobs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Retired tuning variables are not read: junk values change
+        neither the bytes nor the path (no atom-budget fallback)."""
+        from repro.workloads.datacenter import gateway_fleet
+
+        devices, _ = gateway_fleet(count=6, outliers=0, rule_count=12, seed=11)
+        paths = []
+        for device in devices:
+            path = tmp_path / f"{device.hostname}.cfg"
+            path.write_text("\n".join(device.raw_lines) + "\n")
+            paths.append(str(path))
+
+        def fleet():
+            assert main(["--no-cache", "fleet", "--json"] + paths) == 0
+            return capsys.readouterr().out
+
+        default = fleet()
+        assert _bdd_reference_json(paths) == default
+        for name, junk in (
+            ("CAMPION_SET_BACKEND", "cubes"),
+            ("CAMPION_WORKERS", "banana"),
+            ("CAMPION_PAIR_TIMEOUT", "banana"),
+            ("CAMPION_ATOM_BUDGET", "2"),
+        ):
+            monkeypatch.setenv(name, junk)
+        before = perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
+        assert fleet() == default
+        after = perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
+        assert after == before
 
 
 class TestTranslate:

@@ -141,18 +141,6 @@ class TestTimeoutWorker:
         )
         assert all(o.ok and o.retried for o in outcomes)
 
-    def test_timeout_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(parallel.TIMEOUT_ENV, "2.5")
-        assert parallel.resolve_timeout(None) == 2.5
-        assert parallel.resolve_timeout(1.0) == 1.0
-        monkeypatch.setenv(parallel.TIMEOUT_ENV, "banana")
-        with pytest.raises(ValueError):
-            parallel.resolve_timeout(None)
-        with pytest.raises(ValueError):
-            parallel.resolve_timeout(-1.0)
-        monkeypatch.delenv(parallel.TIMEOUT_ENV)
-        assert parallel.resolve_timeout(None) is None
-
 
 class TestFleetFaults:
     def test_six_device_fleet_survives_crash_and_timeout(self, monkeypatch):
@@ -417,12 +405,12 @@ class TestFleetAtomsFaults:
         )
 
     def test_atom_budget_fallback_keeps_report_intact(self, monkeypatch):
-        from repro.bdd.atoms import ATOM_BUDGET_ENV
+        from repro.bdd import atoms
         from repro.core.serialize import fleet_report_to_dict
 
         devices, expected = self._fleet()
         baseline = self._baseline(devices)
-        monkeypatch.setenv(ATOM_BUDGET_ENV, "2")
+        monkeypatch.setattr(atoms, "default_atom_budget", lambda n1, n2: 2)
         base = perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
         report = compare_fleet(devices, workers=1)
         assert (
