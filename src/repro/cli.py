@@ -40,6 +40,7 @@ file it.
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 import time
 from typing import List, Optional
@@ -58,7 +59,10 @@ from .core import (
 )
 from .model.device import DeviceConfig
 from .model.types import ConfigError
-from .parsers import load_config, parse_config
+# ``load_config`` stays importable from here: the e2e benchmark's tracer
+# (benchmarks/e2e/traced_cli.py) wraps ``repro.cli.load_config`` and
+# ``repro.cli.parse_config``.
+from .parsers import StanzaMemo, load_config, parse_config  # noqa: F401
 
 __all__ = ["main"]
 
@@ -117,27 +121,43 @@ def _cache_note(cache, baseline) -> None:
 
 
 def _load(
-    args: argparse.Namespace, path: str, cache: Optional[ArtifactCache] = None
-) -> DeviceConfig:
-    """Load one config honoring ``--strict``/``--lenient``.
+    args: argparse.Namespace,
+    paths: List[str],
+    cache: Optional[ArtifactCache] = None,
+) -> List[DeviceConfig]:
+    """Load the command's configs honoring ``--strict``/``--lenient``.
 
     With a cache, an unchanged file (same text/name/dialect/strictness)
-    is unpickled instead of re-parsed — fingerprints included.
+    is unpickled instead of re-parsed — fingerprints included.  The
+    parses share one stanza memo, so an ACL stanza repeated across the
+    files is parsed and fingerprinted once.
     """
-    if cache is None:
-        device = load_config(path, dialect=args.dialect, strict=args.strict)
-    else:
+    memo = StanzaMemo()
+    devices = []
+    for path in paths:
         with open(path, "r") as handle:
             text = handle.read()
-        device = cache.get_device(text, path, args.dialect, args.strict)
+        # Uncached parses name the file by its normalized path, as
+        # ``load_config`` does; a cached parse keeps the argument, which
+        # is part of the cache key.
+        filename = path if cache is not None else str(pathlib.Path(path))
+        device = None
+        if cache is not None:
+            device = cache.get_device(text, path, args.dialect, args.strict)
         if device is None:
             device = parse_config(
-                text, filename=path, dialect=args.dialect, strict=args.strict
+                text,
+                filename=filename,
+                dialect=args.dialect,
+                strict=args.strict,
+                memo=memo,
             )
-            cache.put_device(text, path, args.dialect, args.strict, device)
-    for diagnostic in device.diagnostics:
-        print(f"campion: {diagnostic.render()}", file=sys.stderr)
-    return device
+            if cache is not None:
+                cache.put_device(text, path, args.dialect, args.strict, device)
+        for diagnostic in device.diagnostics:
+            print(f"campion: {diagnostic.render()}", file=sys.stderr)
+        devices.append(device)
+    return devices
 
 
 def _summarize(device: DeviceConfig) -> str:
@@ -158,7 +178,7 @@ def _summarize(device: DeviceConfig) -> str:
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     cache, baseline = _open_cache(args)
-    device = _load(args, args.config, cache)
+    (device,) = _load(args, [args.config], cache)
     print(_summarize(device))
     _cache_note(cache, baseline)
     return EXIT_PARTIAL if device.parse_degraded() else EXIT_EQUIVALENT
@@ -167,8 +187,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     cache, baseline = _open_cache(args)
     start = time.time()
-    device1 = _load(args, args.config1, cache)
-    device2 = _load(args, args.config2, cache)
+    device1, device2 = _load(args, [args.config1, args.config2], cache)
     parse_time = time.time() - start
     start = time.time()
     report = config_diff(
@@ -193,8 +212,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    device1 = _load(args, args.config1)
-    device2 = _load(args, args.config2)
+    device1, device2 = _load(args, [args.config1, args.config2])
     found = False
     shared_maps = set(device1.route_maps) & set(device2.route_maps)
     for name in sorted(shared_maps):
@@ -222,7 +240,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_translate(args: argparse.Namespace) -> int:
     from .render import translate
 
-    device = _load(args, args.config)
+    (device,) = _load(args, [args.config])
     result = translate(device, args.target)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -270,7 +288,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     cache, baseline = _open_cache(args)
-    devices = [_load(args, path, cache) for path in args.configs]
+    devices = _load(args, args.configs, cache)
     try:
         report = compare_fleet(
             devices,

@@ -68,17 +68,30 @@ class DeviceConfig:
     def fingerprints(self) -> "ComponentFingerprints":
         """Content-addressed component fingerprints, computed lazily once.
 
-        Parsers touch this property so every parsed device carries its
-        fingerprints; the cached value pickles with the device, so
-        workers and the on-disk artifact cache never recompute it.
+        Parsers seal them (:meth:`seal_fingerprints`) so every parsed
+        device carries its fingerprints; the cached value pickles with
+        the device, so workers and the on-disk artifact cache never
+        recompute it.
         """
         cached = self.__dict__.get("_fingerprints")
         if cached is None:
-            from .fingerprint import compute_fingerprints
-
-            cached = compute_fingerprints(self)
-            self.__dict__["_fingerprints"] = cached
+            cached = self.seal_fingerprints()
         return cached
+
+    def seal_fingerprints(
+        self, acl_digests: Optional[Dict[str, str]] = None
+    ) -> "ComponentFingerprints":
+        """Compute and cache :attr:`fingerprints` now.
+
+        Parsers call this once the model is complete, passing the
+        digests of ACLs they took from the stanza memo so those ACLs
+        are not fingerprinted again.
+        """
+        from .fingerprint import compute_fingerprints
+
+        fingerprints = compute_fingerprints(self, acl_digests)
+        self.__dict__["_fingerprints"] = fingerprints
+        return fingerprints
 
     @property
     def template(self) -> "DeviceTemplate":

@@ -47,6 +47,7 @@ __all__ = [
     "ComponentFingerprints",
     "TemplateHole",
     "DeviceTemplate",
+    "acl_fingerprint",
     "canonical_form",
     "fingerprint_value",
     "compute_fingerprints",
@@ -68,37 +69,18 @@ def canonical_form(value: object) -> object:
     member name; dicts/sets are sorted so insertion order never leaks
     into the digest.
     """
-    if isinstance(value, SourceSpan):
-        return ("<span>",)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = []
-        for field in dataclasses.fields(value):
-            attribute = getattr(value, field.name)
-            if isinstance(attribute, SourceSpan):
-                continue
-            fields.append((field.name, canonical_form(attribute)))
-        return (type(value).__name__, tuple(fields))
-    if isinstance(value, enum.Enum):
-        return ("<enum>", type(value).__name__, value.name)
-    if isinstance(value, dict):
-        return (
-            "<dict>",
-            tuple(
-                (canonical_form(key), canonical_form(value[key]))
-                for key in sorted(value, key=repr)
-            ),
-        )
-    if isinstance(value, (set, frozenset)):
-        return ("<set>", tuple(sorted((canonical_form(v) for v in value), key=repr)))
-    if isinstance(value, (list, tuple)):
-        return tuple(canonical_form(v) for v in value)
-    return value
+    return _walk(value, None)
 
 
 def fingerprint_value(value: object, kind: str = "") -> str:
     """SHA-256 hex digest of ``value``'s canonical form (+ schema/kind)."""
     material = repr((FINGERPRINT_SCHEMA_VERSION, kind, canonical_form(value)))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+def acl_fingerprint(acl: object) -> str:
+    """The component fingerprint of one ACL."""
+    return fingerprint_value(acl, kind="acl")
 
 
 @dataclass(frozen=True)
@@ -281,55 +263,91 @@ def _hole_for(kind: str, attribute: object) -> "TemplateHole | None":
     raise AssertionError(f"unknown hole kind {kind!r}")  # pragma: no cover
 
 
-def _template_walk(value: object, holes: list) -> object:
-    """``canonical_form`` with allowlisted fields replaced by hole markers.
+# Node shapes of the canonical walk.  Each type is classified once, in
+# the precedence order span -> dataclass -> enum -> dict -> set ->
+# list/tuple -> atom, so the walk never calls ``is_dataclass`` or
+# ``fields`` per node.
+_SPAN, _DATACLASS, _ENUM, _DICT, _SET, _SEQUENCE, _ATOM = range(7)
 
-    Mirrors :func:`canonical_form` exactly — same span dropping, same
-    dict/set sorting — except that an allowlisted ``(classname, field)``
-    whose value qualifies becomes ``("<hole>", index, kind)``, with the
-    concrete literal appended to ``holes``.  Hole numbering is therefore
-    a pure function of the template structure: two devices with equal
-    template fingerprints enumerate their holes in the same positions.
+#: type -> shape tuple; dataclasses carry ``(classname, ((field,
+#: hole kind or None), ...))``, enums their class name.
+_SHAPES: Dict[type, tuple] = {}
+
+
+def _shape_of(cls: type) -> tuple:
+    """The ``_SHAPES`` entry for ``cls``, computed once per type."""
+    if issubclass(cls, SourceSpan):
+        return (_SPAN,)
+    if dataclasses.is_dataclass(cls):
+        name = cls.__name__
+        fields = tuple(
+            (field.name, _HOLE_FIELDS.get((name, field.name)))
+            for field in dataclasses.fields(cls)
+        )
+        return (_DATACLASS, name, fields)
+    if issubclass(cls, enum.Enum):
+        return (_ENUM, cls.__name__)
+    if issubclass(cls, dict):
+        return (_DICT,)
+    if issubclass(cls, (set, frozenset)):
+        return (_SET,)
+    if issubclass(cls, (list, tuple)):
+        return (_SEQUENCE,)
+    return (_ATOM,)
+
+
+def _walk(value: object, holes: "list | None") -> object:
+    """The canonical form of ``value``; with ``holes``, the template form.
+
+    Without ``holes`` this is :func:`canonical_form`.  With a list, an
+    allowlisted ``(classname, field)`` whose value qualifies becomes
+    ``("<hole>", index, kind)`` and the concrete literal is appended to
+    ``holes``.  Hole numbering is therefore a pure function of the
+    template structure: two devices with equal template fingerprints
+    enumerate their holes in the same positions.
     """
-    if isinstance(value, SourceSpan):
-        return ("<span>",)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        classname = type(value).__name__
+    cls = type(value)
+    shape = _SHAPES.get(cls)
+    if shape is None:
+        shape = _SHAPES[cls] = _shape_of(cls)
+    tag = shape[0]
+    if tag == _ATOM:
+        return value
+    if tag == _DATACLASS:
         fields = []
-        for field in dataclasses.fields(value):
-            attribute = getattr(value, field.name)
+        for name, kind in shape[2]:
+            attribute = getattr(value, name)
             if isinstance(attribute, SourceSpan):
                 continue
-            kind = _HOLE_FIELDS.get((classname, field.name))
-            if kind is not None:
+            if kind is not None and holes is not None:
                 hole = _hole_for(kind, attribute)
                 if hole is not None:
-                    fields.append(
-                        (field.name, ("<hole>", len(holes), kind))
-                    )
+                    fields.append((name, ("<hole>", len(holes), kind)))
                     holes.append(hole)
                     continue
-            fields.append((field.name, _template_walk(attribute, holes)))
-        return (classname, tuple(fields))
-    if isinstance(value, enum.Enum):
-        return ("<enum>", type(value).__name__, value.name)
-    if isinstance(value, dict):
+            fields.append((name, _walk(attribute, holes)))
+        return (shape[1], tuple(fields))
+    if tag == _SEQUENCE:
+        return tuple(_walk(item, holes) for item in value)
+    if tag == _SPAN:
+        return ("<span>",)
+    if tag == _ENUM:
+        return ("<enum>", shape[1], value.name)
+    if tag == _DICT:
         return (
             "<dict>",
             tuple(
-                (canonical_form(key), _template_walk(value[key], holes))
+                (_walk(key, None), _walk(value[key], holes))
                 for key in sorted(value, key=repr)
             ),
         )
-    if isinstance(value, (set, frozenset)):
-        # Order by the hole-free canonical form so hole numbering never
-        # depends on set iteration order.  (No allowlisted field lives
-        # inside a set today; this keeps the walk total regardless.)
-        ordered = sorted(value, key=lambda v: repr(canonical_form(v)))
-        return ("<set>", tuple(_template_walk(v, holes) for v in ordered))
-    if isinstance(value, (list, tuple)):
-        return tuple(_template_walk(v, holes) for v in value)
-    return value
+    # A set: order by the hole-free canonical form so hole numbering
+    # never depends on set iteration order.  (No allowlisted field lives
+    # inside a set today; this keeps the walk total regardless.)
+    if holes is None:
+        return ("<set>", tuple(sorted((_walk(item, None) for item in value), key=repr)))
+    ordered = sorted(value, key=lambda item: repr(_walk(item, None)))
+    return ("<set>", tuple(_walk(item, holes) for item in ordered))
 
 
 def compute_template(device: "DeviceConfig") -> DeviceTemplate:
@@ -342,9 +360,9 @@ def compute_template(device: "DeviceConfig") -> DeviceTemplate:
     abstracted.
     """
     holes: list = []
-    interfaces = _template_walk(device.interfaces, holes)
-    bgp = _template_walk(device.bgp, holes)
-    ospf = _template_walk(device.ospf, holes)
+    interfaces = _walk(device.interfaces, holes)
+    bgp = _walk(device.bgp, holes)
+    ospf = _walk(device.ospf, holes)
     fingerprints = device.fingerprints
     material = (
         tuple(sorted(fingerprints.acls.items())),
@@ -383,15 +401,20 @@ def partition_by_template_fingerprint(
     }
 
 
-def compute_fingerprints(device: "DeviceConfig") -> ComponentFingerprints:
+def compute_fingerprints(
+    device: "DeviceConfig", acl_digests: "Dict[str, str] | None" = None
+) -> ComponentFingerprints:
     """Fingerprint every component of a parsed device.
 
-    Called once at parse time (parsers touch ``device.fingerprints``)
-    and cached on the model; cost is one linear canonicalization pass,
-    trivial next to a single BDD diff.
+    Called once at parse time and cached on the model; cost is one
+    linear canonicalization pass, trivial next to a single BDD diff.
+    ``acl_digests`` holds digests the parser already knows (ACLs built
+    from one memoized stanza, see ``repro.parsers.common.StanzaMemo``);
+    those ACLs are not walked again.
     """
+    known = acl_digests or {}
     acls = {
-        name: fingerprint_value(acl, kind="acl")
+        name: known.get(name) or acl_fingerprint(acl)
         for name, acl in device.acls.items()
     }
     route_maps = {

@@ -1,7 +1,13 @@
 """Configuration parsers (Batfish substitute): Cisco IOS and Juniper JunOS."""
 
 from .cisco import parse_cisco
-from .common import NumberedLine, ParseContext, ParserWarning, number_lines
+from .common import (
+    NumberedLine,
+    ParseContext,
+    ParserWarning,
+    StanzaMemo,
+    number_lines,
+)
 from .juniper import JunosStatement, parse_juniper
 from .loader import detect_dialect, load_config, parse_config
 
@@ -10,6 +16,7 @@ __all__ = [
     "NumberedLine",
     "ParseContext",
     "ParserWarning",
+    "StanzaMemo",
     "detect_dialect",
     "load_config",
     "number_lines",

@@ -25,7 +25,7 @@ variants it does not fully support (§5.1, the fifth BGP bug).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..model import (
     Acl,
@@ -70,34 +70,47 @@ from ..model import (
 from .. import perf
 from ..model.acl import IP_PROTOCOL_NUMBERS
 from ..model.types import ConfigError
-from .common import NumberedLine, ParseContext, number_lines
+from .common import (
+    NumberedLine,
+    ParseContext,
+    StanzaEntry,
+    StanzaMemo,
+    number_lines,
+)
 
 __all__ = ["parse_cisco"]
 
 
 def parse_cisco(
-    text: str, filename: str = "<cisco-config>", strict: bool = False
+    text: str,
+    filename: str = "<cisco-config>",
+    strict: bool = False,
+    memo: Optional[StanzaMemo] = None,
 ) -> DeviceConfig:
     """Parse a Cisco IOS configuration into a DeviceConfig.
 
     In the default lenient mode an unparseable stanza is recorded as an
     error-severity :class:`~repro.diagnostics.Diagnostic` (with line
     provenance) on the returned device and skipped; ``strict=True``
-    restores fail-fast :class:`ConfigError` behavior.
+    restores fail-fast :class:`ConfigError` behavior.  ``memo`` shares
+    parsed ACL stanzas across the configurations of one run.
     """
     with perf.timer("parse.cisco"):
-        parser = _CiscoParser(text, filename, strict=strict)
+        parser = _CiscoParser(text, filename, strict, memo or StanzaMemo())
         device = parser.parse()
     perf.add("parse.cisco.lines", len(parser.lines))
     with perf.timer("parse.fingerprint"):
-        device.fingerprints  # computed at parse time, cached on the model
+        device.seal_fingerprints(parser.acl_digests())
     return device
 
 
 class _CiscoParser:
-    def __init__(self, text: str, filename: str, strict: bool = False):
+    def __init__(
+        self, text: str, filename: str, strict: bool, memo: StanzaMemo
+    ):
         self.lines = number_lines(text)
         self.context = ParseContext(filename, strict=strict)
+        self.memo = memo
         self.device = DeviceConfig(
             hostname="cisco-router", vendor="cisco", filename=filename
         )
@@ -107,6 +120,10 @@ class _CiscoParser:
         self._community_entries: Dict[str, List[CommunityListEntry]] = {}
         self._as_path_entries: Dict[str, List[AsPathListEntry]] = {}
         self._acl_lines: Dict[str, List[AclLine]] = {}
+        # Per ACL name: one entry per named block, the memo entry of a
+        # block that was memoized and None for one that was not.
+        self._acl_blocks: Dict[str, List[Optional[StanzaEntry]]] = {}
+        self._numbered_acls: Set[str] = set()
         self._route_map_clauses: Dict[str, List[Tuple[int, RouteMapClause]]] = {}
         self._bgp: Optional[Dict] = None
         self._ospf: Optional[Dict] = None
@@ -387,6 +404,7 @@ class _CiscoParser:
     def _parse_numbered_acl_line(self, line: NumberedLine) -> None:
         tokens = line.tokens()
         name = tokens[1]
+        self._numbered_acls.add(name)
         acl_line = self._parse_acl_rule(line, tokens[2:])
         if acl_line is not None:
             self._acl_lines.setdefault(name, []).append(acl_line)
@@ -394,8 +412,22 @@ class _CiscoParser:
     def _parse_named_acl(self, start: int) -> int:
         header = self.lines[start]
         name = header.tokens()[3]
-        self._acl_lines.setdefault(name, [])  # empty ACLs still exist
+        acl_lines = self._acl_lines.setdefault(name, [])  # empty ACLs still exist
         end = self._block_end(start)
+        blocks = self._acl_blocks.setdefault(name, [])
+        blocks.append(None)
+        key = ("cisco", tuple(line.text for line in self.lines[start:end]))
+        entry = self.memo.lookup(key)
+        if entry is not None:
+            acl_lines.extend(
+                entry.rebased(
+                    self.context.filename, header.number, self.device.raw_lines
+                )
+            )
+            blocks[-1] = entry
+            return end
+        first = len(acl_lines)
+        mark = self.context.mark()
         for line in self.lines[start + 1 : end]:
             tokens = line.tokens()
             if not tokens:
@@ -407,7 +439,12 @@ class _CiscoParser:
                 continue
             acl_line = self._parse_acl_rule(line, tokens)
             if acl_line is not None:
-                self._acl_lines.setdefault(name, []).append(acl_line)
+                acl_lines.append(acl_line)
+        if self.context.mark() == mark:
+            lines = tuple(acl_lines[first:])
+            blocks[-1] = self.memo.store(
+                key, header.number, lines, Acl(name=name, lines=lines)
+            )
         return end
 
     def _parse_acl_rule(
@@ -767,6 +804,20 @@ class _CiscoParser:
         return end
 
     # -- assembly -----------------------------------------------------------------------------------------
+    def acl_digests(self) -> Dict[str, str]:
+        """Digests of the ACLs that are exactly one memoized block.
+
+        An ACL with a second block or a numbered ``access-list`` line
+        differs from any single stanza, so it is fingerprinted live.
+        """
+        return {
+            name: blocks[0].digest
+            for name, blocks in self._acl_blocks.items()
+            if len(blocks) == 1
+            and blocks[0] is not None
+            and name not in self._numbered_acls
+        }
+
     def _assemble(self) -> DeviceConfig:
         device = self.device
         for name, entries in self._prefix_entries.items():

@@ -84,7 +84,7 @@ from ..model import (
 from .. import perf
 from ..model.acl import IP_PROTOCOL_NUMBERS
 from ..model.types import ConfigError
-from .common import NumberedLine, ParseContext, number_lines
+from .common import ParseContext, StanzaMemo
 
 __all__ = ["parse_juniper", "JunosStatement"]
 
@@ -102,6 +102,11 @@ class JunosStatement:
     children: List["JunosStatement"] = field(default_factory=list)
     start_line: int = 0
     end_line: int = 0
+    #: Whether this block closed and its own tokens, from its first
+    #: word outside ``[ ]`` to its closing brace, are all the tokens on
+    #: lines ``start_line..end_line``.  Such a block parses the same
+    #: wherever its lines appear, which the stanza memo relies on.
+    owns_lines: bool = field(default=False, compare=False, repr=False)
 
     @property
     def head(self) -> str:
@@ -143,12 +148,11 @@ class JunosStatement:
 _TOKEN_RE = re.compile(r'"[^"]*"|[{};\[\]]|[^\s{};\[\]]+')
 
 
-def _tokenize(lines: List[NumberedLine]) -> List[Tuple[str, int]]:
-    """Tokens with line numbers; comments (# and /* */) stripped."""
+def _tokenize(lines: List[str]) -> List[Tuple[str, int]]:
+    """Tokens with 1-based line numbers; comments (# and /* */) stripped."""
     tokens: List[Tuple[str, int]] = []
     in_block_comment = False
-    for line in lines:
-        text = line.text
+    for number, text in enumerate(lines, start=1):
         if in_block_comment:
             end = text.find("*/")
             if end < 0:
@@ -171,23 +175,33 @@ def _tokenize(lines: List[NumberedLine]) -> List[Tuple[str, int]]:
             token = match.group(0)
             if token.startswith('"') and token.endswith('"'):
                 token = token[1:-1]
-            tokens.append((token, line.number))
+            tokens.append((token, number))
     return tokens
 
 
 def parse_junos_tree(text: str, context: ParseContext) -> JunosStatement:
     """Parse JunOS text into a statement tree rooted at a synthetic node."""
-    lines = number_lines(text)
+    return _statement_tree(text.splitlines())
+
+
+def _statement_tree(lines: List[str]) -> JunosStatement:
+    """The statement tree of JunOS text already split into lines."""
     tokens = _tokenize(lines)
     root = JunosStatement(words=["<root>"], start_line=1, end_line=len(lines))
     stack: List[JunosStatement] = [root]
     current_words: List[str] = []
     first_line = 0
+    # Index of the current statement's first token, and whether that
+    # token sat inside [ ] (for JunosStatement.owns_lines).
+    first_index = 0
+    first_bracketed = False
     in_brackets = False
 
-    for token, line_number in tokens:
+    for index, (token, line_number) in enumerate(tokens):
         if not current_words:
             first_line = line_number
+            first_index = index
+            first_bracketed = in_brackets
         if token == "[":
             in_brackets = True
             continue
@@ -200,6 +214,9 @@ def parse_junos_tree(text: str, context: ParseContext) -> JunosStatement:
         if token == "{":
             statement = JunosStatement(
                 words=list(current_words), start_line=first_line, end_line=first_line
+            )
+            statement.owns_lines = not first_bracketed and (
+                first_index == 0 or tokens[first_index - 1][1] < first_line
             )
             stack[-1].children.append(statement)
             stack.append(statement)
@@ -217,6 +234,9 @@ def parse_junos_tree(text: str, context: ParseContext) -> JunosStatement:
             if len(stack) > 1:
                 closed = stack.pop()
                 closed.end_line = line_number
+                closed.owns_lines = closed.owns_lines and (
+                    index + 1 == len(tokens) or tokens[index + 1][1] > line_number
+                )
         elif token == ";":
             if current_words:
                 stack[-1].children.append(
@@ -236,6 +256,9 @@ def parse_junos_tree(text: str, context: ParseContext) -> JunosStatement:
                 words=current_words, start_line=first_line, end_line=first_line
             )
         )
+    # A block whose closing brace never came has no known extent.
+    for unclosed in stack[1:]:
+        unclosed.owns_lines = False
     return root
 
 
@@ -245,34 +268,49 @@ def parse_junos_tree(text: str, context: ParseContext) -> JunosStatement:
 
 
 def parse_juniper(
-    text: str, filename: str = "<junos-config>", strict: bool = False
+    text: str,
+    filename: str = "<junos-config>",
+    strict: bool = False,
+    memo: Optional[StanzaMemo] = None,
 ) -> DeviceConfig:
     """Parse a JunOS configuration into a DeviceConfig.
 
     In the default lenient mode an unparseable stanza is recorded as an
     error-severity :class:`~repro.diagnostics.Diagnostic` (with line
     provenance) on the returned device and skipped; ``strict=True``
-    restores fail-fast :class:`ConfigError` behavior.
+    restores fail-fast :class:`ConfigError` behavior.  ``memo`` shares
+    parsed firewall filters across the configurations of one run.
     """
     with perf.timer("parse.juniper"):
         context = ParseContext(filename, strict=strict)
-        tree = parse_junos_tree(text, context)
-        interpreter = _JunosInterpreter(text, filename, tree, context)
+        lines = text.splitlines()
+        tree = _statement_tree(lines)
+        interpreter = _JunosInterpreter(
+            lines, filename, tree, context, memo or StanzaMemo()
+        )
         device = interpreter.interpret()
     perf.add("parse.juniper.lines", len(interpreter.raw_lines))
     with perf.timer("parse.fingerprint"):
-        device.fingerprints  # computed at parse time, cached on the model
+        device.seal_fingerprints(interpreter.acl_digests)
     return device
 
 
 class _JunosInterpreter:
     def __init__(
-        self, text: str, filename: str, tree: JunosStatement, context: ParseContext
+        self,
+        lines: List[str],
+        filename: str,
+        tree: JunosStatement,
+        context: ParseContext,
+        memo: StanzaMemo,
     ):
         self.tree = tree
         self.context = context
         self.filename = filename
-        self.raw_lines = [line.text for line in number_lines(text)]
+        self.memo = memo
+        #: digests of ACLs taken from or stored into the memo, by name
+        self.acl_digests: Dict[str, str] = {}
+        self.raw_lines = lines
         self.device = DeviceConfig(
             hostname="juniper-router", vendor="juniper", filename=filename
         )
@@ -833,17 +871,47 @@ class _JunosInterpreter:
         filters.extend(firewall.find_all("filter"))
         for filter_statement in filters:
             name = filter_statement.words[1]
-            lines: List[AclLine] = []
-            for term in filter_statement.find_all("term"):
-                line = self._interpret_filter_term(term)
-                if line is not None:
-                    lines.append(line)
-            self.device.acls[name] = Acl(
+            key = self._filter_key(filter_statement)
+            entry = self.memo.lookup(key) if key is not None else None
+            if entry is not None:
+                lines = entry.rebased(
+                    self.filename, filter_statement.start_line, self.raw_lines
+                )
+            else:
+                mark = self.context.mark()
+                terms = [
+                    self._interpret_filter_term(term)
+                    for term in filter_statement.find_all("term")
+                ]
+                lines = tuple(line for line in terms if line is not None)
+            acl = Acl(
                 name=name,
-                lines=tuple(lines),
+                lines=lines,
                 default_action=AclAction.DENY,  # JunOS implicit discard
                 source=self._span(filter_statement),
             )
+            self.device.acls[name] = acl
+            if entry is None and key is not None and self.context.mark() == mark:
+                entry = self.memo.store(key, filter_statement.start_line, lines, acl)
+            if entry is not None:
+                self.acl_digests[name] = entry.digest
+            else:
+                self.acl_digests.pop(name, None)
+
+    def _filter_key(self, statement: JunosStatement) -> Optional[tuple]:
+        """The memo key of a filter, or ``None`` when it is not memoizable.
+
+        A filter is memoizable when its lines hold only its own tokens
+        and no comment markers: then its line texts alone decide how it
+        parses.
+        """
+        if not statement.owns_lines:
+            return None
+        texts = tuple(self.raw_lines[statement.start_line - 1 : statement.end_line])
+        for text in texts:
+            if "#" in text or "/*" in text or "*/" in text:
+                return None
+        return ("juniper", texts)
 
     def _interpret_filter_term(self, term: JunosStatement) -> Optional[AclLine]:
         term_name = term.words[1] if len(term.words) > 1 else ""
@@ -919,16 +987,22 @@ def _policy_name(statement: Optional[JunosStatement]) -> Optional[str]:
     return statement.words[1]
 
 
+class _HostPrefix(Prefix):
+    """A Prefix that keeps the host address (see cisco._InterfacePrefix).
+
+    Module-level so that devices pickle and equal addresses compare
+    equal; the class name is part of every interface digest.
+    """
+
+    def __post_init__(self) -> None:
+        pass
+
+
 def _interface_prefix(text: str) -> Prefix:
     """Interface address keeping host bits (see cisco._InterfacePrefix)."""
     address, _, length_text = text.partition("/")
     host = ip_to_int(address)
     length = int(length_text) if length_text else 32
-
-    class _HostPrefix(Prefix):
-        def __post_init__(self) -> None:
-            pass
-
     return _HostPrefix(host, length)
 
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import pathlib
-from typing import Union
+from typing import Optional, Union
 
 from ..model.device import DeviceConfig
 from ..model.types import ConfigError
 from .cisco import parse_cisco
+from .common import StanzaMemo
 from .juniper import parse_juniper
 
 __all__ = ["detect_dialect", "parse_config", "load_config"]
@@ -58,6 +59,7 @@ def parse_config(
     filename: str = "<config>",
     dialect: str = "auto",
     strict: bool = False,
+    memo: Optional[StanzaMemo] = None,
 ) -> DeviceConfig:
     """Parse text in the given (or detected) dialect.
 
@@ -70,16 +72,21 @@ def parse_config(
     ``strict`` selects fail-fast parsing; the default lenient mode
     records unparseable stanzas on ``DeviceConfig.diagnostics`` and
     skips them (see :mod:`repro.diagnostics`).
+
+    ``memo`` is the run's :class:`~repro.parsers.common.StanzaMemo`:
+    pass one memo to every parse of a run so each distinct ACL stanza
+    is parsed and fingerprinted once.  Without one the parse uses a
+    private memo.
     """
     if dialect == "auto":
         dialect = detect_dialect(text, filename)
     if dialect in ("cisco", "arista"):
-        device = parse_cisco(text, filename, strict=strict)
+        device = parse_cisco(text, filename, strict=strict, memo=memo)
         if dialect == "arista":
             device.vendor = "arista"
         return device
     if dialect == "juniper":
-        return parse_juniper(text, filename, strict=strict)
+        return parse_juniper(text, filename, strict=strict, memo=memo)
     raise ConfigError(f"unknown dialect {dialect!r}")
 
 

@@ -38,7 +38,7 @@ from .. import perf
 from ..cache import ArtifactCache
 from ..core import COMPRESS_MODES, DiffMemo, compare_fleet, fleet_report_to_dict
 from ..model.types import ConfigError
-from ..parsers import parse_config
+from ..parsers import StanzaMemo, parse_config
 
 __all__ = ["CircuitBreaker", "Supervisor", "JobError"]
 
@@ -221,8 +221,9 @@ class Supervisor:
         }
         crashed = False
         try:
+            memo = StanzaMemo()
             devices = [
-                self._parse(name, text, payload, cache)
+                self._parse(name, text, payload, cache, memo)
                 for name, text in configs
             ]
             report = compare_fleet(
@@ -320,7 +321,9 @@ class Supervisor:
         text: str,
         payload: Dict,
         cache: Optional[ArtifactCache],
+        memo: StanzaMemo,
     ):
+        """Parse one job config, sharing ``memo`` with the job's others."""
         dialect = payload.get("dialect") or "auto"
         strict = bool(payload.get("strict", False))
         if cache is not None:
@@ -328,7 +331,7 @@ class Supervisor:
             if device is not None:
                 return device
         device = parse_config(
-            text, filename=name, dialect=dialect, strict=strict
+            text, filename=name, dialect=dialect, strict=strict, memo=memo
         )
         if cache is not None:
             cache.put_device(text, name, dialect, strict, device)

@@ -15,7 +15,7 @@ from repro.model.fingerprint import (
     partition_by_template_fingerprint,
 )
 from repro.model.types import SourceSpan
-from repro.parsers import parse_cisco
+from repro.parsers import parse_cisco, parse_juniper
 from repro.workloads.datacenter import parameterized_clos_fleet
 from repro.workloads.figure1 import CISCO_FIGURE1
 
@@ -187,3 +187,166 @@ class TestSchemaVersion:
         assert fingerprint_value((), kind="acl") != fingerprint_value(
             (), kind="route_map"
         )
+
+
+# ---------------------------------------------------------------------------
+# Pinned digests.  Fingerprints are cache keys: the memo tables and the
+# on-disk artifact cache are addressed by them, so a walk that changes a
+# digest without bumping FINGERPRINT_SCHEMA_VERSION would silently serve
+# stale entries.  These values were computed before the per-type walker
+# and the stanza memo existed; they must never change under a schema 1.
+
+PINNED_CISCO = """hostname pin-cisco
+!
+interface Loopback0
+ ip address 10.255.0.1 255.255.255.255
+!
+interface Ethernet1
+ ip address 10.200.0.1 255.255.255.252
+ ip access-group EDGE in
+!
+ip access-list extended EDGE
+ permit tcp 10.0.0.0 0.0.0.255 host 10.1.1.1 eq 443
+ deny udp any 10.2.0.0 0.0.255.255 range 100 200
+ permit icmp any any echo
+ deny ip any any
+!
+ip prefix-list NETS permit 10.1.0.0/16 le 24
+!
+route-map OUT permit 10
+ match ip address prefix-list NETS
+ set local-preference 150
+!
+router bgp 65000
+ bgp router-id 10.255.0.1
+ neighbor 10.200.0.2 remote-as 64000
+ neighbor 10.200.0.2 route-map OUT out
+!
+router ospf 1
+ router-id 10.255.0.1
+ network 10.200.0.0 0.0.0.255 area 0
+!
+"""
+
+PINNED_JUNOS = """system {
+    host-name pin-junos;
+}
+interfaces {
+    xe-0/0/0 {
+        unit 0 {
+            family inet {
+                filter {
+                    input EDGE;
+                }
+                address 10.200.0.1/30;
+            }
+        }
+    }
+    lo0 {
+        unit 0 {
+            family inet {
+                address 10.255.0.1/32;
+            }
+        }
+    }
+}
+routing-options {
+    autonomous-system 65000;
+    router-id 10.255.0.1;
+}
+firewall {
+    family inet {
+        filter EDGE {
+            term web {
+                from {
+                    source-address {
+                        10.0.0.0/24;
+                    }
+                    destination-address {
+                        10.1.1.1/32;
+                    }
+                    protocol tcp;
+                    destination-port 443;
+                }
+                then accept;
+            }
+            term rest {
+                then discard;
+            }
+        }
+    }
+}
+"""
+
+
+PINNED_DIGESTS = {
+    "cisco": {
+        "acls": {"EDGE": "ee3a119303c15351957b1a6d779f6b4dba8ad6829d4a0f529e99ffd43bceda31"},
+        "route_maps": {"OUT": "91c17dfcadf50e10d080be1620759fe784da9ca7656bb2a00d0d54d72ef0f7c8"},
+        "static_routes": "10782b8e81136cebb076779e09d5ce652843615982ae1b25076072b01dc6707f",
+        "interfaces": "dbac498e0674b2efb491fa0576156f78d070264cdd3941c3100dd490c1b4834d",
+        "bgp": "95c2a4158cf728e5d8a0a65ebb710c2ceab41cbabad1a6e5dc1957d1b4f277d4",
+        "ospf": "c400b539db69b1af3eaf0ddbd5b5608c104e56cabc7d3c932573b3365f37930e",
+        "admin_distances": "c409b9672e8118bf017d4c1820bce9fd528501066bfe654454b575f122ea9892",
+        "structural": "0b6df84ec9ca71acb986b36a5f3a2608a41ae438c4358225f6c67f6c04aa2856",
+        "device": "37cbf06af505cb3d181e0406dcacef87af9d1ca4d9468fe08893042c2c966efe",
+        "template": "b80cbb5ec5bfbb7a90f13a3dad5e761996379eae1f453fe773ec11f110ae2998",
+        "substitution": (
+            "10.200.0.1/30",
+            "10.255.0.1/32",
+            "10.255.0.1",
+            "10.200.0.2",
+            "10.255.0.1",
+        ),
+    },
+    "junos": {
+        "acls": {"EDGE": "99b831c6ffa8b121a21b8d3ddaea3408925198765a9ecf726c5a77af7ab11610"},
+        "route_maps": {},
+        "static_routes": "10782b8e81136cebb076779e09d5ce652843615982ae1b25076072b01dc6707f",
+        "interfaces": "da1569322515054092b594692c46237155b664327355aa9c6cfb0434fea25cee",
+        "bgp": "057c9365745bbb042de17e351b235249a5196a867ce0a86164ae6ffa0429dd83",
+        "ospf": "6966881ee2f70b6430e094fe5f4bec60799f76da25b842093a142938a50dbb0f",
+        "admin_distances": "c409b9672e8118bf017d4c1820bce9fd528501066bfe654454b575f122ea9892",
+        "structural": "5332c2b9fae27e43760b82481fe925332733671a3d071e6881092144fb2db12a",
+        "device": "70e54e6bb920f35658e32e920ace2900946560069540702f54e1ea460f9b0c91",
+        "template": "a7a71423471e8d6002afd7eeae3bc94106e25689f47b85417df1f7b72ea569f0",
+        "substitution": ("10.255.0.1/32", "10.200.0.1/30"),
+    },
+}
+
+
+def _pinned_devices():
+    return {
+        "cisco": parse_cisco(PINNED_CISCO, "pin.cfg"),
+        "junos": parse_juniper(PINNED_JUNOS, "pin.conf"),
+    }
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("dialect", ["cisco", "junos"])
+    def test_component_device_and_template_digests(self, dialect):
+        assert fp_module.FINGERPRINT_SCHEMA_VERSION == 1
+        device = _pinned_devices()[dialect]
+        expected = PINNED_DIGESTS[dialect]
+        fingerprints = device.fingerprints
+        for name, digest in expected.items():
+            if name == "template":
+                assert device.template.fingerprint == digest
+            elif name == "substitution":
+                assert device.template.substitution == digest
+            else:
+                assert getattr(fingerprints, name) == digest, name
+
+    @pytest.mark.parametrize("dialect", ["cisco", "junos"])
+    def test_fresh_walk_matches_parse_time_digests(self, dialect):
+        device = _pinned_devices()[dialect]
+        assert compute_fingerprints(device) == device.fingerprints
+        assert compute_template(device) == device.template
+
+    def test_walker_learns_each_type_once(self):
+        _pinned_devices()
+        learned = len(fp_module._SHAPES)
+        for _ in range(3):
+            for device in _pinned_devices().values():
+                compute_template(device)
+        assert len(fp_module._SHAPES) == learned

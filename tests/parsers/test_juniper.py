@@ -1,5 +1,7 @@
 """Tests for the Juniper JunOS parser (tree + interpretation)."""
 
+import pickle
+
 import pytest
 
 from repro.model import AclAction, Action, Community, Prefix, PrefixRange, ip_to_int
@@ -451,3 +453,35 @@ class TestRobustness:
         text = "system {\n    host-name r1;\n}\n"
         device = parse_juniper(text)
         assert device.raw_lines[1] == "    host-name r1;"
+
+
+class TestInterfaceAddresses:
+    TEXT = """interfaces {
+    xe-0/0/0 {
+        unit 0 {
+            family inet {
+                address 10.200.1.1/30;
+            }
+        }
+    }
+}
+"""
+
+    def test_equal_addresses_compare_equal(self):
+        first = parse_juniper(self.TEXT, "a.conf").interfaces["xe-0/0/0.0"]
+        second = parse_juniper(self.TEXT, "b.conf").interfaces["xe-0/0/0.0"]
+        assert type(first.address) is type(second.address)
+        assert first.address == second.address
+        assert first == second
+
+    def test_host_bits_are_kept(self):
+        address = parse_juniper(self.TEXT).interfaces["xe-0/0/0.0"].address
+        assert address.network == ip_to_int("10.200.1.1")
+        assert address.length == 30
+        assert type(address).__name__ == "_HostPrefix"
+
+    def test_device_pickles(self):
+        device = parse_juniper(self.TEXT, "a.conf")
+        restored = pickle.loads(pickle.dumps(device))
+        assert restored == device
+        assert restored.fingerprints == device.fingerprints

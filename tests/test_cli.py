@@ -1,6 +1,7 @@
 """Tests for the campion CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -258,6 +259,54 @@ class TestWarmCacheBytes:
         )
         assert '"extra_localizations"' in cold
         assert cold == warm
+
+
+class TestRouterReplacementPair:
+    """The paper's Cisco-to-JunOS router replacement pair on the default
+    cached path: JunOS interface addresses must pickle into the cache."""
+
+    @pytest.fixture()
+    def pair_files(self, tmp_path):
+        from repro.workloads.datacenter import scenario2_router_replacement
+
+        pair = scenario2_router_replacement().pairs[0]
+        paths = []
+        for filename, device in (("tor0.cfg", pair.primary), ("tor1.cfg", pair.backup)):
+            path = tmp_path / filename
+            path.write_text("\n".join(device.raw_lines) + "\n")
+            paths.append(str(path))
+        return paths
+
+    def test_cached_compare_reports_differences(self, pair_files, tmp_path, capsys):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main(cache + ["compare"] + pair_files) == 1
+        assert main(cache + ["compare"] + pair_files) == 1
+        assert "misses=0" in capsys.readouterr().err
+
+    def test_cold_and_warm_json_are_identical(self, pair_files, tmp_path, capsys):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        outputs = []
+        for _ in range(2):
+            assert main(cache + ["compare"] + pair_files + ["--json"]) == 1
+            outputs.append(capsys.readouterr().out)
+        uncached = main(["--no-cache", "compare"] + pair_files + ["--json"])
+        assert uncached == 1
+        assert outputs[0] == outputs[1] == capsys.readouterr().out
+
+    def test_uncached_runs_name_files_by_normalized_path(
+        self, pair_files, tmp_path, monkeypatch, capsys
+    ):
+        # Uncached parses go by ``load_config``'s file name; the cached
+        # path keeps the argument as given (it is part of the cache key).
+        monkeypatch.chdir(tmp_path)
+        dotted = ["./tor0.cfg", ".//tor1.cfg"]
+        assert main(["--no-cache", "compare"] + dotted + ["--json"]) == 1
+        files = set(re.findall(r'"file": "([^"]*)"', capsys.readouterr().out))
+        assert files == {"tor0.cfg", "tor1.cfg"}
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main(cache + ["compare"] + dotted + ["--json"]) == 1
+        files = set(re.findall(r'"file": "([^"]*)"', capsys.readouterr().out))
+        assert files == set(dotted)
 
 
 def _bdd_reference_json(paths):
