@@ -1,25 +1,13 @@
-"""Kernel fast paths and parallel fleet comparison — BENCH_kernels.json.
+"""Parallel fleet comparison, serial vs workers — BENCH_kernels.json.
 
-Two microbenchmarks behind one JSON artifact:
-
-1. **ACL SemanticDiff, fast kernels vs generic ite.**  The same parsed
-   near-equivalent ACL pair is diffed twice, each time in a fresh
-   manager: once with ``fast_kernels=False`` (every connective routed
-   through the generic ite core — the historical engine) and once with
-   the specialized kernels.  References from one mode are dropped and
-   the heap collected before timing the other, so neither run pays GC
-   scans over the other's caches.
-
-2. **Fleet comparison, serial vs workers.**  The 16-device datacenter
-   gateway workload through ``compare_fleet`` with ``workers=1`` and
-   ``workers=N``, asserting the reports serialize identically.  The
-   speedup scales with *physical cores* (the matrix fan-out is
-   CPU-bound); ``cpu_count`` is recorded so single-core CI numbers read
-   honestly.
+The 16-device datacenter gateway workload through ``compare_fleet``
+with ``workers=1`` and ``workers=N``, asserting the reports serialize
+identically.  The speedup scales with *physical cores* (the matrix
+fan-out is CPU-bound); ``cpu_count`` is recorded so single-core CI
+numbers read honestly.  This is the one timing of the worker pool.
 
 Workload sizes honour environment knobs so the CI smoke job can run a
-tiny version: ``CAMPION_BENCH_RULES`` (ACL rules, default 10000),
-``CAMPION_BENCH_FLEET`` (devices, default 16),
+tiny version: ``CAMPION_BENCH_FLEET`` (devices, default 16),
 ``CAMPION_BENCH_FLEET_RULES`` (rules per gateway, default 40) and
 ``CAMPION_BENCH_WORKERS`` (default 4).
 
@@ -34,42 +22,12 @@ import time
 
 from bench_artifacts import write_artifact
 from repro import perf
-from repro.bdd import BddManager
-from repro.core import compare_fleet, diff_acls, report_to_json
-from repro.encoding import PacketSpace
-from repro.workloads.acl_gen import generate_acl_pair
+from repro.core import compare_fleet, report_to_json
 from repro.workloads.datacenter import gateway_fleet
 
-RULES = int(os.environ.get("CAMPION_BENCH_RULES", "10000"))
 FLEET_SIZE = int(os.environ.get("CAMPION_BENCH_FLEET", "16"))
 FLEET_RULES = int(os.environ.get("CAMPION_BENCH_FLEET_RULES", "40"))
 WORKERS = int(os.environ.get("CAMPION_BENCH_WORKERS", "4"))
-DIFFERENCES = 10
-
-
-def _acl_microbench() -> dict:
-    pair = generate_acl_pair(RULES, differences=DIFFERENCES, seed=7)
-    result = {"rules": RULES, "injected_differences": DIFFERENCES}
-    for label, fast in (("generic_ite", False), ("fast_kernels", True)):
-        gc.collect()
-        space = PacketSpace(manager=BddManager(fast_kernels=fast))
-        start = time.perf_counter()
-        differences = diff_acls(pair.cisco_acl, pair.juniper_acl, space=space)[1]
-        elapsed = time.perf_counter() - start
-        result[label] = {
-            "seconds": elapsed,
-            "differences": len(differences),
-            "manager_stats": space.manager.stats(),
-        }
-        # Drop every handle into this mode's manager before the next
-        # mode is timed; otherwise its caches inflate the other run's
-        # garbage-collection pauses.
-        del space, differences
-        gc.collect()
-    result["speedup"] = (
-        result["generic_ite"]["seconds"] / result["fast_kernels"]["seconds"]
-    )
-    return result
 
 
 def _fleet_microbench() -> dict:
@@ -106,32 +64,24 @@ def _fleet_microbench() -> dict:
 
 def _run_all() -> dict:
     perf.reset()
-    payload = {
-        "acl_semantic_diff": _acl_microbench(),
+    return {
         "fleet_comparison": _fleet_microbench(),
         "perf": perf.snapshot(),
     }
-    return payload
 
 
 def _write(payload: dict) -> pathlib.Path:
     return write_artifact(
         "BENCH_kernels.json",
         payload,
-        "full" if RULES >= 5000 else "smoke",
+        "full" if FLEET_SIZE >= 16 and FLEET_RULES >= 40 else "smoke",
     )
 
 
 def _render(payload: dict) -> str:
-    acl = payload["acl_semantic_diff"]
     fleet = payload["fleet_comparison"]
     lines = [
-        "BDD kernel fast paths and parallel fleet comparison",
-        "",
-        f"ACL SemanticDiff, {acl['rules']} rules, {acl['injected_differences']} injected diffs:",
-        f"  generic ite   {acl['generic_ite']['seconds']:.2f}s",
-        f"  fast kernels  {acl['fast_kernels']['seconds']:.2f}s"
-        f"  ({acl['speedup']:.2f}x)",
+        "Parallel fleet comparison, serial vs workers",
         "",
         f"Fleet of {fleet['devices']} gateways ({fleet['rules_per_device']} rules each),"
         f" {fleet['cpu_count']} CPU(s):",
@@ -149,14 +99,6 @@ def test_kernel_fastpaths(benchmark, results_dir):
     _write(payload)
     emit(results_dir, "BENCH_kernels", _render(payload))
 
-    acl = payload["acl_semantic_diff"]
-    assert (
-        acl["generic_ite"]["differences"] == acl["fast_kernels"]["differences"]
-    ), "kernel modes disagree on the number of differences"
-    # The speedup bar only applies at full scale; smoke runs with tiny
-    # workloads spend their time outside the kernels.
-    if RULES >= 5000:
-        assert acl["speedup"] >= 1.3, f"fast kernels only {acl['speedup']:.2f}x"
     assert payload["fleet_comparison"]["byte_identical"]
 
 

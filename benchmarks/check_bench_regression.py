@@ -33,7 +33,6 @@ BASELINES_DIR = pathlib.Path(__file__).parent / "baselines"
 #: here: absolute seconds depend on the runner, and parallel speedups
 #: depend on its core count.
 TRACKED = {
-    "BENCH_kernels.json": ("acl_semantic_diff.speedup",),
     "BENCH_atoms.json": ("pairing.speedup",),
     "BENCH_fleet_atoms.json": ("speedup_vs_atoms",),
     "BENCH_service.json": ("warm_push.speedup",),

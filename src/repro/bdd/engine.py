@@ -33,9 +33,9 @@ Design notes
   operations normalize their cache key (``a&b`` and ``b&a`` share one
   entry), DIFF runs in a single pass instead of materializing the negation,
   and NOT keeps a bidirectional complement cache (negation is an
-  involution).  Pass ``fast_kernels=False`` to route every connective
-  through the generic ite core instead — the compatibility mode the kernel
-  benchmarks use as their baseline.
+  involution).  The generic ite core stays behind :meth:`BddManager.ite`;
+  every connective equals its ite formulation node for node, which is
+  what the kernel tests check.
 * Caches are never invalidated because nodes are immortal for the life of
   the manager; Campion's workloads are one-shot comparisons so this is the
   right trade-off.  Cache effectiveness is observable through
@@ -190,17 +190,10 @@ class Bdd:
 
 
 class BddManager:
-    """Owner of all BDD nodes, the unique table, and operation caches.
-
-    ``fast_kernels`` selects between the specialized apply kernels
-    (default) and the generic ite core for every connective; the latter
-    exists so benchmarks can measure the kernels against a one-cache
-    baseline inside a single process.
-    """
+    """Owner of all BDD nodes, the unique table, and operation caches."""
 
     def __init__(
         self,
-        fast_kernels: bool = True,
         node_limit: Optional[int] = None,
         time_budget: Optional[float] = None,
         store=None,
@@ -225,7 +218,6 @@ class BddManager:
         self._hits: Dict[str, int] = {name: 0 for name in _OP_NAMES}
         self._misses: Dict[str, int] = {name: 0 for name in _OP_NAMES}
         self._num_vars = 0
-        self.fast_kernels = bool(fast_kernels)
         # Resource budget (see set_budget); checked on node allocation,
         # the single point every kernel grows through.
         self._node_limit: Optional[int] = None
@@ -294,7 +286,6 @@ class BddManager:
             "intersect": self._disjoint_cache,
         }
         return {
-            "fast_kernels": self.fast_kernels,
             "node_store": self._store.kind,
             "budget": {
                 "node_limit": self._node_limit,
@@ -380,9 +371,7 @@ class BddManager:
         ``_mk`` per literal, with no apply traffic or cache pollution;
         the encoders lean on this for address/port bit patterns, which
         dominate node construction on large ACLs.  Conflicting phases for
-        one variable yield FALSE.  In compatibility mode
-        (``fast_kernels=False``) the same cube is built through the
-        generic ite core, matching the historical per-bit conjunctions.
+        one variable yield FALSE.
         """
         pairs = literals.items() if hasattr(literals, "items") else literals
         items: Dict[int, bool] = {}
@@ -398,20 +387,11 @@ class BddManager:
             elif previous != value:
                 return self.false  # x & ~x
         node = _TRUE
-        if self.fast_kernels:
-            for var in sorted(items, reverse=True):
-                if items[var]:
-                    node = self._mk(var, _FALSE, node)
-                else:
-                    node = self._mk(var, node, _FALSE)
-            return Bdd(self, node)
         for var in sorted(items, reverse=True):
-            literal = (
-                self._mk(var, _FALSE, _TRUE)
-                if items[var]
-                else self._mk(var, _TRUE, _FALSE)
-            )
-            node = self._ite(literal, node, _FALSE)
+            if items[var]:
+                node = self._mk(var, _FALSE, node)
+            else:
+                node = self._mk(var, node, _FALSE)
         return Bdd(self, node)
 
     def threshold(self, var_indices: Sequence[int], bound: int, at_least: bool) -> Bdd:
@@ -1033,21 +1013,6 @@ class BddManager:
         self._misses["intersect"] += len(visited)
         return False
 
-    # -- raw-id dispatch helpers -------------------------------------------------
-    # Internal algorithms (quantification, conjoin/disjoin) call these so
-    # they use the specialized kernels when enabled and fall back to the
-    # generic ite core in compatibility mode.
-
-    def _land(self, a: int, b: int) -> int:
-        if self.fast_kernels:
-            return self._and(a, b)
-        return self._ite(a, b, _FALSE)
-
-    def _lor(self, a: int, b: int) -> int:
-        if self.fast_kernels:
-            return self._or(a, b)
-        return self._ite(a, _TRUE, b)
-
     # -- connectives ------------------------------------------------------------
     def _check(self, *operands: Bdd) -> None:
         for operand in operands:
@@ -1065,56 +1030,42 @@ class BddManager:
         if a.manager is not self or b.manager is not self:
             raise ValueError("operands belong to different BddManagers")
         perf.add("bdd.applies")
-        if self.fast_kernels:
-            return Bdd(self, self._and(a.node, b.node))
-        return Bdd(self, self._ite(a.node, b.node, _FALSE))
+        return Bdd(self, self._and(a.node, b.node))
 
     def apply_or(self, a: Bdd, b: Bdd) -> Bdd:
         """Disjunction of two functions."""
         if a.manager is not self or b.manager is not self:
             raise ValueError("operands belong to different BddManagers")
         perf.add("bdd.applies")
-        if self.fast_kernels:
-            return Bdd(self, self._or(a.node, b.node))
-        return Bdd(self, self._ite(a.node, _TRUE, b.node))
+        return Bdd(self, self._or(a.node, b.node))
 
     def apply_xor(self, a: Bdd, b: Bdd) -> Bdd:
         """Exclusive-or of two functions."""
         if a.manager is not self or b.manager is not self:
             raise ValueError("operands belong to different BddManagers")
         perf.add("bdd.applies")
-        if self.fast_kernels:
-            return Bdd(self, self._xor(a.node, b.node))
-        not_b = self._ite(b.node, _FALSE, _TRUE)
-        return Bdd(self, self._ite(a.node, not_b, b.node))
+        return Bdd(self, self._xor(a.node, b.node))
 
     def apply_not(self, a: Bdd) -> Bdd:
         """Negation of a function."""
         if a.manager is not self:
             raise ValueError("operands belong to different BddManagers")
         perf.add("bdd.applies")
-        if self.fast_kernels:
-            return Bdd(self, self._not(a.node))
-        return Bdd(self, self._ite(a.node, _FALSE, _TRUE))
+        return Bdd(self, self._not(a.node))
 
     def apply_diff(self, a: Bdd, b: Bdd) -> Bdd:
         """``a & ~b`` without materializing ``~b`` separately."""
         if a.manager is not self or b.manager is not self:
             raise ValueError("operands belong to different BddManagers")
         perf.add("bdd.applies")
-        if self.fast_kernels:
-            return Bdd(self, self._diff(a.node, b.node))
-        not_b = self._ite(b.node, _FALSE, _TRUE)
-        return Bdd(self, self._ite(a.node, not_b, _FALSE))
+        return Bdd(self, self._diff(a.node, b.node))
 
     def intersects(self, a: Bdd, b: Bdd) -> bool:
         """Decide whether ``a & b`` is satisfiable (no result BDD built)."""
         if a.manager is not self or b.manager is not self:
             raise ValueError("operands belong to different BddManagers")
         perf.add("bdd.applies")
-        if self.fast_kernels:
-            return self._intersects(a.node, b.node)
-        return self._ite(a.node, b.node, _FALSE) != _FALSE
+        return self._intersects(a.node, b.node)
 
     def conjoin(self, operands: Iterable[Bdd]) -> Bdd:
         """AND of an iterable (TRUE for the empty iterable)."""
@@ -1122,7 +1073,7 @@ class BddManager:
         for operand in operands:
             self._check(operand)
             perf.add("bdd.applies")
-            acc = self._land(acc, operand.node)
+            acc = self._and(acc, operand.node)
             if acc == _FALSE:
                 break
         return Bdd(self, acc)
@@ -1133,7 +1084,7 @@ class BddManager:
         for operand in operands:
             self._check(operand)
             perf.add("bdd.applies")
-            acc = self._lor(acc, operand.node)
+            acc = self._or(acc, operand.node)
             if acc == _TRUE:
                 break
         return Bdd(self, acc)
@@ -1190,7 +1141,7 @@ class BddManager:
         if not variables:
             return f
         var_arr, low_arr, high_arr = self._var, self._low, self._high
-        combine = self._lor if is_exists else self._land
+        combine = self._or if is_exists else self._and
         cache: Dict[int, int] = {}
         stack = [f.node]
         while stack:

@@ -105,38 +105,12 @@ class BitVector:
     def le_const(self, bound: int) -> Bdd:
         """Predicate: field <= bound."""
         self._check_value(bound)
-        if self.manager.fast_kernels:
-            return self.manager.threshold(self.var_indices, bound, at_least=False)
-        # Walk MSB->LSB.  At each 1-bit of the bound, taking 0 there makes
-        # the rest unconstrained; at each 0-bit we are forced to take 0.
-        acc = self.manager.true  # equality path so far satisfied
-        result = self.manager.false
-        for position in range(self.width):
-            bit_set = (bound >> (self.width - 1 - position)) & 1
-            var = self.variables[position]
-            if bit_set:
-                result = result | (acc & ~var)
-                acc = acc & var
-            else:
-                acc = acc & ~var
-        return result | acc  # acc now encodes exact equality with bound
+        return self.manager.threshold(self.var_indices, bound, at_least=False)
 
     def ge_const(self, bound: int) -> Bdd:
         """Predicate: field >= bound."""
         self._check_value(bound)
-        if self.manager.fast_kernels:
-            return self.manager.threshold(self.var_indices, bound, at_least=True)
-        acc = self.manager.true
-        result = self.manager.false
-        for position in range(self.width):
-            bit_set = (bound >> (self.width - 1 - position)) & 1
-            var = self.variables[position]
-            if bit_set:
-                acc = acc & var
-            else:
-                result = result | (acc & var)
-                acc = acc & ~var
-        return result | acc
+        return self.manager.threshold(self.var_indices, bound, at_least=True)
 
     def interval(self, low: int, high: int) -> Bdd:
         """Predicate: ``low <= field <= high`` (inclusive on both ends)."""

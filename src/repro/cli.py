@@ -77,6 +77,30 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _node_limit(text: str) -> int:
+    """``--node-limit``: an integer budget that covers the two terminals."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 2 (the BDD terminals), got {value}"
+        )
+    return value
+
+
+def _seconds(text: str) -> float:
+    """``--timeout``: a positive number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 #: Counters summarized on stderr after cache-enabled commands.
 _CACHE_COUNTERS = (
     "cache.device.hits",
@@ -422,14 +446,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     def add_budget_flags(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
             "--timeout",
-            type=float,
+            type=_seconds,
             default=None,
             metavar="SECONDS",
             help="per-pair wall-clock budget (default: unbounded)",
         )
         subparser.add_argument(
             "--node-limit",
-            type=int,
+            type=_node_limit,
             default=None,
             metavar="NODES",
             help="per-pair BDD node budget (default: unbounded)",

@@ -35,6 +35,7 @@ structural rather than a matter of keeping two loops in sync.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Dict, Optional, Tuple
 
@@ -44,6 +45,7 @@ from ..model.device import DeviceConfig
 from .match_policies import PolicyPairing, match_policies
 from .memo import (
     DiffMemo,
+    MemoKey,
     acl_key,
     route_map_key,
     semantic_entry,
@@ -56,7 +58,12 @@ from .replay import (
     replay_augmentation,
     replay_semantic_differences,
 )
-from .results import AbortedAnalysis, CampionReport, ComponentKind
+from .results import (
+    AbortedAnalysis,
+    CampionReport,
+    ComponentKind,
+    UnmatchedPolicy,
+)
 from .semantic_diff import diff_acls, diff_route_maps
 from .structural_diff import structural_diff_all
 
@@ -209,8 +216,102 @@ def _walk_components(
             return 0.0
         return left
 
-    replayed = 0
+    def _semantic(
+        kind: ComponentKind,
+        pair,
+        policy1,
+        policy2,
+        key: Optional[MemoKey],
+        context: str,
+        entry_context: str,
+        prefix: str,
+        diff,
+        localize,
+    ) -> int:
+        """SemanticDiff one matched ACL or route-map pair onto ``report``.
 
+        A memo hit is replayed when it can be: as a count in count
+        mode, as localized differences in collect mode when its
+        provenance digest matches this pair.  Anything else runs
+        ``diff`` under the pair budget (plus ``localize`` in collect
+        mode) and records the clean result under ``key`` with
+        ``entry_context``.  Returns the differences replayed as a count
+        only, which the caller adds to ``replayed``.
+        """
+        entry = provenance = None
+        if memo is not None:
+            entry = memo.get(key)
+            if entry is not None:
+                if entry["count"] == 0:
+                    return 0  # nothing to add to any report
+                if not collect:
+                    return entry["count"]
+            if collect:
+                provenance = localization_provenance(
+                    policy1, policy2, context, pair.name1, pair.name2
+                )
+            if (
+                entry is not None
+                and entry.get("localized")
+                and entry.get("provenance") == provenance
+            ):
+                rebuilt = replay_semantic_differences(entry, device1, device2)
+                report.semantic.extend(rebuilt)
+                perf.add("memo.localization_replays", len(rebuilt))
+                return 0
+            # Otherwise collect mode recomputes live below (a hit whose
+            # provenance differs came from a clone at other file
+            # offsets; its localization would report the wrong lines).
+        component = _component_label(pair.name1, pair.name2, prefix)
+        left = _remaining(component, kind)
+        if left is not None and left <= 0:
+            return 0
+        try:
+            space, differences = diff(
+                policy1,
+                policy2,
+                router1=device1.hostname,
+                router2=device2.hostname,
+                context=context,
+                node_limit=node_limit,
+                time_budget=left,
+                set_backend=set_backend,
+            )
+            if collect:
+                localize(space, differences, policy1, policy2, backend=set_backend)
+        except AnalysisBudgetExceeded as exc:
+            report.aborted.append(
+                AbortedAnalysis(
+                    kind=kind,
+                    component=component,
+                    reason=str(exc),
+                    resource=exc.resource,
+                )
+            )
+            return 0  # aborted results are never memoized
+        report.semantic.extend(differences)
+        if memo is not None:
+            if collect:
+                localized = semantic_entry(
+                    kind,
+                    differences,
+                    context=entry_context,
+                    provenance=provenance,
+                    replay=replay_augmentation(differences),
+                )
+                if entry is None:
+                    memo.put(key, localized)
+                elif not entry.get("localized"):
+                    memo.upgrade(key, localized)
+            elif entry is None:
+                memo.put(key, semantic_entry(kind, differences, context=entry_context))
+        return 0
+
+    replayed = 0
+    localize_route_maps = functools.partial(
+        localize_route_map_differences,
+        exhaustive_communities=exhaustive_communities,
+    )
     seen_route_map_pairs = set()
     for pair in pairing.route_map_pairs:
         dedup_key = (pair.name1, pair.name2)
@@ -222,8 +323,6 @@ def _walk_components(
         if map1 is None or map2 is None:
             # A referenced-but-undefined policy behaves as permit-all on
             # IOS; flag it as unmatched rather than guessing semantics.
-            from .results import UnmatchedPolicy
-
             missing_name = pair.name1 if map1 is None else pair.name2
             present_on = device2.hostname if map1 is None else device1.hostname
             missing_on = device1.hostname if map1 is None else device2.hostname
@@ -237,162 +336,42 @@ def _walk_components(
                 )
             )
             continue
-        key = entry = provenance = None
+        key = None
         if memo is not None:
             key = route_map_key(
                 fps1.route_maps[pair.name1],
                 fps2.route_maps[pair.name2],
                 exhaustive_communities,
             )
-            entry = memo.get(key)
-            if entry is not None:
-                if entry["count"] == 0:
-                    continue  # nothing to add to any report
-                if not collect:
-                    replayed += entry["count"]
-                    continue
-            if collect:
-                provenance = localization_provenance(
-                    map1, map2, pair.context, pair.name1, pair.name2
-                )
-            if (
-                entry is not None
-                and entry.get("localized")
-                and entry.get("provenance") == provenance
-            ):
-                rebuilt = replay_semantic_differences(entry, device1, device2)
-                report.semantic.extend(rebuilt)
-                perf.add("memo.localization_replays", len(rebuilt))
-                continue
-            # Otherwise collect mode recomputes live below (a hit whose
-            # provenance differs came from a clone at other file
-            # offsets; its localization would report the wrong lines).
-        component = _component_label(pair.name1, pair.name2, "route map")
-        left = _remaining(component, ComponentKind.ROUTE_MAP)
-        if left is not None and left <= 0:
-            continue
-        try:
-            space, differences = diff_route_maps(
-                map1,
-                map2,
-                router1=device1.hostname,
-                router2=device2.hostname,
-                context=pair.context,
-                node_limit=node_limit,
-                time_budget=left,
-                set_backend=set_backend,
-            )
-            if collect:
-                localize_route_map_differences(
-                    space,
-                    differences,
-                    map1,
-                    map2,
-                    exhaustive_communities=exhaustive_communities,
-                    backend=set_backend,
-                )
-        except AnalysisBudgetExceeded as exc:
-            report.aborted.append(
-                AbortedAnalysis(
-                    kind=ComponentKind.ROUTE_MAP,
-                    component=component,
-                    reason=str(exc),
-                    resource=exc.resource,
-                )
-            )
-            continue  # aborted results are never memoized
-        report.semantic.extend(differences)
-        if memo is not None:
-            if collect:
-                localized = semantic_entry(
-                    ComponentKind.ROUTE_MAP,
-                    differences,
-                    context=pair.context,
-                    provenance=provenance,
-                    replay=replay_augmentation(differences),
-                )
-                if entry is None:
-                    memo.put(key, localized)
-                elif not entry.get("localized"):
-                    memo.upgrade(key, localized)
-            elif entry is None:
-                memo.put(
-                    key,
-                    semantic_entry(
-                        ComponentKind.ROUTE_MAP, differences, context=pair.context
-                    ),
-                )
+        replayed += _semantic(
+            ComponentKind.ROUTE_MAP,
+            pair,
+            map1,
+            map2,
+            key,
+            context=pair.context,
+            entry_context=pair.context,
+            prefix="route map",
+            diff=diff_route_maps,
+            localize=localize_route_maps,
+        )
 
     for pair in pairing.acl_pairs:
-        acl1 = device1.acls[pair.name1]
-        acl2 = device2.acls[pair.name2]
-        key = entry = provenance = None
+        key = None
         if memo is not None:
             key = acl_key(fps1.acls[pair.name1], fps2.acls[pair.name2])
-            entry = memo.get(key)
-            if entry is not None:
-                if entry["count"] == 0:
-                    continue
-                if not collect:
-                    replayed += entry["count"]
-                    continue
-            if collect:
-                provenance = localization_provenance(
-                    acl1, acl2, f"ACL {pair.name1}", pair.name1, pair.name2
-                )
-            if (
-                entry is not None
-                and entry.get("localized")
-                and entry.get("provenance") == provenance
-            ):
-                rebuilt = replay_semantic_differences(entry, device1, device2)
-                report.semantic.extend(rebuilt)
-                perf.add("memo.localization_replays", len(rebuilt))
-                continue
-        component = _component_label(pair.name1, pair.name2, "ACL")
-        left = _remaining(component, ComponentKind.ACL)
-        if left is not None and left <= 0:
-            continue
-        try:
-            space, differences = diff_acls(
-                acl1,
-                acl2,
-                router1=device1.hostname,
-                router2=device2.hostname,
-                context=f"ACL {pair.name1}",
-                node_limit=node_limit,
-                time_budget=left,
-                set_backend=set_backend,
-            )
-            if collect:
-                localize_acl_differences(
-                    space, differences, acl1, acl2, backend=set_backend
-                )
-        except AnalysisBudgetExceeded as exc:
-            report.aborted.append(
-                AbortedAnalysis(
-                    kind=ComponentKind.ACL,
-                    component=component,
-                    reason=str(exc),
-                    resource=exc.resource,
-                )
-            )
-            continue
-        report.semantic.extend(differences)
-        if memo is not None:
-            if collect:
-                localized = semantic_entry(
-                    ComponentKind.ACL,
-                    differences,
-                    provenance=provenance,
-                    replay=replay_augmentation(differences),
-                )
-                if entry is None:
-                    memo.put(key, localized)
-                elif not entry.get("localized"):
-                    memo.upgrade(key, localized)
-            elif entry is None:
-                memo.put(key, semantic_entry(ComponentKind.ACL, differences))
+        replayed += _semantic(
+            ComponentKind.ACL,
+            pair,
+            device1.acls[pair.name1],
+            device2.acls[pair.name2],
+            key,
+            context=f"ACL {pair.name1}",
+            entry_context="",
+            prefix="ACL",
+            diff=diff_acls,
+            localize=localize_acl_differences,
+        )
 
     if memo is not None:
         skey = structural_key(fps1, fps2, pairing.ospf_interface_pairing)

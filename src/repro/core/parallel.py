@@ -1,13 +1,12 @@
-"""Process-parallel fan-out for fleet and multi-pair comparisons.
+"""Process-parallel fan-out for the fleet difference matrix.
 
 BDD managers are process-local by design: nodes are integer ids into a
 manager's private arrays, so handles cannot cross process boundaries.
 The fan-out therefore ships *configurations* out and brings *picklable
-results* back — difference counts for the fleet matrix, or full report
-dictionaries produced by :mod:`repro.core.serialize` for batch pairwise
-comparison.  Each worker runs :func:`repro.core.config_diff.config_diff`
-with its own fresh managers (``config_diff`` allocates its spaces
-internally), so no shared state is needed.
+results* back — one difference count per pair.  Each worker runs
+:func:`repro.core.config_diff.config_diff` with its own fresh managers
+(``config_diff`` allocates its spaces internally), so no shared state is
+needed.
 
 Fault isolation (the part the first parallel cut lacked): every task
 produces a :class:`PairOutcome` — ``ok``, ``error``, ``timeout``, or
@@ -46,7 +45,7 @@ import random
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import perf
 from ..model.device import DeviceConfig
@@ -54,17 +53,13 @@ from .config_diff import config_diff, config_diff_summary
 from .match_policies import PolicyPairing
 from .memo import DiffMemo
 from .near_symmetry import SymmetryPlan  # re-export for existing importers
-from .serialize import report_to_dict
 
 __all__ = [
     "PairOutcome",
     "SymmetryPlan",
     "resolve_workers",
     "resolve_timeout",
-    "pairwise_counts",
     "pairwise_count_outcomes",
-    "diff_pairs",
-    "diff_pair_outcomes",
 ]
 
 #: Fresh pool generations granted per fan-out after worker death.  The
@@ -201,30 +196,6 @@ def _count_pair(task: _Task) -> int:
     return report.total_differences()
 
 
-def _diff_pair(task: _Task) -> Dict:
-    (
-        device1,
-        device2,
-        exhaustive,
-        node_limit,
-        time_budget,
-        memo,
-        backend,
-        pairing,
-    ) = task
-    report = config_diff(
-        device1,
-        device2,
-        pairing=pairing,
-        exhaustive_communities=exhaustive,
-        node_limit=node_limit,
-        time_budget=time_budget,
-        memo=memo,
-        set_backend=backend,
-    )
-    return report_to_dict(report)
-
-
 # The shared task list is shipped to each worker once (inherited for
 # free under ``fork``, pickled once per worker otherwise) and tasks are
 # dispatched by index, so per-task IPC is a couple of integers instead
@@ -237,19 +208,13 @@ def _init_worker(tasks: List) -> None:
     _WORKER_TASKS = tasks
 
 
-def _count_at(index: int) -> Tuple[str, object]:
-    return _guarded_call(_count_pair, _WORKER_TASKS[index])
+def _count_at(index: int) -> Tuple[str, object, Dict]:
+    return _guarded_call(_WORKER_TASKS[index])
 
 
-def _diff_at(index: int) -> Tuple[str, object]:
-    return _guarded_call(_diff_pair, _WORKER_TASKS[index])
-
-
-def _guarded_call(
-    function: Callable, task: _Task
-) -> Tuple[str, object, Dict]:
-    """Run one task in a worker, returning a tagged, always-picklable
-    triple ``(status, payload, memo_updates)``.
+def _guarded_call(task: _Task) -> Tuple[str, object, Dict]:
+    """Run :func:`_count_pair` on one task, returning a tagged,
+    always-picklable triple ``(status, payload, memo_updates)``.
 
     Catching here (rather than at ``.get()`` in the parent) keeps
     arbitrary — possibly unpicklable — worker exceptions from breaking
@@ -257,13 +222,14 @@ def _guarded_call(
     recorded before the failure are clean, completed component results
     and stay valid.
     """
-    memo = task[5] if len(task) > 5 else None
+    memo = task[5]
 
     def _updates() -> Dict:
         return memo.take_updates() if isinstance(memo, DiffMemo) else {}
 
     try:
-        result = function(task)
+        # Looked up at call time so a patched ``_count_pair`` applies.
+        result = _count_pair(task)
     except Exception as exc:  # noqa: BLE001 - isolation boundary by design
         return ("error", f"{type(exc).__name__}: {exc}", _updates())
     return ("ok", result, _updates())
@@ -295,7 +261,7 @@ def _build_tasks(
     ]
 
 
-def _serial_outcomes(function: Callable, tasks: List[_Task]) -> List[PairOutcome]:
+def _serial_outcomes(tasks: List[_Task]) -> List[PairOutcome]:
     """The workers=1 path: no multiprocessing, failures still isolated.
 
     Wall-clock timeouts cannot terminate an in-process task; the pair
@@ -305,7 +271,7 @@ def _serial_outcomes(function: Callable, tasks: List[_Task]) -> List[PairOutcome
     """
     outcomes = []
     for index, task in enumerate(tasks):
-        tag, payload, updates = _guarded_call(function, task)
+        tag, payload, updates = _guarded_call(task)
         if tag == "ok":
             outcomes.append(
                 PairOutcome(index, "ok", result=payload, memo_updates=updates)
@@ -388,7 +354,6 @@ def _settle(
 
 
 def _pool_round(
-    indexed: Callable,
     tasks: List[_Task],
     workers: int,
     timeout: Optional[float],
@@ -410,7 +375,7 @@ def _pool_round(
     try:
         try:
             for index in pending:
-                futures[index] = executor.submit(indexed, index)
+                futures[index] = executor.submit(_count_at, index)
         except (BrokenProcessPool, RuntimeError):
             # The pool died while we were still submitting (e.g. the
             # initializer's worker was killed); whatever got in is
@@ -464,7 +429,6 @@ def _pool_round(
 
 
 def _pool_outcomes(
-    indexed: Callable,
     tasks: List[_Task],
     workers: int,
     timeout: Optional[float],
@@ -490,9 +454,7 @@ def _pool_outcomes(
     respawns_left = _MAX_POOL_RESPAWNS
     generation = 0
     while pending:
-        broken = _pool_round(
-            indexed, tasks, workers, timeout, pending, outcomes
-        )
+        broken = _pool_round(tasks, workers, timeout, pending, outcomes)
         pending = [index for index in pending if outcomes[index] is None]
         if not pending:
             break
@@ -516,7 +478,7 @@ def _pool_outcomes(
         if outcomes[index] is not None:
             continue
         perf.add("parallel.pool_respawns")
-        _pool_round(indexed, tasks, 1, timeout, [index], outcomes)
+        _pool_round(tasks, 1, timeout, [index], outcomes)
         if outcomes[index] is None:
             perf.add("parallel.errors")
             outcomes[index] = PairOutcome(
@@ -525,12 +487,7 @@ def _pool_outcomes(
     return outcomes  # type: ignore[return-value]
 
 
-def _retry_failures(
-    function: Callable,
-    tasks: List[_Task],
-    outcomes: List[PairOutcome],
-    timeout: Optional[float],
-) -> None:
+def _retry_failures(tasks: List[_Task], outcomes: List[PairOutcome]) -> None:
     """One in-parent serial retry for each failed pair, in place.
 
     A worker crash can be environmental (OOM killer, fork-state
@@ -543,7 +500,7 @@ def _retry_failures(
         if outcome.ok:
             continue
         perf.add("parallel.retries")
-        tag, payload, updates = _guarded_call(function, tasks[index])
+        tag, payload, updates = _guarded_call(tasks[index])
         if tag == "ok":
             outcomes[index] = PairOutcome(
                 index, "ok", result=payload, retried=True, memo_updates=updates
@@ -553,48 +510,6 @@ def _retry_failures(
                 index, outcome.status, error=outcome.error or str(payload),
                 retried=True, memo_updates=updates,
             )
-
-
-def _run_outcomes(
-    function: Callable,
-    indexed: Callable,
-    pairs: Sequence[_Pair],
-    workers: Optional[int],
-    exhaustive_communities: bool,
-    timeout: Optional[float],
-    node_limit: Optional[int],
-    retry: bool,
-    memo: Optional[DiffMemo] = None,
-    set_backend: Optional[str] = None,
-    pairings: Optional[Sequence[PolicyPairing]] = None,
-) -> List[PairOutcome]:
-    workers = resolve_workers(workers)
-    timeout = resolve_timeout(timeout)
-    tasks = _build_tasks(
-        pairs,
-        exhaustive_communities,
-        node_limit,
-        timeout,
-        memo,
-        set_backend,
-        pairings,
-    )
-    perf.add("parallel.tasks", len(tasks))
-    with perf.timer("parallel.map"):
-        if workers == 1 or len(tasks) <= 1:
-            outcomes = _serial_outcomes(function, tasks)
-        else:
-            outcomes = _pool_outcomes(indexed, tasks, workers, timeout)
-        if retry and any(not outcome.ok for outcome in outcomes):
-            _retry_failures(function, tasks, outcomes, timeout)
-    if memo is not None:
-        # Fold worker-computed entries into the parent memo in input
-        # order (deterministic whatever the completion order; entries
-        # for equal keys are identical, so collisions are benign).
-        for outcome in outcomes:
-            if outcome.memo_updates:
-                memo.merge(outcome.memo_updates)
-    return outcomes
 
 
 def pairwise_count_outcomes(
@@ -621,96 +536,30 @@ def pairwise_count_outcomes(
     ``pairings`` (aligned with ``pairs``) hands over MatchPolicies
     results the caller already computed, so no pair is matched twice.
     """
-    return _run_outcomes(
-        _count_pair,
-        _count_at,
+    workers = resolve_workers(workers)
+    timeout = resolve_timeout(timeout)
+    tasks = _build_tasks(
         pairs,
-        workers,
         exhaustive_communities,
-        timeout,
         node_limit,
-        retry,
-        memo=memo,
-        set_backend=set_backend,
-        pairings=pairings,
-    )
-
-
-def diff_pair_outcomes(
-    pairs: Sequence[_Pair],
-    workers: Optional[int] = None,
-    exhaustive_communities: bool = False,
-    timeout: Optional[float] = None,
-    node_limit: Optional[int] = None,
-    retry: bool = True,
-    memo: Optional[DiffMemo] = None,
-    set_backend: Optional[str] = None,
-) -> List[PairOutcome]:
-    """Full ConfigDiff report-dict outcomes for each pair, fanned out.
-
-    ``ok`` outcomes carry :func:`repro.core.serialize.report_to_dict`
-    output (the BDD handles inside a :class:`CampionReport` cannot cross
-    processes, the serialized form can).  Order matches the input pairs.
-    ``memo`` lets zero-difference components be skipped per pair, and
-    ``set_backend`` names the per-worker set-algebra backend; the
-    reports are identical either way.
-    """
-    return _run_outcomes(
-        _diff_pair,
-        _diff_at,
-        pairs,
-        workers,
-        exhaustive_communities,
         timeout,
-        node_limit,
-        retry,
-        memo=memo,
-        set_backend=set_backend,
+        memo,
+        set_backend,
+        pairings,
     )
-
-
-def _unwrap(outcomes: List[PairOutcome]) -> List:
-    """Strict view: results in order, raising on the first failed pair."""
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise RuntimeError(f"pair {outcome.index} failed: {outcome.describe()}")
-    return [outcome.result for outcome in outcomes]
-
-
-def pairwise_counts(
-    pairs: Sequence[_Pair],
-    workers: Optional[int] = None,
-    exhaustive_communities: bool = False,
-) -> List[int]:
-    """Difference counts for each device pair (strict; raises on failure).
-
-    The historical all-or-nothing interface; fault-tolerant callers
-    want :func:`pairwise_count_outcomes`.
-    """
-    return _unwrap(
-        pairwise_count_outcomes(
-            pairs,
-            workers=workers,
-            exhaustive_communities=exhaustive_communities,
-            timeout=None,
-            retry=False,
-        )
-    )
-
-
-def diff_pairs(
-    pairs: Sequence[_Pair],
-    workers: Optional[int] = None,
-    exhaustive_communities: bool = False,
-) -> List[Dict]:
-    """Full ConfigDiff report dictionaries per pair (strict; raises on
-    failure).  Fault-tolerant callers want :func:`diff_pair_outcomes`."""
-    return _unwrap(
-        diff_pair_outcomes(
-            pairs,
-            workers=workers,
-            exhaustive_communities=exhaustive_communities,
-            timeout=None,
-            retry=False,
-        )
-    )
+    perf.add("parallel.tasks", len(tasks))
+    with perf.timer("parallel.map"):
+        if workers == 1 or len(tasks) <= 1:
+            outcomes = _serial_outcomes(tasks)
+        else:
+            outcomes = _pool_outcomes(tasks, workers, timeout)
+        if retry and any(not outcome.ok for outcome in outcomes):
+            _retry_failures(tasks, outcomes)
+    if memo is not None:
+        # Fold worker-computed entries into the parent memo in input
+        # order (deterministic whatever the completion order; entries
+        # for equal keys are identical, so collisions are benign).
+        for outcome in outcomes:
+            if outcome.memo_updates:
+                memo.merge(outcome.memo_updates)
+    return outcomes

@@ -690,61 +690,6 @@ def _backend_mismatch(kind: str, component1, component2) -> Optional[str]:
     return None
 
 
-def _run_backend_case(
-    case_seed: int, result: SelfCheckResult
-) -> Optional[SelfCheckFailure]:
-    """Cross-validate the ``bdd`` and ``atoms`` set-algebra backends.
-
-    The same generated component pair is diffed and localized under
-    each backend in isolation; the serialized difference lists (action
-    pairs, localization spans, header ranges, examples) and the raw
-    input-set satcounts must agree exactly.
-    """
-    rng = random.Random(case_seed)
-    if rng.random() < 0.5:
-        pair = generate_acl_pair(
-            rule_count=rng.randint(6, 16),
-            differences=rng.randint(0, 4),
-            seed=case_seed,
-        )
-        kind, component1, component2 = "acl", pair.cisco_acl, pair.juniper_acl
-    else:
-        kind = "routemap"
-        component1 = _random_route_map(rng, "RM1")
-        if rng.random() < 0.7:
-            component2 = dataclasses.replace(
-                _perturb_route_map(component1, rng), name="RM2"
-            )
-        else:
-            component2 = _random_route_map(rng, "RM2")
-
-    detail = _backend_mismatch(kind, component1, component2)
-    if detail is None:
-        result.differences += len(
-            _localized_differences(kind, component1, component2, "bdd", "bdd")
-        )
-        return None
-
-    def fails(c1, c2) -> bool:
-        try:
-            return _backend_mismatch(kind, c1, c2) is not None
-        except Exception:  # noqa: BLE001 - a shrunk pair may fail differently
-            return False
-
-    if kind == "acl":
-        shrunk1, shrunk2 = _shrink_acl_pair(component1, component2, fails)
-        reproducer = "\n".join(_render_acl(shrunk1) + _render_acl(shrunk2))
-    else:
-        shrunk1, shrunk2 = _shrink_route_map_pair(component1, component2, fails)
-        reproducer = "\n".join(
-            _render_route_map(shrunk1) + _render_route_map(shrunk2)
-        )
-    final_detail = _backend_mismatch(kind, shrunk1, shrunk2) or detail
-    return SelfCheckFailure(
-        "backend", case_seed, "backend-equivalence", final_detail, reproducer
-    )
-
-
 def _localization_mismatch(kind: str, component1, component2) -> Optional[str]:
     """One-line description of any bdd/atoms localization divergence.
 
@@ -793,17 +738,60 @@ def _localization_mismatch(kind: str, component1, component2) -> Optional[str]:
     return None
 
 
-def _run_localize_case(
-    case_seed: int, result: SelfCheckResult
-) -> Optional[SelfCheckFailure]:
-    """Cross-validate atoms-backed vs BDD-backed HeaderLocalize.
+def _tally_backend(kind: str, component1, component2, result) -> None:
+    result.differences += len(
+        _localized_differences(kind, component1, component2, "bdd", "bdd")
+    )
 
-    The same generated component pair is diffed once per backend name,
-    then localized with the localization algebra forced to ``bdd`` and
-    to ``atoms``; every flat term, included/excluded range, and extra
-    dimension must agree exactly (shrunk on failure like the other
-    differential generators).
+
+def _tally_localize(kind: str, component1, component2, result) -> None:
+    payload = _localized_differences(kind, component1, component2, None, "bdd")
+    result.differences += len(payload)
+    result.localizations += sum(
+        1 for entry in payload if entry.get("localization") is not None
+    )
+
+
+@dataclass(frozen=True)
+class _ComponentRow:
+    """One component cross-check: run a generated pair two ways, compare.
+
+    ``mismatch(kind, component1, component2)`` returns a one-line
+    divergence or ``None``; ``tally`` adds a passing case's counts to
+    the result.
     """
+
+    check: str
+    mismatch: Callable[..., Optional[str]]
+    tally: Callable[..., None]
+
+
+#: The component A/B cross-checks, by generator name:
+#:
+#: * ``backend`` diffs and localizes the pair under each set-algebra
+#:   backend in isolation; the serialized difference lists (action
+#:   pairs, localization spans, header ranges, examples) and the raw
+#:   input-set satcounts must agree exactly.
+#: * ``localize`` diffs the pair once per backend name, then localizes
+#:   with the localization algebra forced to ``bdd`` and to ``atoms``;
+#:   every flat term, included/excluded range, and extra dimension must
+#:   agree exactly.
+_COMPONENT_ROWS = {
+    "backend": _ComponentRow(
+        "backend-equivalence", _backend_mismatch, _tally_backend
+    ),
+    "localize": _ComponentRow(
+        "localization-equivalence", _localization_mismatch, _tally_localize
+    ),
+}
+
+
+def _run_component_case(
+    name: str, case_seed: int, result: SelfCheckResult
+) -> Optional[SelfCheckFailure]:
+    """Run one ``_COMPONENT_ROWS`` cross-check on a generated ACL or
+    route-map pair; shrink a divergence to a minimal reproducer."""
+    row = _COMPONENT_ROWS[name]
     rng = random.Random(case_seed)
     if rng.random() < 0.5:
         pair = generate_acl_pair(
@@ -822,20 +810,14 @@ def _run_localize_case(
         else:
             component2 = _random_route_map(rng, "RM2")
 
-    detail = _localization_mismatch(kind, component1, component2)
+    detail = row.mismatch(kind, component1, component2)
     if detail is None:
-        payload = _localized_differences(
-            kind, component1, component2, None, "bdd"
-        )
-        result.differences += len(payload)
-        result.localizations += sum(
-            1 for entry in payload if entry.get("localization") is not None
-        )
+        row.tally(kind, component1, component2, result)
         return None
 
     def fails(c1, c2) -> bool:
         try:
-            return _localization_mismatch(kind, c1, c2) is not None
+            return row.mismatch(kind, c1, c2) is not None
         except Exception:  # noqa: BLE001 - a shrunk pair may fail differently
             return False
 
@@ -847,10 +829,8 @@ def _run_localize_case(
         reproducer = "\n".join(
             _render_route_map(shrunk1) + _render_route_map(shrunk2)
         )
-    final_detail = _localization_mismatch(kind, shrunk1, shrunk2) or detail
-    return SelfCheckFailure(
-        "localize", case_seed, "localization-equivalence", final_detail, reproducer
-    )
+    final_detail = row.mismatch(kind, shrunk1, shrunk2) or detail
+    return SelfCheckFailure(name, case_seed, row.check, final_detail, reproducer)
 
 
 # ---------------------------------------------------------------------------
@@ -1336,8 +1316,10 @@ _CASE_RUNNERS = {
     "routemap": _run_route_map_case,
     "mutation": _run_mutation_case,
     "memo": _run_memo_case,
-    "backend": _run_backend_case,
-    "localize": _run_localize_case,
+    **{
+        name: functools.partial(_run_component_case, name)
+        for name in _COMPONENT_ROWS
+    },
     **{
         name: functools.partial(_run_fleet_case, name)
         for name in _FLEET_ROWS

@@ -1,8 +1,13 @@
-"""Tests for the specialized BDD kernels and their compatibility flag.
+"""Tests for the specialized BDD kernels.
+
+The generic ite core (:meth:`BddManager.ite`) is the reference: each
+connective's *compatibility formulation* is its ite expression, e.g.
+``a & b`` is ``ite(a, b, FALSE)``.  ROBDDs are canonical, so a kernel
+and its formulation must return the same node in one manager.
 
 Covers:
 
-* fast-kernel vs generic-ite equivalence on randomized formulas,
+* every kernel vs its ite formulation on randomized formulas,
 * the cache-statistics API (``BddManager.stats`` / ``reset_stats``),
 * commutative cache-key sharing and the bidirectional negation cache,
 * the short-circuit intersection kernel,
@@ -41,33 +46,25 @@ def random_formula(manager, variables, rng, depth=0):
 
 class TestFastCompatEquivalence:
     def test_random_formulas_agree(self):
-        fast = BddManager(fast_kernels=True)
-        compat = BddManager(fast_kernels=False)
-        fast_vars = fast.new_vars(8)
-        compat_vars = compat.new_vars(8)
-        rng = random.Random(42)
-        for trial in range(60):
-            seed = rng.randrange(1 << 30)
-            f = random_formula(fast, fast_vars, random.Random(seed))
-            c = random_formula(compat, compat_vars, random.Random(seed))
-            assert f.satcount(8) == c.satcount(8)
-            # spot-check pointwise on a few assignments
-            check = random.Random(seed + 1)
-            for _ in range(10):
-                model = {i: check.random() < 0.5 for i in range(8)}
-                assert fast.restrict(f, model) == fast.constant(
-                    compat.restrict(c, model).is_true()
-                )
+        manager = BddManager()
+        variables = manager.new_vars(8)
+        false, true = manager.false, manager.true
 
-    def test_flag_default_and_compat_mode(self):
-        assert BddManager().fast_kernels is True
-        compat = BddManager(fast_kernels=False)
-        a, b = compat.new_vars(2)
-        _ = a & b
-        stats = compat.stats()
-        assert stats["fast_kernels"] is False
-        assert stats["caches"]["and"]["misses"] == 0  # all routed through ite
-        assert stats["caches"]["ite"]["misses"] > 0
+        def ite_not(f):
+            return manager.ite(f, false, true)
+
+        rng = random.Random(42)
+        for _ in range(60):
+            a = random_formula(manager, variables, rng)
+            b = random_formula(manager, variables, rng)
+            assert a & b == manager.ite(a, b, false)
+            assert a | b == manager.ite(a, true, b)
+            assert a ^ b == manager.ite(a, ite_not(b), b)
+            assert ~a == ite_not(a)
+            assert a - b == manager.ite(a, ite_not(b), false)
+            assert a.intersects(b) == (manager.ite(a, b, false) != false)
+            assert manager.conjoin([a, b]) == manager.ite(a, b, false)
+            assert manager.disjoin([a, b]) == manager.ite(a, true, b)
 
 
 class TestStats:
@@ -124,12 +121,12 @@ class TestStats:
 
 class TestIntersects:
     def test_agrees_with_product_emptiness(self):
-        fast = BddManager(fast_kernels=True)
-        variables = fast.new_vars(10)
+        manager = BddManager()
+        variables = manager.new_vars(10)
         rng = random.Random(7)
         for _ in range(40):
-            f = random_formula(fast, variables, rng)
-            g = random_formula(fast, variables, rng)
+            f = random_formula(manager, variables, rng)
+            g = random_formula(manager, variables, rng)
             assert f.intersects(g) == (not (f & g).is_false())
 
     def test_terminals(self):
@@ -171,22 +168,32 @@ class TestCube:
             manager.cube({5: True})
 
     def test_compat_mode_agrees(self):
-        compat = BddManager(fast_kernels=False)
-        variables = compat.new_vars(4)
-        assert compat.cube({1: True, 3: False}) == variables[1] & ~variables[3]
+        """The cube equals its formulation as a chain of ite conjunctions."""
+        manager = BddManager()
+        variables = manager.new_vars(4)
+        not_3 = manager.ite(variables[3], manager.false, manager.true)
+        expected = manager.ite(variables[1], not_3, manager.false)
+        assert manager.cube({1: True, 3: False}) == expected
 
 
 class TestThreshold:
     @pytest.mark.parametrize("bound", [0, 1, 7, 8, 200, 255])
     def test_threshold_matches_apply_construction(self, bound):
-        fast = BddManager(fast_kernels=True)
-        compat = BddManager(fast_kernels=False)
-        fv = BitVector.allocate(fast, "x", 8)
-        cv = BitVector.allocate(compat, "x", 8)
-        assert fv.le_const(bound).satcount(8) == cv.le_const(bound).satcount(8)
-        assert fv.ge_const(bound).satcount(8) == cv.ge_const(bound).satcount(8)
-        assert fv.le_const(bound).satcount(8) == bound + 1
-        assert fv.ge_const(bound).satcount(8) == 256 - bound
+        manager = BddManager()
+        field = BitVector.allocate(manager, "x", 8)
+        at_most, at_least = field.le_const(bound), field.ge_const(bound)
+        for value in range(256):
+            point = field.eq_const(value)
+            assert point.intersects(at_most) == (value <= bound)
+            assert point.intersects(at_least) == (value >= bound)
+        assert at_most == manager.disjoin(
+            field.eq_const(value) for value in range(bound + 1)
+        )
+        assert at_least == manager.disjoin(
+            field.eq_const(value) for value in range(bound, 256)
+        )
+        assert at_most.satcount(8) == bound + 1
+        assert at_least.satcount(8) == 256 - bound
 
     def test_threshold_validates_inputs(self):
         manager = BddManager()
@@ -239,10 +246,11 @@ class TestDeepChains:
         assert chain.any_model() is not None
         assert ~chain  # deep negation
 
-    def test_deep_compat_mode(self):
-        compat = BddManager(fast_kernels=False)
-        compat.new_vars(DEEP)
-        chain = compat.cube({i: True for i in range(DEEP)})
-        shifted = compat.cube({i: True for i in range(1, DEEP)})
-        assert (chain & shifted) == chain
-        assert list(compat.iter_cubes(chain))[0][DEEP - 1] is True
+    def test_deep_compat_mode(self, deep):
+        """The ite reference survives deep chains too."""
+        manager, variables, chain = deep
+        shifted = manager.cube({i: True for i in range(1, DEEP)})
+        false, true = manager.false, manager.true
+        assert manager.ite(chain, shifted, false) == chain
+        assert manager.ite(shifted, true, chain) == shifted
+        assert manager.ite(chain, false, true) == ~chain

@@ -35,14 +35,6 @@ class TestStoreEquivalence:
         assert flat._store.unique_entries == dictionary._store.unique_entries
         assert flat._store.unique_entries == flat.node_count - 2
 
-    def test_identical_under_compat_kernels(self):
-        flat = BddManager(fast_kernels=False)
-        dictionary = BddManager(store=DictNodeStore(), fast_kernels=False)
-        for from_flat, from_dict in zip(
-            self._build(flat), self._build(dictionary)
-        ):
-            assert from_flat.node == from_dict.node
-
     def test_hash_consing_across_table_growth(self):
         # Push well past the initial table capacity so the flat store
         # rehashes several times; find-or-create must keep returning the

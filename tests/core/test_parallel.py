@@ -10,9 +10,7 @@ import pytest
 from repro.core import (
     compare_fleet,
     config_diff,
-    diff_pairs,
-    pairwise_counts,
-    report_to_dict,
+    pairwise_count_outcomes,
     report_to_json,
     resolve_timeout,
     resolve_workers,
@@ -87,12 +85,7 @@ class TestBatchHelpers:
         expected = [
             config_diff(a, b).total_differences() for a, b in pairs
         ]
-        assert pairwise_counts(pairs, workers=1) == expected
-        assert pairwise_counts(pairs, workers=2) == expected
-
-    def test_diff_pairs_serialized_reports(self):
-        devices, _ = gateway_fleet(count=4, outliers=1, rule_count=8, seed=9)
-        pairs = [(devices[0], devices[1]), (devices[2], devices[3])]
-        expected = [report_to_dict(config_diff(a, b)) for a, b in pairs]
-        assert diff_pairs(pairs, workers=1) == expected
-        assert diff_pairs(pairs, workers=2) == expected
+        for workers in (1, 2):
+            outcomes = pairwise_count_outcomes(pairs, workers=workers)
+            assert [o.status for o in outcomes] == ["ok", "ok"]
+            assert [o.result for o in outcomes] == expected

@@ -121,6 +121,37 @@ class TestFleetHarness:
         assert len(failure.reproducer.splitlines()[0].split(", ")) == 2
 
 
+class TestComponentHarness:
+    @pytest.mark.parametrize("name", ["backend", "localize"])
+    def test_divergence_is_caught_and_shrunk(self, monkeypatch, name):
+        row = driver._COMPONENT_ROWS[name]
+
+        def diverging(kind, component1, component2):
+            rules = component1.lines if kind == "acl" else component1.clauses
+            return "injected divergence" if rules else None
+
+        monkeypatch.setitem(
+            driver._COMPONENT_ROWS,
+            name,
+            dataclasses.replace(row, mismatch=diverging),
+        )
+        # Seed 0 generates a route-map pair, seed 2 an ACL pair; each
+        # shrinks to one rule of the first component and none of the
+        # second.
+        for seed, rule_prefix in ((0, "  clause-"), (2, "  ")):
+            result = run_selfcheck(seed=seed, pairs=1, generators=[name])
+            (failure,) = result.failures
+            assert failure.generator == name
+            assert failure.check == row.check
+            assert failure.detail == "injected divergence"
+            rules = [
+                line
+                for line in failure.reproducer.splitlines()
+                if line.startswith(rule_prefix)
+            ]
+            assert len(rules) == 1, failure.reproducer
+
+
 class TestCliSelfcheck:
     def test_exit_zero_on_pass(self, capsys):
         exit_code = main(["selfcheck", "--seed", "0", "--pairs", "3"])

@@ -201,6 +201,35 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         assert "invalid choice: 'exact'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compare", "fleet"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--node-limit", "1"),
+            ("--node-limit", "0"),
+            ("--node-limit", "-5"),
+            ("--node-limit", "many"),
+            ("--timeout", "0"),
+            ("--timeout", "-1"),
+            ("--timeout", "nan"),
+        ],
+    )
+    def test_invalid_budget_exits_two(
+        self, config_files, capsys, command, flag, value
+    ):
+        cisco, juniper = config_files
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, value, cisco, juniper])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err and "internal error" not in err
+
+    def test_smallest_budgets_accepted(self, config_files, capsys):
+        cisco, juniper = config_files
+        assert main(["compare", "--node-limit", "2", cisco, juniper]) == 3
+        assert "analysis aborted" in capsys.readouterr().out
+
     def test_set_backend_flag_exits_two(self, config_files, capsys):
         cisco, juniper = config_files
         with pytest.raises(SystemExit) as excinfo:

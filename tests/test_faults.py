@@ -4,7 +4,7 @@ Exercises the failure paths the happy-path suites never reach: workers
 that crash, workers that hang past the pair timeout, stanzas the
 parsers cannot model (strict vs lenient), and BDD analyses that blow
 through their node budget.  Worker faults are injected by
-monkeypatching the module-level task functions in
+monkeypatching the module-level task function ``_count_pair`` in
 :mod:`repro.core.parallel` — the ``fork`` start method hands children
 the patched parent module state, and the in-parent retry sees the same
 patched function, so one injection point covers both sides.
@@ -84,12 +84,6 @@ class TestCrashingWorker:
             [(d1, d2)] * 2, workers=2, retry=False
         )
         assert all(o.status == "error" and not o.retried for o in outcomes)
-
-    def test_strict_wrappers_raise(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_count_pair", crash_everywhere)
-        d1, d2 = figure1_devices()
-        with pytest.raises(RuntimeError, match="injected crash"):
-            parallel.pairwise_counts([(d1, d2)] * 2, workers=2)
 
     def test_serial_path_isolates_failures_too(self, monkeypatch):
         monkeypatch.setattr(parallel, "_count_pair", crash_everywhere)
