@@ -3,16 +3,23 @@
 Paper (2.2 GHz CPU, JVM): 1,000 rules < 1 s; 10,000 rules ≈ 15 s, with
 Batfish parsing ≈ 13 s at 10,000.  We sweep rule counts with 10 injected
 differences, report parse and diff times, and assert the shape: near-
-linear growth (the disagreement-pruned pairwise comparison) and the
-1k-rules-in-single-digit-seconds claim.  Absolute numbers differ (pure
-Python vs JVM).
+linear growth and the 1k-rules-in-single-digit-seconds claim.  The diff
+is edit-local: ``diff_acls`` aligns the two rule lists and builds path
+classes only inside the region covered by the unaligned lines, so for a
+fixed number of differences its cost is the linear alignment and
+relevance scan.  The full build of both partitions (what the diff cost
+before, and still costs when the defaults differ or the lists differ in
+many lines) is timed alongside and must find the same differences.
+Absolute numbers differ (pure Python vs JVM).
 """
 
 import time
 
 from conftest import emit
 
-from repro.core import diff_acls
+from repro.core import diff_acls, semantic_diff_classes
+from repro.core.results import ComponentKind
+from repro.encoding import PacketSpace, acl_equivalence_classes
 from repro.workloads.acl_gen import generate_acl_pair
 
 SIZES = [100, 300, 1000, 3000]
@@ -28,12 +35,22 @@ def _sweep():
         start = time.perf_counter()
         _, differences = diff_acls(pair.cisco_acl, pair.juniper_acl)
         diff_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        space = PacketSpace()
+        full = semantic_diff_classes(
+            ComponentKind.ACL,
+            acl_equivalence_classes(space, pair.cisco_acl),
+            acl_equivalence_classes(space, pair.juniper_acl),
+        )
+        full_seconds = time.perf_counter() - start
         rows.append(
             {
                 "rules": size,
                 "parse_s": parse_seconds,
                 "diff_s": diff_seconds,
+                "full_s": full_seconds,
                 "found": len(differences),
+                "found_full": len(full),
             }
         )
     return rows
@@ -45,27 +62,30 @@ def test_sec54_acl_scalability(benchmark, results_dir):
     lines = [
         f"SemanticDiff on near-equivalent ACL pairs ({DIFFERENCES} injected diffs)",
         "",
-        "| rules | gen+parse (s) | SemanticDiff (s) | diffs found |",
-        "|---|---|---|---|",
+        "| rules | gen+parse (s) | SemanticDiff (s) | full build (s) | diffs found |",
+        "|---|---|---|---|---|",
     ]
     for row in rows:
         lines.append(
             f"| {row['rules']} | {row['parse_s']:.2f} | {row['diff_s']:.2f} "
-            f"| {row['found']} |"
+            f"| {row['full_s']:.2f} | {row['found']} |"
         )
     lines += [
         "",
         "paper: 1,000 rules < 1 s; 10,000 rules 15 s (2.2 GHz, JVM);",
-        "ours extrapolates near-linearly (10,000 rules measured ~7 s on the",
-        "development machine; excluded from the default sweep for CI time).",
+        "10,000 rules, one-off run on a 2-vCPU host: SemanticDiff 0.20 s,",
+        "full build 8.1 s, gen+parse 2.7 s (excluded from the default sweep",
+        "for CI time).",
     ]
     emit(results_dir, "sec54_scalability", "\n".join(lines))
 
     by_size = {row["rules"]: row for row in rows}
     # Shape: the 1k case completes in single-digit seconds...
     assert by_size[1000]["diff_s"] < 10.0
-    # ...growth from 1k to 3k is sub-quadratic (pruned comparison) ...
+    # ...growth from 1k to 3k is sub-quadratic (edit-local build) ...
     ratio = by_size[3000]["diff_s"] / max(by_size[1000]["diff_s"], 1e-9)
     assert ratio < 9.0, f"3x rules should not cost 9x time, got {ratio:.1f}x"
-    # ...and the injected differences stay visible at every size.
+    # ...the injected differences stay visible at every size...
     assert all(row["found"] >= DIFFERENCES // 2 for row in rows)
+    # ...and the full build finds the same ones.
+    assert all(row["found"] == row["found_full"] for row in rows)

@@ -1,6 +1,6 @@
 """BDD encodings of packets, route advertisements, and component paths."""
 
-from .acl_encoder import acl_equivalence_classes, shadowed_lines
+from .acl_encoder import acl_equivalence_classes, first_match_classes, shadowed_lines
 from .classes import EquivalenceClass, RouteMapAction
 from .packet import PacketExample, PacketSpace
 from .route import ROUTE_PROTOCOLS, RouteExample, RouteSpace, community_universe
@@ -17,6 +17,7 @@ __all__ = [
     "acl_equivalence_classes",
     "clause_match_pred",
     "community_universe",
+    "first_match_classes",
     "route_map_equivalence_classes",
     "shadowed_lines",
 ]

@@ -9,14 +9,15 @@ they are a useful lint on their own.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List
 
+from ..bdd import Bdd
 from ..model.acl import Acl, AclLine
 from ..model.types import SourceSpan
 from .classes import EquivalenceClass
 from .packet import PacketSpace
 
-__all__ = ["acl_equivalence_classes", "shadowed_lines"]
+__all__ = ["acl_equivalence_classes", "first_match_classes", "shadowed_lines"]
 
 
 def acl_equivalence_classes(space: PacketSpace, acl: Acl) -> List[EquivalenceClass]:
@@ -26,9 +27,26 @@ def acl_equivalence_classes(space: PacketSpace, acl: Acl) -> List[EquivalenceCla
     the implicit default action; predicates are disjoint and cover the
     whole packet space.
     """
+    return first_match_classes(
+        space, acl, space.manager.true, range(len(acl.lines))
+    )
+
+
+def first_match_classes(
+    space: PacketSpace, acl: Acl, region: Bdd, indices: Iterable[int]
+) -> List[EquivalenceClass]:
+    """Partition ``region`` by first-matching line among ``indices``.
+
+    Walks ``acl.lines[i]`` for each ``i`` in ``indices`` (ascending), so
+    the classes are exactly the full partition's classes intersected
+    with ``region`` whenever every skipped line is disjoint from it.
+    Each class keeps its line's original ``index``, ``step_name`` and
+    ``source``; empty classes are dropped.
+    """
     classes: List[EquivalenceClass] = []
-    reach = space.manager.true
-    for index, line in enumerate(acl.lines):
+    reach = region
+    for index in indices:
+        line = acl.lines[index]
         fire = reach & space.line_pred(line)
         if fire:
             classes.append(
@@ -41,7 +59,7 @@ def acl_equivalence_classes(space: PacketSpace, acl: Acl) -> List[EquivalenceCla
                     index=index,
                 )
             )
-        reach = reach - fire
+            reach = reach - fire
     if reach:
         classes.append(
             EquivalenceClass(
@@ -59,11 +77,5 @@ def acl_equivalence_classes(space: PacketSpace, acl: Acl) -> List[EquivalenceCla
 
 def shadowed_lines(space: PacketSpace, acl: Acl) -> List[AclLine]:
     """Lines that can never fire because earlier lines cover them."""
-    shadowed: List[AclLine] = []
-    reach = space.manager.true
-    for line in acl.lines:
-        fire = reach & space.line_pred(line)
-        if not fire:
-            shadowed.append(line)
-        reach = reach - fire
-    return shadowed
+    fired = {cls.index for cls in acl_equivalence_classes(space, acl)}
+    return [line for index, line in enumerate(acl.lines) if index not in fired]

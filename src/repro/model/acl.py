@@ -105,6 +105,13 @@ class IpWildcard:
         care = (~self.wildcard) & 0xFFFFFFFF
         return (address & care) == self.address
 
+    def overlaps(self, other: "IpWildcard") -> bool:
+        """Whether some address matches both wildcards: they agree on
+        every bit that both of them care about."""
+        return (
+            (self.address ^ other.address) & ~self.wildcard & ~other.wildcard
+        ) & 0xFFFFFFFF == 0
+
     def as_prefix(self) -> Optional[Prefix]:
         """This wildcard as a Prefix if contiguous, else ``None``."""
         from .types import wildcard_to_prefix_len
@@ -145,6 +152,15 @@ class PortRange:
         return str(self.low) if self.low == self.high else f"{self.low}-{self.high}"
 
 
+def _ports_overlap(ranges1: Tuple[PortRange, ...], ranges2: Tuple[PortRange, ...]) -> bool:
+    """Whether two port-range lists share a port (an empty list is any)."""
+    if not ranges1 or not ranges2:
+        return True
+    return any(
+        r1.low <= r2.high and r2.low <= r1.high for r1 in ranges1 for r2 in ranges2
+    )
+
+
 @dataclass(frozen=True)
 class AclLine:
     """One first-match filter rule."""
@@ -181,6 +197,31 @@ class AclLine:
         if self.icmp_type is not None and icmp_type != self.icmp_type:
             return False
         return True
+
+    def overlaps(self, other: "AclLine") -> bool:
+        """Whether some packet matches both lines.
+
+        Exact, without building BDDs: a line's match set is a product of
+        per-field sets, so two lines share a packet iff every field's
+        sets intersect.
+        """
+        if (
+            self.protocol is not None
+            and other.protocol is not None
+            and self.protocol != other.protocol
+        ):
+            return False
+        if not self.dst.overlaps(other.dst) or not self.src.overlaps(other.src):
+            return False
+        if not _ports_overlap(self.dst_ports, other.dst_ports):
+            return False
+        if not _ports_overlap(self.src_ports, other.src_ports):
+            return False
+        return (
+            self.icmp_type is None
+            or other.icmp_type is None
+            or self.icmp_type == other.icmp_type
+        )
 
     def describe(self) -> str:
         """One-line human summary used in reports when raw text is absent."""

@@ -161,6 +161,7 @@ class SelfCheckResult:
     samples: int = 0
     witnesses: int = 0
     localizations: int = 0
+    local_diffs: int = 0
     skipped: List[str] = field(default_factory=list)
     elapsed: float = 0.0
 
@@ -178,6 +179,7 @@ class SelfCheckResult:
             f"  concrete samples:    {self.samples}",
             f"  witnesses decoded:   {self.witnesses}",
             f"  localizations:       {self.localizations}",
+            f"  local-vs-full diffs: {self.local_diffs}",
         ]
         if self.skipped:
             lines.append(f"  skipped checks:      {len(self.skipped)}")
@@ -1308,6 +1310,7 @@ def _merge(result: SelfCheckResult, stats: CheckStats) -> None:
     result.samples += stats.samples
     result.witnesses += stats.witnesses
     result.localizations += stats.localizations
+    result.local_diffs += stats.local_diffs
     result.skipped.extend(stats.skipped)
 
 

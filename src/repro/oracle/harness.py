@@ -19,7 +19,11 @@ For one component pair the harness asserts, in order:
    a concrete input on which the evaluators really disagree (and, for
    observability-safe route workloads, on which the *extensional*
    outcomes differ);
-6. **localization exactness & minimality** — each difference's
+6. **edit-local vs full** (ACLs) — :func:`diff_acls`, which builds
+   classes only where the two rule lists differ, returns the same
+   ``(class1.index, class2.index, overlap node)`` list as the full
+   partitions in the same packet space;
+7. **localization exactness & minimality** — each difference's
    HeaderLocalize output denotes exactly the projected affected set,
    every term denotes a nonempty set, and no term is covered by the
    union of the others.
@@ -38,7 +42,11 @@ from ..bdd import Bdd, complete_model
 from ..core.ddnf import RangeAlgebra, address_prefix_algebra, prefix_range_algebra
 from ..core.header_localize import HeaderLocalizeError, header_localize
 from ..core.results import ComponentKind
-from ..core.semantic_diff import canonical_action_key, semantic_diff_classes
+from ..core.semantic_diff import (
+    canonical_action_key,
+    diff_acls,
+    semantic_diff_classes,
+)
 from ..encoding import (
     PacketSpace,
     RouteSpace,
@@ -91,6 +99,7 @@ class CheckStats:
     witnesses: int = 0
     localizations: int = 0
     terms: int = 0
+    local_diffs: int = 0
     skipped: List[str] = field(default_factory=list)
 
 
@@ -178,6 +187,27 @@ def _check_localization(
 # ---------------------------------------------------------------------------
 
 
+def _check_edit_local(
+    space: PacketSpace, acl1: Acl, acl2: Acl, differences: Sequence
+) -> None:
+    """The edit-local diff must emit the full partitions' pairs exactly."""
+    _, local = diff_acls(acl1, acl2, space=space)
+    expected = [
+        (d.class1.index, d.class2.index, d.input_set.node) for d in differences
+    ]
+    found = [(d.class1.index, d.class2.index, d.input_set.node) for d in local]
+    if found != expected:
+        missing = sorted(set(expected) - set(found))
+        extra = sorted(set(found) - set(expected))
+        raise OracleFailure(
+            "acl-local-vs-full",
+            f"edit-local diff found {len(found)} difference(s), the full "
+            f"partitions {len(expected)}; line pairs missing "
+            f"{[pair[:2] for pair in missing]}, unexpected "
+            f"{[pair[:2] for pair in extra]}",
+        )
+
+
 def check_acl_pair(
     acl1: Acl,
     acl2: Acl,
@@ -252,6 +282,9 @@ def check_acl_pair(
                 "the difference concretely",
             )
         stats.witnesses += 1
+
+    _check_edit_local(space, acl1, acl2, differences)
+    stats.local_diffs += 1
 
     if localize:
         _check_acl_localizations(space, acl1, acl2, differences, stats)

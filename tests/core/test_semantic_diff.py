@@ -336,7 +336,7 @@ class TestUnionCacheBound:
 
     def test_lru_evicts_and_counts(self):
         from repro import perf
-        from repro.core.semantic_diff import _UNION_CACHE_SIZE, _union_cache
+        from repro.core.setalg import _UNION_CACHE_SIZE, _union_cache
 
         space = RouteSpace([])
         perf.reset()

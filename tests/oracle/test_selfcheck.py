@@ -152,6 +152,43 @@ class TestComponentHarness:
             assert len(rules) == 1, failure.reproducer
 
 
+class TestEditLocalCheck:
+    def test_dropped_relevant_line_is_caught_and_shrunk(self, monkeypatch):
+        """A restriction that skips one line overlapping the edit region
+        must fail ``acl-local-vs-full`` with a shrunk reproducer."""
+        from repro.core import semantic_diff
+
+        edit_region = semantic_diff._edit_region
+
+        def dropping(acl1, acl2):
+            region = edit_region(acl1, acl2)
+            if region is None or not region[1]:
+                return region
+            unaligned, relevant1, relevant2 = region
+            return unaligned, relevant1[1:], relevant2
+
+        monkeypatch.setattr(semantic_diff, "_edit_region", dropping)
+        result = run_selfcheck(seed=0, pairs=10, generators=["acl"])
+        assert result.failures, result.render()
+        for failure in result.failures:
+            assert failure.generator == "acl"
+            assert failure.check == "acl-local-vs-full"
+            assert "line pairs missing" in failure.detail
+            rules = [
+                line
+                for line in failure.reproducer.splitlines()
+                if line.startswith("  ")
+            ]
+            # Generated pairs have at least 6 rules per side.
+            assert 0 < len(rules) < 12, failure.reproducer
+
+    def test_pinned_seed_counts_the_check(self):
+        result = run_selfcheck(seed=0, pairs=10, generators=["acl"])
+        assert result.passed, result.render()
+        assert result.local_diffs == 10
+        assert "local-vs-full diffs: 10" in result.render()
+
+
 class TestCliSelfcheck:
     def test_exit_zero_on_pass(self, capsys):
         exit_code = main(["selfcheck", "--seed", "0", "--pairs", "3"])
