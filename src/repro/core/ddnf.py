@@ -31,7 +31,19 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from .. import perf
 from ..model.types import Prefix, PrefixRange
@@ -39,6 +51,8 @@ from ..model.types import Prefix, PrefixRange
 __all__ = [
     "DdnfNode",
     "DdnfDag",
+    "PrefixChildren",
+    "PrefixTreeAtoms",
     "build_dag",
     "cached_dag",
     "dag_cache_clear",
@@ -120,6 +134,9 @@ class DdnfDag(Generic[ElementT]):
     def __init__(self, root: DdnfNode[ElementT], nodes: Dict[ElementT, DdnfNode[ElementT]]):
         self.root = root
         self.nodes = nodes
+        #: the atoms of an address-prefix DAG, built with it (see
+        #: :class:`PrefixTreeAtoms`); ``None`` for any other algebra
+        self.tree_atoms: Optional[PrefixTreeAtoms] = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -143,6 +160,97 @@ class DdnfDag(Generic[ElementT]):
 
         visit(self.root)
         return order
+
+
+class PrefixChildren(NamedTuple):
+    """One tree node's children, sorted by network, for ``bisect``."""
+
+    #: the children's topological positions, in network order
+    positions: Tuple[int, ...]
+    #: their networks, ascending
+    networks: Tuple[int, ...]
+    #: ``sizes[k]`` = addresses covered by the first ``k`` children
+    sizes: Tuple[int, ...]
+    #: each child in DAG order, as its index into ``positions``
+    dag_order: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PrefixTreeAtoms:
+    """The atom decomposition of an address-prefix DAG, from prefix sizes.
+
+    Two prefixes nest or are disjoint, so a node's immediate supersets
+    are a single prefix: the DAG is a tree, and a node's children are
+    disjoint prefixes tiling part of it.  The node's remainder (itself
+    minus its children) is therefore empty exactly when the children's
+    sizes sum to its own, and the atoms are numbered with no predicate:
+    one bit per non-empty remainder, in ``topological()`` order — the
+    numbering :class:`~repro.core.header_localize.DagAtoms` gives the
+    same DAG.  Nothing here depends on a BDD manager, so one instance
+    is built with the DAG and shared, read-only, by every pair and
+    thread that resolves it.
+    """
+
+    #: the nodes in ``topological()`` order; the root is position 0
+    nodes: Tuple[DdnfNode[Prefix], ...]
+    #: per position, the node's children (see :class:`PrefixChildren`)
+    children: Tuple[PrefixChildren, ...]
+    #: label -> single-bit mask of the node's own remainder atom (0 if empty)
+    remainder_bits: Dict[Prefix, int]
+    #: label -> bitset of the node's whole prefix
+    node_bits: Dict[Prefix, int]
+    #: number of atoms (bitsets use bits 0..atom_count-1)
+    atom_count: int
+
+    @property
+    def all_mask(self) -> int:
+        """Bitset with every atom bit set (the root prefix)."""
+        return (1 << self.atom_count) - 1
+
+
+def _prefix_size(prefix: Prefix) -> int:
+    return 1 << (32 - prefix.length)
+
+
+def _prefix_tree_atoms(dag: DdnfDag[Prefix]) -> PrefixTreeAtoms:
+    with perf.timer("header_localize.dag_atoms"):
+        order = dag.topological()
+        position = {id(node): index for index, node in enumerate(order)}
+        children: List[PrefixChildren] = []
+        remainder_bits: Dict[Prefix, int] = {}
+        atom_count = 0
+        for node in order:
+            ranked = sorted(node.children, key=lambda child: child.label)
+            sizes = [0]
+            for child in ranked:
+                sizes.append(sizes[-1] + _prefix_size(child.label))
+            rank = {id(child): index for index, child in enumerate(ranked)}
+            children.append(
+                PrefixChildren(
+                    positions=tuple(position[id(child)] for child in ranked),
+                    networks=tuple(child.label.network for child in ranked),
+                    sizes=tuple(sizes),
+                    dag_order=tuple(rank[id(child)] for child in node.children),
+                )
+            )
+            if sizes[-1] < _prefix_size(node.label):
+                remainder_bits[node.label] = 1 << atom_count
+                atom_count += 1
+            else:
+                remainder_bits[node.label] = 0
+        node_bits: Dict[Prefix, int] = {}
+        for node in reversed(order):  # children before their parent
+            bits = remainder_bits[node.label]
+            for child in node.children:
+                bits |= node_bits[child.label]
+            node_bits[node.label] = bits
+    return PrefixTreeAtoms(
+        nodes=tuple(order),
+        children=tuple(children),
+        remainder_bits=remainder_bits,
+        node_bits=node_bits,
+        atom_count=atom_count,
+    )
 
 
 #: Netmask per prefix length, for walking an anchor's ancestor chain.
@@ -224,7 +332,11 @@ def close_under_intersection(
 def build_dag(
     ranges: Sequence[ElementT], algebra: RangeAlgebra[ElementT]
 ) -> DdnfDag[ElementT]:
-    """Build the immediate-containment DAG over the closed range set."""
+    """Build the immediate-containment DAG over the closed range set.
+
+    A DAG over address prefixes carries its :class:`PrefixTreeAtoms`,
+    built here so the cached DAG is complete before it is shared.
+    """
     return _dag_from_labels(
         close_under_intersection(ranges, algebra), algebra
     )
@@ -264,7 +376,10 @@ def _dag_from_labels(
     root = nodes[algebra.universe]
     for node in nodes.values():
         node.children.sort(key=lambda child: repr(child.label))
-    return DdnfDag(root, nodes)
+    dag = DdnfDag(root, nodes)
+    if isinstance(algebra.universe, Prefix):
+        dag.tree_atoms = _prefix_tree_atoms(dag)
+    return dag
 
 
 #: LRU capacity of the shared DAG cache.  Distinct vocabularies per
@@ -322,7 +437,8 @@ def cached_dag(
     pair-per-difference.  Keys lead with ``algebra.universe`` because
     the universe value distinguishes the two range algebras in use
     (``PrefixRange.universe()`` vs ``Prefix(0, 0)``); the returned DAG
-    is shared and must be treated as read-only.
+    (with its ``tree_atoms``) is shared and must be treated as
+    read-only.
     """
     vocab_key = (algebra.universe, frozenset(ranges))
     closed = _lru_get(_vocab_cache, vocab_key)

@@ -38,18 +38,28 @@ tiny set-algebra adapter and instantiated two ways:
 * **Atom bitsets** (``atoms``, the default): the
   remainders of the DAG's nodes — each node's predicate minus its
   children's — are pairwise disjoint and cover the root, so they are
-  the *atoms* of the range-generated algebra.  :func:`compute_dag_atoms`
-  materializes them once per (pair, dimension); each affected set is
-  then classified into a Python-int bitset by a DFS that skips every
-  subtree whose node predicate is disjoint from or inside the set,
-  after which every GetMatch containment, complement, and prune union
-  is a machine-integer bit operation (``part & ~target == 0``).  An
+  the *atoms* of the range-generated algebra.  Each affected set is
+  classified into a Python-int bitset over them, after which every
+  GetMatch containment, complement, and prune union is a
+  machine-integer bit operation (``part & ~target == 0``).  An
   affected set some atom *straddles* is not generated by the
   vocabulary: classification raises :class:`HeaderLocalizeError` at the
   same node, with the same message, as the BDD walk would (atoms are
   visited in the walk's DFS preorder, skipped subtrees cannot
   straddle, and straddling is polarity-independent, so eager detection
-  and the lazy walk agree).
+  and the lazy walk agree).  Classification takes one of two routes:
+
+  - *address prefixes* (ACLs): the DAG is a tree whose children tile
+    part of their parent, so :class:`~repro.core.ddnf.PrefixTreeAtoms`
+    numbers the atoms from prefix sizes alone, once, with the cached
+    DAG; :func:`classify_prefix_tree` then walks the affected set's
+    BDD node ids down the tree along the field's bits — one pass, no
+    BDD apply;
+  - *prefix ranges* (route maps): :func:`compute_dag_atoms` builds the
+    remainder predicates once per (pair, dimension) and
+    :meth:`DagAtoms.classify` tests them with BDD ``intersects`` and
+    ``implies``, skipping every subtree whose node predicate is
+    disjoint from or inside the set.
 
 Both instantiations produce identical terms: every compared part is a
 union of atoms, so bitset containment coincides with BDD containment
@@ -58,6 +68,7 @@ whenever classification succeeds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -74,7 +85,13 @@ from typing import (
 
 from .. import perf
 from ..bdd import Bdd
-from .ddnf import DdnfDag, DdnfNode, RangeAlgebra, cached_dag
+from .ddnf import (
+    DdnfDag,
+    DdnfNode,
+    PrefixTreeAtoms,
+    RangeAlgebra,
+    cached_dag,
+)
 
 __all__ = [
     "HeaderLocalizeError",
@@ -84,6 +101,7 @@ __all__ = [
     "GetMatchStats",
     "DagAtoms",
     "LocalizeSession",
+    "classify_prefix_tree",
     "compute_dag_atoms",
     "get_match",
     "flatten_terms",
@@ -393,22 +411,137 @@ def compute_dag_atoms(
     )
 
 
+def classify_prefix_tree(
+    tree: PrefixTreeAtoms,
+    affected: Bdd,
+    var_indices: Sequence[int],
+    stats: Optional[GetMatchStats] = None,
+) -> int:
+    """The bitset of ``affected`` over an address-prefix tree — or raise.
+
+    ``var_indices`` are the field's BDD variables, most significant bit
+    first and in the manager's variable order; ``affected`` must be
+    projected onto them.  The walk follows the BDD's node ids down the
+    tree with the prefix bits: at a position of depth ``d`` it takes
+    the low/high child when the node tests bit ``d`` and keeps the node
+    on both sides when it tests a later variable (the function does
+    not depend on bit ``d`` then).  The node it holds is thus exactly
+    the cofactor of ``affected`` at that position, so
+    :meth:`DagAtoms.classify`'s answers come without a BDD apply:
+
+    * a ``TRUE``/``FALSE`` cofactor settles the position's whole subtree;
+    * a position holding no child lies in the node's remainder, and a
+      non-constant cofactor there — or constant cofactors of both
+      polarities across such positions — means the remainder straddles.
+
+    Nodes are taken in the DAG's DFS preorder and each node's own
+    positions are all seen before its children, so the first straddling
+    node and its message match :meth:`DagAtoms.classify`.  A node
+    testing a variable ordered before the position's bit (one outside
+    the field) cannot be cofactored this way and raises ``ValueError``.
+    """
+    manager = affected.manager
+    var_of, low_of, high_of = manager._var, manager._low, manager._high
+    false, true = manager.false.node, manager.true.node
+    nodes, tables = tree.nodes, tree.children
+    node_bits, remainder_bits = tree.node_bits, tree.remainder_bits
+    walked = 0
+    bits = 0
+    stack = [(0, affected.node)]
+    while stack:
+        index, cofactor = stack.pop()
+        node = nodes[index]
+        if cofactor == true:
+            bits |= node_bits[node.label]
+            continue
+        if cofactor == false:
+            continue
+        table = tables[index]
+        networks, sizes = table.networks, table.sizes
+        child_cofactors = [false] * len(networks)
+        remainder_seen = set()
+        label = node.label
+        pending = [(label.network, label.length, cofactor, 0, len(networks))]
+        while pending:
+            network, depth, function, low, high = pending.pop()
+            walked += 1
+            if function == true or function == false:
+                if sizes[high] - sizes[low] < 1 << (32 - depth):
+                    remainder_seen.add(function)
+                if function == true:
+                    child_cofactors[low:high] = [true] * (high - low)
+                continue
+            if low == high:
+                raise _straddle_error(node)
+            if (
+                high - low == 1
+                and networks[low] == network
+                and nodes[table.positions[low]].label.length == depth
+            ):
+                child_cofactors[low] = function
+                continue
+            variable, bit = var_of[function], var_indices[depth]
+            if variable == bit:
+                below, above = low_of[function], high_of[function]
+            elif variable > bit:
+                below = above = function
+            else:
+                raise ValueError(
+                    f"affected set tests variable {variable} above bit "
+                    f"{depth} of the field; project it onto the field first"
+                )
+            upper = network | (1 << (31 - depth))
+            middle = bisect_left(networks, upper, low, high)
+            pending.append((upper, depth + 1, above, middle, high))
+            pending.append((network, depth + 1, below, low, middle))
+        if len(remainder_seen) > 1:
+            raise _straddle_error(node)
+        if true in remainder_seen:
+            bits |= remainder_bits[label]
+        # Reversed so children pop in DAG order: the preorder.
+        for rank in reversed(table.dag_order):
+            function = child_cofactors[rank]
+            if function != false:
+                stack.append((table.positions[rank], function))
+    if stats is not None:
+        stats.containment_checks += walked
+    return bits
+
+
 class LocalizeSession:
     """Pair-scoped localization state shared across differences.
 
     One session per component pair hoists everything that does not
-    depend on the affected set out of the per-difference path: the
-    range-predicate caches (one per dimension — repeated localizations
-    used to rebuild identical range BDDs per call) and the
-    :class:`DagAtoms` decompositions (one per dimension and DAG).
-    ``backend`` pins the localization algebra; ``None`` means
-    ``"atoms"``.
+    depend on the affected set out of the per-difference path, per
+    dimension: the ddNF DAG (with its :class:`PrefixTreeAtoms` for
+    address prefixes), the range-predicate cache (repeated
+    localizations used to rebuild identical range BDDs per call) and
+    the :class:`DagAtoms` decomposition.  ``backend`` pins the
+    localization algebra; ``None`` means ``"atoms"``.
     """
 
     def __init__(self, backend: Optional[str] = None) -> None:
         self.backend = backend
+        self._dags: Dict[Hashable, Tuple[Sequence, DdnfDag]] = {}
         self._pred_caches: Dict[Hashable, Dict] = {}
         self._atoms: Dict[Hashable, Tuple[DdnfDag, DagAtoms]] = {}
+
+    def dag(
+        self,
+        dimension: Hashable,
+        ranges: Sequence[ElementT],
+        algebra: RangeAlgebra[ElementT],
+    ) -> DdnfDag[ElementT]:
+        """The ddNF DAG of ``ranges``, looked up once per dimension.
+
+        Callers pass one ``ranges`` sequence per dimension for the
+        session's life; another sequence resolves its DAG afresh.
+        """
+        entry = self._dags.get(dimension)
+        if entry is None or entry[0] is not ranges:
+            entry = (ranges, cached_dag(ranges, algebra))
+            self._dags[dimension] = entry
+        return entry[1]
 
     def pred_cache(self, dimension: Hashable) -> Dict:
         """The label → predicate cache for ``dimension``."""
@@ -421,11 +554,10 @@ class LocalizeSession:
         pred_of: Callable[[ElementT], Bdd],
     ) -> DagAtoms[ElementT]:
         """The (cached) atom decomposition of ``dag`` for ``dimension``."""
-        key = (dimension, id(dag))
-        entry = self._atoms.get(key)
+        entry = self._atoms.get(dimension)
         if entry is None or entry[0] is not dag:
             entry = (dag, compute_dag_atoms(dag, pred_of))
-            self._atoms[key] = entry
+            self._atoms[dimension] = entry
         return entry[1]
 
 
@@ -641,7 +773,6 @@ def _minimal_flat(
 def minimal_flat_terms(
     flat: Sequence[FlatTerm[ElementT]],
     to_pred: Callable[[ElementT], Bdd],
-    manager,
 ) -> List[FlatTerm[ElementT]]:
     """Drop flat terms semantically covered by the union of the rest.
 
@@ -656,7 +787,6 @@ def minimal_flat_terms(
     The greedy drop preserves the denoted union exactly: a term is only
     dropped while the remaining candidates still cover it.
     """
-    del manager  # the suffix-union rewrite no longer needs a fold helper
     pred_cache: Dict[ElementT, Bdd] = {}
 
     def pred_of(label: ElementT) -> Bdd:
@@ -678,6 +808,7 @@ def header_localize(
     backend: Optional[str] = None,
     session: Optional[LocalizeSession] = None,
     dimension: Hashable = None,
+    var_indices: Optional[Sequence[int]] = None,
 ) -> Localization[ElementT]:
     """End-to-end HeaderLocalize: DAG (cached), GetMatch, flattening, and
     the final minimality prune over the flat terms.
@@ -685,17 +816,20 @@ def header_localize(
     ``backend`` selects the localization algebra (``"bdd"`` vs the
     bitset-backed ``"atoms"``); ``None`` defers to the
     session's backend, then to ``"atoms"``.  ``session``/
-    ``dimension`` share predicate caches and atom decompositions across
-    the differences of one component pair.
+    ``dimension`` share the DAG, predicate caches and atom
+    decompositions across the differences of one component pair.
+    ``var_indices`` names the address field's BDD variables (MSB
+    first): with it, an address-prefix vocabulary is classified by
+    :func:`classify_prefix_tree` instead of BDD applies.
     """
     with perf.timer("header_localize"):
+        if session is None:
+            session = LocalizeSession(backend=backend)
         stats = GetMatchStats()
-        dag = cached_dag(ranges, algebra)
+        dag = session.dag(dimension, ranges, algebra)
         stats.dag_nodes = len(dag)
 
-        pred_cache = (
-            session.pred_cache(dimension) if session is not None else {}
-        )
+        pred_cache = session.pred_cache(dimension)
 
         def pred_of(label: ElementT) -> Bdd:
             cached = pred_cache.get(label)
@@ -704,18 +838,16 @@ def header_localize(
                 pred_cache[label] = cached
             return cached
 
-        name = backend
-        if name is None and session is not None:
-            name = session.backend
-        if name is None:
-            name = "atoms"
-
+        name = backend or session.backend or "atoms"
         if name == "atoms":
-            if session is not None:
-                atoms = session.dag_atoms(dimension, dag, pred_of)
+            if dag.tree_atoms is not None and var_indices is not None:
+                atoms = dag.tree_atoms
+                target_bits = classify_prefix_tree(
+                    atoms, affected, var_indices, stats
+                )
             else:
-                atoms = compute_dag_atoms(dag, pred_of)
-            target_bits = atoms.classify(affected, stats)
+                atoms = session.dag_atoms(dimension, dag, pred_of)
+                target_bits = atoms.classify(affected, stats)
             sets = _BitsetSets(atoms.all_mask)
             node_bits = atoms.node_bits
             terms = _run_get_match(

@@ -62,7 +62,7 @@ from typing import (
     Tuple,
 )
 
-from ..model.acl import Acl
+from ..model.acl import Acl, IpWildcard
 from ..model.routemap import (
     Action,
     CommunityList,
@@ -788,6 +788,41 @@ _COMPONENT_ROWS = {
 }
 
 
+#: Share of generated ACL component cases whose first ACL gets one
+#: discontiguous address wildcard.  The generator emits only
+#: Juniper-expressible prefixes, so without these no case reaches the
+#: branch where a straddling address dimension localizes to ``None``.
+_DISCONTIGUOUS_SHARE = 0.3
+
+
+def _with_discontiguous_wildcard(acl: Acl, rng: random.Random) -> Acl:
+    """``acl`` with one line's source or destination made discontiguous.
+
+    A don't-care bit is added above the lowest cared-for bit of a
+    prefix of length two or more, so that line's address set is no
+    longer a prefix.  Returns ``acl`` unchanged when no line has one.
+    """
+    candidates = [
+        (index, side)
+        for index, line in enumerate(acl.lines)
+        for side in ("src", "dst")
+        if (getattr(line, side).as_prefix() or Prefix(0, 0)).length >= 2
+    ]
+    if not candidates:
+        return acl
+    index, side = rng.choice(candidates)
+    line = acl.lines[index]
+    wildcard = getattr(line, side)
+    length = wildcard.as_prefix().length
+    hole = 1 << (31 - rng.randrange(length - 1))
+    changed = dataclasses.replace(
+        line,
+        **{side: IpWildcard(wildcard.address, wildcard.wildcard | hole)},
+    )
+    lines = acl.lines[:index] + (changed,) + acl.lines[index + 1 :]
+    return dataclasses.replace(acl, lines=lines)
+
+
 def _run_component_case(
     name: str, case_seed: int, result: SelfCheckResult
 ) -> Optional[SelfCheckFailure]:
@@ -802,6 +837,8 @@ def _run_component_case(
             seed=case_seed,
         )
         kind, component1, component2 = "acl", pair.cisco_acl, pair.juniper_acl
+        if rng.random() < _DISCONTIGUOUS_SHARE:
+            component1 = _with_discontiguous_wildcard(component1, rng)
     else:
         kind = "routemap"
         component1 = _random_route_map(rng, "RM1")

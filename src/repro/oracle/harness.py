@@ -149,10 +149,13 @@ def _check_localization(
     to_pred: Callable,
     context: str,
     stats: CheckStats,
+    var_indices: Optional[Sequence[int]] = None,
 ) -> None:
     """Exactness, per-term nonemptiness, and minimality of one localization."""
     manager = affected.manager
-    localization = header_localize(affected, ranges, algebra, to_pred)
+    localization = header_localize(
+        affected, ranges, algebra, to_pred, var_indices=var_indices
+    )
     denotations = []
     for term in localization.terms:
         denoted = to_pred(term.range)
@@ -329,6 +332,7 @@ def _check_acl_localizations(
                     to_pred,
                     f"difference {index} / {label}",
                     stats,
+                    bitvector.var_indices,
                 )
             except HeaderLocalizeError as exc:
                 raise OracleFailure(

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from repro.core import (
     FlatTerm,
+    GetMatchStats,
     HeaderLocalizeError,
     MatchTerm,
+    address_prefix_algebra,
     build_dag,
     compute_dag_atoms,
     flatten_terms,
@@ -18,8 +20,10 @@ from repro.core import (
     header_localize,
     prefix_range_algebra,
 )
-from repro.encoding import RouteSpace
+from repro.core.header_localize import classify_prefix_tree
+from repro.encoding import PacketSpace, RouteSpace
 from repro.model import Prefix, PrefixRange, RouteMap
+from repro.model.acl import IpWildcard
 
 
 def _range(text):
@@ -412,8 +416,209 @@ class TestFlatTermMinimality:
             FlatTerm(self.REDUNDANT),
             FlatTerm(self.G2),
         ]
-        kept = minimal_flat_terms(terms, space.range_pred, space.manager)
+        kept = minimal_flat_terms(terms, space.range_pred)
         assert [term.range for term in kept] == [self.UNIVERSE, self.G2]
         counters = perf.snapshot()["counters"]
         assert counters.get("header_localize.flat_terms_pruned", 0) == 1
         perf.reset()
+
+
+#: Addresses the generated vocabularies hang off: prefixes of a few
+#: shared addresses nest often, and 10.0/9 with 10.128/9 tile 10/8.
+_BASE_ADDRESSES = (0x0A000000, 0x0A800000, 0x0AFF0000, 0x0A0A0A0A, 0xC0A80100)
+
+
+@st.composite
+def prefix_vocabulary_and_set(draw):
+    """Random address prefixes and a boolean combination over them."""
+    count = draw(st.integers(min_value=1, max_value=6))
+    prefixes = []
+    for _ in range(count):
+        address = draw(
+            st.one_of(
+                st.sampled_from(_BASE_ADDRESSES),
+                st.integers(min_value=0, max_value=0xFFFFFFFF),
+            )
+        )
+        prefixes.append(Prefix(address, draw(st.integers(0, 32))))
+    operations = draw(
+        st.lists(
+            st.sampled_from(["or", "diff", "and", "skip"]),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    return prefixes, operations
+
+
+def _address_pred(space, prefix):
+    return space.wildcard_pred(space.dst_ip, IpWildcard.from_prefix(prefix))
+
+
+def _fold_prefixes(space, prefixes, operations):
+    affected = space.manager.false
+    for prefix, operation in zip(prefixes, operations):
+        predicate = _address_pred(space, prefix)
+        if operation == "or":
+            affected = affected | predicate
+        elif operation == "diff":
+            affected = affected - predicate
+        elif operation == "and":
+            affected = affected & predicate
+    return affected
+
+
+class TestPrefixTreeWalk:
+    """``classify_prefix_tree`` against a scan of every BDD remainder
+    atom and against ``DagAtoms.classify``: the same bits, or the same
+    error at the same node."""
+
+    def _assert_agrees(self, space, vocabulary, affected):
+        dag = build_dag(vocabulary, address_prefix_algebra())
+        tree = dag.tree_atoms
+        atoms = compute_dag_atoms(dag, lambda p: _address_pred(space, p))
+        assert tree.atom_count == atoms.atom_count
+        assert tree.remainder_bits == atoms.remainder_bits
+        assert tree.node_bits == atoms.node_bits
+        bits, straddler = _full_scan(dag, atoms, affected)
+        var_indices = space.dst_ip.var_indices
+        if straddler is None:
+            assert classify_prefix_tree(tree, affected, var_indices) == bits
+            assert atoms.classify(affected) == bits
+        else:
+            for classify in (
+                lambda: classify_prefix_tree(tree, affected, var_indices),
+                lambda: atoms.classify(affected),
+            ):
+                with pytest.raises(HeaderLocalizeError) as raised:
+                    classify()
+                assert str(raised.value) == _straddle_message(straddler)
+        return bits, straddler
+
+    @given(prefix_vocabulary_and_set())
+    @settings(max_examples=80, deadline=None)
+    def test_generated_sets(self, data):
+        prefixes, operations = data
+        space = PacketSpace()
+        affected = _fold_prefixes(space, prefixes, operations)
+        _, straddler = self._assert_agrees(space, prefixes, affected)
+        assert straddler is None  # the vocabulary generates the set
+
+    @given(prefix_vocabulary_and_set(), prefix_vocabulary_and_set())
+    @settings(max_examples=80, deadline=None)
+    def test_foreign_sets(self, vocabulary_data, foreign_data):
+        vocabulary, operations = vocabulary_data
+        foreign, foreign_operations = foreign_data
+        space = PacketSpace()
+        affected = _fold_prefixes(
+            space, vocabulary + foreign, operations + foreign_operations
+        )
+        self._assert_agrees(space, vocabulary, affected)
+
+    @given(prefix_vocabulary_and_set())
+    @settings(max_examples=30, deadline=None)
+    def test_header_localize_matches_bdd_backend(self, data):
+        prefixes, operations = data
+        space = PacketSpace()
+        affected = _fold_prefixes(space, prefixes, operations)
+        localizations = [
+            header_localize(
+                affected,
+                prefixes,
+                address_prefix_algebra(),
+                lambda p: _address_pred(space, p),
+                backend=backend,
+                var_indices=space.dst_ip.var_indices,
+            )
+            for backend in ("bdd", "atoms")
+        ]
+        assert localizations[0].terms == localizations[1].terms
+
+    def test_exactly_tiled_node(self):
+        space = PacketSpace()
+        parent, low, high = (
+            Prefix.parse(text)
+            for text in ("10.0.0.0/8", "10.0.0.0/9", "10.128.0.0/9")
+        )
+        vocabulary = [parent, low, high]
+        affected = _address_pred(space, low)
+        bits, _ = self._assert_agrees(space, vocabulary, affected)
+        tree = build_dag(vocabulary, address_prefix_algebra()).tree_atoms
+        assert tree.remainder_bits[parent] == 0  # the /9s tile the /8
+        assert tree.node_bits[parent] == (
+            tree.node_bits[low] | tree.node_bits[high]
+        )
+        assert bits == tree.node_bits[low]
+
+    def test_cofactor_skips_untested_bits(self):
+        # The set ignores bit 8, where the walk splits toward the /9s:
+        # it keeps the same BDD node on both sides of that bit.
+        space = PacketSpace()
+        vocabulary = [
+            Prefix.parse(text)
+            for text in ("10.0.0.0/9", "10.128.0.0/9", "10.0.0.0/16", "10.128.0.0/16")
+        ]
+        affected = _address_pred(space, vocabulary[2]) | _address_pred(
+            space, vocabulary[3]
+        )
+        bits, _ = self._assert_agrees(space, vocabulary, affected)
+        tree = build_dag(vocabulary, address_prefix_algebra()).tree_atoms
+        assert bits == tree.node_bits[vocabulary[2]] | tree.node_bits[vocabulary[3]]
+
+    def test_host_leaf(self):
+        space = PacketSpace()
+        host = Prefix.parse("10.1.2.3/32")
+        vocabulary = [Prefix.parse("10.0.0.0/8"), host]
+        bits, _ = self._assert_agrees(
+            space, vocabulary, _address_pred(space, host)
+        )
+        tree = build_dag(vocabulary, address_prefix_algebra()).tree_atoms
+        assert bits == tree.remainder_bits[host] != 0
+        # Cutting into the host's neighbours straddles the /8's remainder.
+        wider = _address_pred(space, Prefix.parse("10.1.2.2/31"))
+        _, straddler = self._assert_agrees(space, vocabulary, wider)
+        assert straddler.label == Prefix.parse("10.0.0.0/8")
+
+    def test_universe_only_vocabulary(self):
+        space = PacketSpace()
+        universe = Prefix(0, 0)
+        tree = build_dag([universe], address_prefix_algebra()).tree_atoms
+        assert tree.atom_count == 1
+        assert self._assert_agrees(space, [universe], space.manager.true)[0] == 1
+        assert self._assert_agrees(space, [universe], space.manager.false)[0] == 0
+        _, straddler = self._assert_agrees(
+            space, [universe], _address_pred(space, Prefix.parse("10.0.0.0/8"))
+        )
+        assert straddler.label == universe
+
+    def test_constant_sets(self):
+        space = PacketSpace()
+        vocabulary = [Prefix.parse(text) for text in ("10.0.0.0/8", "10.1.0.0/16")]
+        tree = build_dag(vocabulary, address_prefix_algebra()).tree_atoms
+        var_indices = space.dst_ip.var_indices
+        stats = GetMatchStats()
+        assert (
+            classify_prefix_tree(tree, space.manager.true, var_indices, stats)
+            == tree.all_mask
+        )
+        assert classify_prefix_tree(tree, space.manager.false, var_indices) == 0
+        assert stats.containment_checks == 0  # settled before any walk
+
+    def test_variable_before_field_raises(self):
+        space = PacketSpace()
+        vocabulary = [Prefix.parse(text) for text in ("10.0.0.0/8", "10.1.0.0/16")]
+        tree = build_dag(vocabulary, address_prefix_algebra()).tree_atoms
+        # The protocol field is ordered before the destination address.
+        affected = _address_pred(space, vocabulary[0]) & space.protocol.bit(0)
+        with pytest.raises(ValueError, match="project it onto the field"):
+            classify_prefix_tree(tree, affected, space.dst_ip.var_indices)
+
+    def test_variable_after_field_straddles(self):
+        space = PacketSpace()
+        vocabulary = [Prefix.parse(text) for text in ("10.0.0.0/8", "10.1.0.0/16")]
+        # The source address is ordered after the destination address:
+        # the walk keeps the node and reports the exact straddle.
+        affected = _address_pred(space, vocabulary[1]) & space.src_ip.bit(0)
+        _, straddler = self._assert_agrees(space, vocabulary, affected)
+        assert straddler.label == vocabulary[1]
+
