@@ -85,6 +85,7 @@ from typing import (
 
 from .. import perf
 from ..bdd import Bdd
+from ..model.types import Prefix
 from .ddnf import (
     DdnfDag,
     DdnfNode,
@@ -110,6 +111,9 @@ __all__ = [
 ]
 
 ElementT = TypeVar("ElementT")
+
+# Any /32 address: its predicate tests every bit of the field.
+_HOST_PREFIX = Prefix(0, 32)
 
 
 class HeaderLocalizeError(RuntimeError):
@@ -534,8 +538,10 @@ class LocalizeSession:
     ) -> DdnfDag[ElementT]:
         """The ddNF DAG of ``ranges``, looked up once per dimension.
 
-        Callers pass one ``ranges`` sequence per dimension for the
-        session's life; another sequence resolves its DAG afresh.
+        The entry is keyed by the identity of ``ranges``: callers pass
+        one sequence per dimension for the session's life and must not
+        mutate it meanwhile (a mutated sequence would get the stale
+        DAG); another sequence object resolves its DAG afresh.
         """
         entry = self._dags.get(dimension)
         if entry is None or entry[0] is not ranges:
@@ -808,7 +814,6 @@ def header_localize(
     backend: Optional[str] = None,
     session: Optional[LocalizeSession] = None,
     dimension: Hashable = None,
-    var_indices: Optional[Sequence[int]] = None,
 ) -> Localization[ElementT]:
     """End-to-end HeaderLocalize: DAG (cached), GetMatch, flattening, and
     the final minimality prune over the flat terms.
@@ -818,9 +823,9 @@ def header_localize(
     session's backend, then to ``"atoms"``.  ``session``/
     ``dimension`` share the DAG, predicate caches and atom
     decompositions across the differences of one component pair.
-    ``var_indices`` names the address field's BDD variables (MSB
-    first): with it, an address-prefix vocabulary is classified by
-    :func:`classify_prefix_tree` instead of BDD applies.
+    An address-prefix vocabulary (its DAG has tree atoms) is classified
+    by :func:`classify_prefix_tree`, other vocabularies by
+    :meth:`DagAtoms.classify`.
     """
     with perf.timer("header_localize"):
         if session is None:
@@ -840,10 +845,14 @@ def header_localize(
 
         name = backend or session.backend or "atoms"
         if name == "atoms":
-            if dag.tree_atoms is not None and var_indices is not None:
+            if dag.tree_atoms is not None:
                 atoms = dag.tree_atoms
+                # Bit vectors allocate their variables MSB first in
+                # increasing order, so a host prefix's sorted support
+                # is the field's bits in walk order.
+                field_vars = pred_of(_HOST_PREFIX).support()
                 target_bits = classify_prefix_tree(
-                    atoms, affected, var_indices, stats
+                    atoms, affected, field_vars, stats
                 )
             else:
                 atoms = session.dag_atoms(dimension, dag, pred_of)

@@ -200,7 +200,6 @@ def _localize_acl(
                 lambda prefix: _address_pred(space, field, prefix),
                 session=session,
                 dimension=label,
-                var_indices=field.var_indices,
             )
             difference.extra_localizations[label] = localization
         except HeaderLocalizeError:

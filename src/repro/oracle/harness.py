@@ -149,13 +149,10 @@ def _check_localization(
     to_pred: Callable,
     context: str,
     stats: CheckStats,
-    var_indices: Optional[Sequence[int]] = None,
 ) -> None:
     """Exactness, per-term nonemptiness, and minimality of one localization."""
     manager = affected.manager
-    localization = header_localize(
-        affected, ranges, algebra, to_pred, var_indices=var_indices
-    )
+    localization = header_localize(affected, ranges, algebra, to_pred)
     denotations = []
     for term in localization.terms:
         denoted = to_pred(term.range)
@@ -332,7 +329,6 @@ def _check_acl_localizations(
                     to_pred,
                     f"difference {index} / {label}",
                     stats,
-                    bitvector.var_indices,
                 )
             except HeaderLocalizeError as exc:
                 raise OracleFailure(

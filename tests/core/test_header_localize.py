@@ -528,7 +528,6 @@ class TestPrefixTreeWalk:
                 address_prefix_algebra(),
                 lambda p: _address_pred(space, p),
                 backend=backend,
-                var_indices=space.dst_ip.var_indices,
             )
             for backend in ("bdd", "atoms")
         ]

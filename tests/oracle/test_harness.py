@@ -170,8 +170,8 @@ class TestTamperDetection:
     def test_redundant_localization_term_fails_minimality(self, monkeypatch):
         real = harness_module.header_localize
 
-        def tampered(affected, ranges, algebra, to_pred, **options):
-            localization = real(affected, ranges, algebra, to_pred, **options)
+        def tampered(affected, ranges, algebra, to_pred):
+            localization = real(affected, ranges, algebra, to_pred)
             if not localization.terms:
                 return localization
             # A duplicated term is covered by the union of the rest, so
@@ -189,8 +189,8 @@ class TestTamperDetection:
     def test_truncated_localization_fails_exactness(self, monkeypatch):
         real = harness_module.header_localize
 
-        def tampered(affected, ranges, algebra, to_pred, **options):
-            localization = real(affected, ranges, algebra, to_pred, **options)
+        def tampered(affected, ranges, algebra, to_pred):
+            localization = real(affected, ranges, algebra, to_pred)
             return Localization(
                 terms=localization.terms[:-1], stats=localization.stats
             )
