@@ -56,6 +56,7 @@ from .core import (
     render_report,
     render_semantic_difference,
     report_to_json,
+    write_json,
 )
 from .model.device import DeviceConfig
 from .model.types import ConfigError
@@ -330,11 +331,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         # every pairwise comparison failed — no verdict at all
         return _fail(str(exc))
     if args.json:
-        import json
-
         # Timing-free and deterministically ordered: two runs over the
         # same fleet (cold or warm) print byte-identical JSON.
-        print(json.dumps(fleet_report_to_dict(report), indent=2))
+        write_json(fleet_report_to_dict(report), sys.stdout)
     else:
         print(report.render_summary())
         if report.symmetry is not None:

@@ -10,8 +10,11 @@ examples; structural differences carry component/attribute/values.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Dict, Iterator, List, Optional, TextIO
 
+from .. import perf
 from ..model.types import SourceSpan
 from .header_localize import Localization
 from .results import CampionReport, SemanticDifference, StructuralDifference
@@ -23,6 +26,8 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "fleet_report_to_dict",
+    "iter_json",
+    "write_json",
 ]
 
 # v2: adds "degraded", "aborted" (budget-tripped components), and
@@ -185,6 +190,11 @@ def fleet_report_to_dict(report) -> Dict:
     ``coverage``; symmetry-compression statistics stay out, like
     timings, precisely to preserve the byte-identity guarantee.
     """
+    with perf.timer("serialize.dict"):
+        return _fleet_report_to_dict(report)
+
+
+def _fleet_report_to_dict(report) -> Dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "reference": report.reference,
@@ -213,8 +223,265 @@ def fleet_report_to_dict(report) -> Dict:
     }
 
 
-def report_to_json(report: CampionReport, indent: int = 2) -> str:
-    """The report as a JSON string."""
-    import json
+def report_to_json(report: CampionReport) -> str:
+    """The report as ``json.dumps(report_to_dict(report), indent=2)``."""
+    with perf.timer("serialize.dict"):
+        data = report_to_dict(report)
+    return "".join(iter_json(data))
 
-    return json.dumps(report_to_dict(report), indent=indent, sort_keys=False)
+
+def write_json(value: object, stream: TextIO) -> None:
+    """Write ``json.dumps(value, indent=2)`` and a newline to ``stream``,
+    one top-level member (or, one level down, one dict item — a fleet's
+    device report) at a time."""
+    with perf.timer("serialize.encode"):
+        for chunk in iter_json(value):
+            stream.write(chunk)
+        stream.write("\n")
+
+
+def iter_json(value: object) -> Iterator[str]:
+    """Chunks whose concatenation is exactly ``json.dumps(value, indent=2)``."""
+    if c_make_encoder is None:  # no C accelerator: the stdlib is as fast
+        yield json.dumps(value, indent=2)
+        return
+    writer = _Indent2Writer()
+    try:
+        yield from writer.stream(value, 0)
+    finally:
+        perf.add("serialize.fragments", writer.fragments)
+        perf.add("serialize.fragment_renders", writer.renders)
+
+
+# -- the indent=2 writer ------------------------------------------------------
+#
+# ``json.dumps(indent=2)`` runs CPython's pure-Python encoder; only the
+# compact form gets the C encoder.  The writer below reaches the same
+# bytes with C-encoded pieces (see DESIGN.md §5, "Why the fragment-cached
+# writer is byte-exact"):
+#
+# * A container whose members are all plain scalars is one C encode
+#   whose item separator already carries its members' newline and
+#   indent; only the brackets' own line breaks are added around it.
+# * A list of such containers (a fleet matrix) is one C encode with a
+#   control character between items, turned into rows and items by two
+#   ``str.replace`` calls.
+# * Each element of a report's ``semantic``/``structural`` list is a
+#   fragment.  Its indented text at a depth is a function of its compact
+#   encoding, so it is rendered once per (depth, compact encoding) and
+#   reused.  The span ``file`` values — the only per-device field of a
+#   replayed difference — are held out of the key as holes and spliced
+#   back per element.
+
+#: Members of these lists are cached fragments.
+_FRAGMENT_LISTS = frozenset(("semantic", "structural"))
+#: Exact types the C encoder renders as a single token.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_ARRAYS = frozenset((list, tuple))
+#: Stands in for a held-out span filename while a template renders.
+_HOLE = "\x00campion:file\x00"
+_HOLE_TOKEN = encode_basestring_ascii(_HOLE)
+#: Item separator of the row encoder.  A control character appears in
+#: ``ensure_ascii`` output only as a separator: inside strings it is
+#: escaped.
+_MARK = "\x01"
+
+
+def _default(value: object) -> object:
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _c_encoder(item_separator: str, key_separator: str = ": "):
+    return c_make_encoder(
+        None, _default, encode_basestring_ascii, None, key_separator,
+        item_separator, False, False, True,
+    )
+
+
+class _Pads(dict):
+    """depth -> a newline and that depth's indent."""
+
+    def __missing__(self, depth: int) -> str:
+        pad = self[depth] = "\n" + "  " * depth
+        return pad
+
+
+class _FlatEncoders(dict):
+    """depth -> C encoder of a scalar-only container at that depth: its
+    item separator already carries the members' newline and indent."""
+
+    def __init__(self, pads: _Pads) -> None:
+        super().__init__()
+        self._pads = pads
+
+    def __missing__(self, depth: int):
+        encoder = self[depth] = _c_encoder("," + self._pads[depth + 1])
+        return encoder
+
+
+def _hold_out_files(element: object):
+    """``element`` with each string span ``file`` under ``text`` replaced by
+    :data:`_HOLE`, and the replaced filenames in output order."""
+    if type(element) is not dict:
+        return element, ()
+    text = element.get("text")
+    if type(text) is not dict:
+        return element, ()
+    files = []
+    held = {}
+    for side, span in text.items():
+        if type(span) is dict and type(span.get("file")) is str:
+            files.append(span["file"])
+            span = {**span, "file": _HOLE}
+        held[side] = span
+    if not files:
+        return element, ()
+    return {**element, "text": held}, files
+
+
+class _Indent2Writer:
+    """One run's renderer and fragment cache (never shared across runs)."""
+
+    def __init__(self) -> None:
+        self._compact = _c_encoder(",", ":")
+        self._marked = _c_encoder(_MARK)
+        self._pads = _Pads()
+        self._flat = _FlatEncoders(self._pads)
+        #: (depth, compact encoding with holes) -> indented text split at holes
+        self._templates: Dict[tuple, List[str]] = {}
+        self.fragments = 0
+        self.renders = 0
+
+    def stream(self, value: object, depth: int) -> Iterator[str]:
+        """Render ``value`` at ``depth``, one chunk per member of a dict
+        at depth 0 or 1."""
+        if depth > 1 or not isinstance(value, dict) or not value:
+            out: List[str] = []
+            self._value(value, depth, out)
+            yield "".join(out)
+            return
+        inner = self._pads[depth + 1]
+        opener = "{" + inner
+        for key, item in value.items():
+            head = opener + self._key(key) + ": "
+            opener = "," + inner
+            if depth == 0 and isinstance(item, dict):
+                yield head
+                yield from self.stream(item, 1)
+            else:
+                out = [head]
+                self._member(key, item, depth + 1, out)
+                yield "".join(out)
+        yield self._pads[depth] + "}"
+
+    def _key(self, key: object) -> str:
+        if type(key) is str:
+            return encode_basestring_ascii(key)
+        return "".join(self._compact({key: None}, 0))[1:-6]
+
+    def _member(self, key: object, value: object, depth: int, out: List[str]) -> None:
+        if type(value) is list and value and key in _FRAGMENT_LISTS:
+            inner = self._pads[depth + 1]
+            opener = "[" + inner
+            for element in value:
+                out.append(opener)
+                opener = "," + inner
+                self._fragment(element, depth + 1, out)
+            out.append(self._pads[depth] + "]")
+        else:
+            self._value(value, depth, out)
+
+    def _value(self, value: object, depth: int, out: List[str]) -> None:
+        if type(value) is str:
+            out.append(encode_basestring_ascii(value))
+        elif isinstance(value, dict):
+            if not value:
+                out.append("{}")
+            elif _SCALARS.issuperset(map(type, value.values())):
+                out.append(self._flat_text(value, depth))
+            else:
+                pads = self._pads
+                inner = pads[depth + 1]
+                opener = "{" + inner
+                for key, item in value.items():
+                    out.append(opener + self._key(key) + ": ")
+                    opener = "," + inner
+                    self._member(key, item, depth + 1, out)
+                out.append(pads[depth] + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                out.append("[]")
+            elif _SCALARS.issuperset(map(type, value)):
+                out.append(self._flat_text(value, depth))
+            else:
+                rows = self._rows(value, depth)
+                if rows is not None:
+                    out.append(rows)
+                    return
+                pads = self._pads
+                inner = pads[depth + 1]
+                opener = "[" + inner
+                for item in value:
+                    out.append(opener)
+                    opener = "," + inner
+                    self._value(item, depth + 1, out)
+                out.append(pads[depth] + "]")
+        else:
+            out.append("".join(self._compact(value, 0)))
+
+    def _flat_text(self, value, depth: int) -> str:
+        """A non-empty container of scalars, in one C encode."""
+        text = "".join(self._flat[depth](value, 0))
+        pads = self._pads
+        return text[0] + pads[depth + 1] + text[1:-1] + pads[depth] + text[-1]
+
+    def _rows(self, value, depth: int) -> Optional[str]:
+        """A list of non-empty scalar-only lists (or of such dicts) — a
+        fleet matrix — in one C encode, or ``None`` for any other list.
+
+        Encoded with :data:`_MARK` between items, the rows are flat iff
+        the text holds exactly one opening bracket per row (plus the
+        outer one) and no empty row.  Strings holding a bracket fail the
+        count and take the general path.  Then a mark after a closing
+        bracket is a row boundary and every other mark separates scalars.
+        """
+        kinds = set(map(type, value))
+        if kinds <= _ARRAYS:
+            opening, closing = "[", "]"
+            brackets = {"[": len(value) + 1, "{": 0}
+        elif kinds == {dict} and _SCALARS.issuperset(map(type, value[0].values())):
+            opening, closing = "{", "}"
+            brackets = {"[": 1, "{": len(value)}
+        else:
+            return None
+        text = "".join(self._marked(value, 0))
+        if opening + closing in text or any(
+            text.count(bracket) != count for bracket, count in brackets.items()
+        ):
+            return None
+        pads = self._pads
+        outer, row, item = pads[depth], pads[depth + 1], pads[depth + 2]
+        body = text[2:-2].replace(
+            closing + _MARK + opening, row + closing + "," + row + opening + item
+        ).replace(_MARK, "," + item)
+        return "[" + row + opening + item + body + row + closing + outer + "]"
+
+    def _fragment(self, element: object, depth: int, out: List[str]) -> None:
+        self.fragments += 1
+        held, files = _hold_out_files(element)
+        key = (depth, "".join(self._compact(held, 0)))
+        pieces = self._templates.get(key)
+        if pieces is None:
+            self.renders += 1
+            rendered: List[str] = []
+            self._value(held, depth, rendered)
+            pieces = "".join(rendered).split(_HOLE_TOKEN)
+            if len(pieces) != len(files) + 1:
+                # Some other string encodes to the hole's token.
+                self._value(element, depth, out)
+                return
+            self._templates[key] = pieces
+        out.append(pieces[0])
+        for filename, piece in zip(files, pieces[1:]):
+            out.append(encode_basestring_ascii(filename))
+            out.append(piece)

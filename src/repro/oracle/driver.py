@@ -93,6 +93,7 @@ from ..core.present import (
 from ..core.semantic_diff import diff_acls, diff_route_maps
 from ..core.serialize import (
     fleet_report_to_dict,
+    iter_json,
     report_to_dict,
     semantic_difference_to_dict,
 )
@@ -162,6 +163,7 @@ class SelfCheckResult:
     witnesses: int = 0
     localizations: int = 0
     local_diffs: int = 0
+    writer_checks: int = 0
     skipped: List[str] = field(default_factory=list)
     elapsed: float = 0.0
 
@@ -180,6 +182,7 @@ class SelfCheckResult:
             f"  witnesses decoded:   {self.witnesses}",
             f"  localizations:       {self.localizations}",
             f"  local-vs-full diffs: {self.local_diffs}",
+            f"  writer-vs-json:      {self.writer_checks}",
         ]
         if self.skipped:
             lines.append(f"  skipped checks:      {len(self.skipped)}")
@@ -1256,16 +1259,45 @@ _FLEET_ROWS: Dict[str, _FleetRow] = {
 }
 
 
+_WRITER_CHECK = "writer-vs-json"
+
+
+def _writer_mismatch(report: dict) -> Optional[str]:
+    """The ``writer-vs-json`` check: the report writer's bytes against
+    the stdlib's ``json.dumps(report, indent=2)``."""
+    written = "".join(iter_json(report))
+    expected = json.dumps(report, indent=2)
+    if written == expected:
+        return None
+    at = next(
+        (i for i, (a, b) in enumerate(zip(written, expected)) if a != b),
+        min(len(written), len(expected)),
+    )
+    return (
+        f"{_WRITER_CHECK}: report writer differs from json.dumps(indent=2)"
+        f" at byte {at}: {written[at:at + 40]!r} != {expected[at:at + 40]!r}"
+    )
+
+
 def _fleet_mismatch(
-    row: _FleetRow, env, devices
+    row: _FleetRow, env, devices, result: Optional[SelfCheckResult] = None
 ) -> Tuple[Optional[str], Optional[dict]]:
     """A one-line divergence description (or ``None``), plus the A-side
-    report (``None`` when a run raised, which is a finding too)."""
+    report (``None`` when a run raised, which is a finding too).
+
+    Both reports also go through ``writer-vs-json``, counted on
+    ``result`` when given (the shrinker's re-runs pass none)."""
     try:
         report_a = row.run_a(env, devices)
         report_b = row.run_b(env, devices)
     except Exception as exc:  # noqa: BLE001 - any failure is a finding
         return f"{row.check} run failed: {type(exc).__name__}: {exc}", None
+    for report in (report_a, report_b):
+        if result is not None:
+            result.writer_checks += 1
+        detail = _writer_mismatch(report)
+        if detail is not None:
+            return detail, report_a
     fields = sorted(
         key
         for key in set(report_a) | set(report_b)
@@ -1324,7 +1356,7 @@ def _run_fleet_case(
     row = _FLEET_ROWS[name]
     devices = row.build(random.Random(case_seed), case_seed)
     with row.context() as env:
-        detail, report = _fleet_mismatch(row, env, devices)
+        detail, report = _fleet_mismatch(row, env, devices, result)
         if detail is None:
             result.differences += sum(count for _, _, count in report["matrix"])
             return None
@@ -1337,9 +1369,8 @@ def _run_fleet_case(
 
         devices = _shrink_fleet(devices, fails, row.shrink)
         detail = _fleet_mismatch(row, env, devices)[0] or detail
-    return SelfCheckFailure(
-        name, case_seed, row.check, detail, _render_fleet(devices)
-    )
+    check = _WRITER_CHECK if detail.startswith(_WRITER_CHECK) else row.check
+    return SelfCheckFailure(name, case_seed, check, detail, _render_fleet(devices))
 
 
 def _merge(result: SelfCheckResult, stats: CheckStats) -> None:

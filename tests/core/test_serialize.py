@@ -1,9 +1,14 @@
 """Tests for JSON report serialization."""
 
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import perf
 from repro.core import (
     compare_fleet,
     config_diff,
@@ -13,7 +18,8 @@ from repro.core import (
     semantic_difference_to_dict,
     structural_difference_to_dict,
 )
-from repro.core.serialize import SCHEMA_VERSION
+from repro.core import serialize
+from repro.core.serialize import SCHEMA_VERSION, iter_json, write_json
 from repro.parsers import parse_cisco
 from repro.workloads.datacenter import gateway_fleet
 from repro.workloads.figure1 import (
@@ -165,3 +171,252 @@ class TestCliJson:
         data = json.loads(capsys.readouterr().out)
         assert data["equivalent"] is False
         assert len(data["semantic"]) == 2
+
+
+# -- the indent=2 writer -------------------------------------------------------
+
+
+def _written(value) -> str:
+    return "".join(iter_json(value))
+
+
+def _counted(value):
+    """The writer's text plus its (fragments, fragment renders) counts."""
+    before = perf.snapshot()["counters"]
+    text = _written(value)
+    after = perf.snapshot()["counters"]
+    return text, tuple(
+        after.get(name, 0) - before.get(name, 0)
+        for name in ("serialize.fragments", "serialize.fragment_renders")
+    )
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_HOLE = serialize._HOLE
+
+
+def _span(filename, line=4):
+    return {
+        "file": filename,
+        "start_line": line,
+        "end_line": line,
+        "text": [" permit ip any any"],
+    }
+
+
+def _fragment(file1="a.cfg", file2="b.cfg"):
+    return {
+        "kind": "ACLs",
+        "step": {"router1": "permit", "router2": "default deny"},
+        "text": {"router1": _span(file1), "router2": _span(file2, 9)},
+        "localization": None,
+        "example": {"protocol": "udp"},
+    }
+
+
+_PINNED = {
+    "tuples": {"pairs": (("a", "b", 1), ()), "mixed": [(1, [2, (3,)]), {"t": (None,)}]},
+    "subclasses": {
+        _Str("key"): [_Str("value"), _Int(7), True, {"n": _Int(-3)}],
+        "flat": {"s": _Str("x"), "i": _Int(2)},
+        "semantic": [{"text": {"router1": {"file": _Str("sub.cfg")}}}],
+    },
+    "non-str keys": {1: "one", 2.5: [1], True: None, None: {3: 4}, -0.0: "z"},
+    "nan, inf and -0.0": [
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.0,
+        {"x": [math.nan, 1e300, -0.0]},
+        [[math.inf, 1], [2.5, 3]],
+    ],
+    "non-ASCII and control characters": {
+        "caf\u00e9": ["\u00fc\u20ac\U0001f600", "tab\tnew\nline\x00\x01\x7f"],
+        "semantic": [_fragment("r\u00e9seau\n.cfg", "\x01.cfg")],
+        "rows": [["\u00e9", "\n"], ["\x02", 1]],
+    },
+    "file equal to the placeholder": {
+        "semantic": [_fragment(_HOLE, "b.cfg"), _fragment("a.cfg", _HOLE)]
+    },
+    "placeholder elsewhere": {
+        "structural": [
+            {"kind": _HOLE, "text": {"router1": _span("a.cfg")}},
+            {"kind": 'x"' + _HOLE, "text": {"router1": _span("a.cfg")}},
+            {_HOLE: 1, "text": {"router1": _span("a.cfg")}},
+        ]
+    },
+    "non-string file": {
+        "semantic": [
+            {"text": {"router1": {"file": 7}, "router2": {"file": None}}},
+            {"text": {"router1": {"file": ["a.cfg"]}, "router2": _span("b.cfg")}},
+        ]
+    },
+    "text null": {"semantic": [{"kind": "ACLs", "text": None}], "structural": [None, 3]},
+    "one fragment at two depths": {
+        "semantic": [_fragment()],
+        "reports": {"gw1": {"semantic": [_fragment("c.cfg")], "structural": []}},
+    },
+    "empty containers": {
+        "a": [],
+        "b": {},
+        "c": [[], {}, ()],
+        "d": [{}, {}],
+        "e": [[1], []],
+        "semantic": [],
+        "structural": [{}, []],
+    },
+    "rows": {
+        "matrix": [["gw0", "gw1", 3], ["gw0", "gw2", 0]],
+        "bracketed": [["gw[0]", "{gw1}", 3], ["a", "b", 4]],
+        "nested": [[1, [2]], [3, 4]],
+        "dicts": [{"k": "a", "n": 1}, {"k": "b", "n": 2}],
+        "dicts with lists": [{"k": "a", "n": 1}, {"k": "b", "n": [2]}],
+        "mixed": [[1, 2], {"k": 3}],
+    },
+    "scalars": [None, True, False, 0, -1, 10**30, 1.5, "", "s"],
+}
+
+
+class TestIndent2Writer:
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_pinned_cases_match_the_stdlib(self, name):
+        value = _PINNED[name]
+        assert _written(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [None, 1, "s", [], {}, math.nan, (1,)])
+    def test_top_level_scalars_and_empties(self, value):
+        assert _written(value) == json.dumps(value, indent=2)
+
+    def test_unserializable_value_raises_like_the_stdlib(self):
+        with pytest.raises(TypeError):
+            json.dumps({"a": [object()]}, indent=2)
+        with pytest.raises(TypeError):
+            _written({"a": [object()]})
+        with pytest.raises(TypeError):
+            _written({"a": {(1, 2): 3}})
+
+    def test_repeated_fragment_renders_once_per_depth(self):
+        value = {
+            "semantic": [_fragment("a.cfg"), _fragment("c.cfg"), _fragment()],
+            "reports": {
+                "gw1": {"semantic": [_fragment("d.cfg", "e.cfg")]},
+                "gw2": {"semantic": [_fragment("f.cfg", "g.cfg")]},
+            },
+        }
+        text, counts = _counted(value)
+        assert text == json.dumps(value, indent=2)
+        assert counts == (5, 2)
+
+    def test_placeholder_collisions_render_directly(self):
+        colliding = _PINNED["placeholder elsewhere"]["structural"]
+        plain = {"kind": "ok", "text": {"router1": _span("a.cfg")}}
+        doubled = {"structural": (colliding + [plain]) * 2}
+        text, counts = _counted(doubled)
+        assert text == json.dumps(doubled, indent=2)
+        # A string or key that encodes to the hole's token splits the
+        # template once too often: those render every time, uncached.
+        assert counts == (8, 7)
+
+    def test_write_json_streams_chunks_and_a_newline(self):
+        value = {"matrix": [["a", "b", 1]], "reports": {"a": {"x": 1}, "b": {}}}
+        stream = io.StringIO()
+        write_json(value, stream)
+        assert stream.getvalue() == json.dumps(value, indent=2) + "\n"
+        # One chunk per top-level member, and per item of a top-level dict.
+        assert len(list(iter_json(value))) == 6
+
+    def test_without_the_c_encoder_the_stdlib_writes(self, monkeypatch):
+        monkeypatch.setattr(serialize, "c_make_encoder", None)
+        value = _PINNED["one fragment at two depths"]
+        assert list(iter_json(value)) == [json.dumps(value, indent=2)]
+
+    def test_report_to_json_matches_the_stdlib(self, report):
+        assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2)
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from([_HOLE, 'x"' + _HOLE, "a.cfg", "[", "{}"])
+)
+_JSON_KEYS = (
+    st.text()
+    | st.sampled_from(["semantic", "structural", "text", "file", _HOLE])
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.booleans()
+    | st.none()
+)
+_SPANS = st.none() | st.fixed_dictionaries(
+    {"file": _JSON_SCALARS, "start_line": st.integers(), "text": st.lists(st.text())}
+)
+_FRAGMENTS = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["ACLs", "Route Maps"]),
+        "text": st.none()
+        | st.dictionaries(st.sampled_from(["router1", "router2"]), _SPANS),
+    }
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_KEYS, children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["semantic", "structural"]),
+        st.lists(_FRAGMENTS | children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_writer_matches_json_dumps_indent_2(value):
+    assert _written(value) == json.dumps(value, indent=2)
+
+
+class TestCliFleetJson:
+    def test_warm_parameterized_clos_fleet_matches_the_stdlib(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro import cli
+        from repro.workloads.datacenter import parameterized_clos_fleet
+
+        devices, _ = parameterized_clos_fleet(count=8, roles=3, rule_count=6, seed=0)
+        paths = []
+        for device in devices:
+            path = tmp_path / f"{device.hostname}.cfg"
+            path.write_text("\n".join(device.raw_lines) + "\n")
+            paths.append(str(path))
+        built = []
+
+        def capturing(report):
+            built.append(fleet_report_to_dict(report))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "fleet_report_to_dict", capturing)
+        argv = ["--cache-dir", str(tmp_path / "cache"), "fleet", "--json", *paths]
+        assert cli.main(argv) == 1
+        capsys.readouterr()
+        before = perf.snapshot()["counters"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        after = perf.snapshot()["counters"]
+        assert "misses=0" in captured.err
+        assert captured.out == json.dumps(built[-1], indent=2) + "\n"
+        fragments, renders = (
+            after[name] - before.get(name, 0)
+            for name in ("serialize.fragments", "serialize.fragment_renders")
+        )
+        assert renders < fragments

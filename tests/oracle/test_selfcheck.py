@@ -2,6 +2,7 @@
 shrinking, and the CLI subcommand's exit-code contract."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -119,6 +120,27 @@ class TestFleetHarness:
         assert failure.detail.endswith("(fields: reports)")
         assert failure.reproducer.startswith("fleet of 2: ")
         assert len(failure.reproducer.splitlines()[0].split(", ")) == 2
+
+
+class TestWriterCheck:
+    def test_pinned_seed_counts_the_check(self):
+        result = run_selfcheck(seed=0, pairs=2, generators=["fleet", "symmetry"])
+        assert result.passed, result.render()
+        # Both reports of each fleet case.
+        assert result.writer_checks == 4
+        assert "writer-vs-json:      4" in result.render()
+
+    @pytest.mark.parametrize("name", ["fleet", "near-symmetry"])
+    def test_writer_divergence_is_caught_and_shrunk(self, monkeypatch, name):
+        def drifting(value):
+            yield json.dumps(value, indent=2).replace('"matrix": [', '"matrix":[')
+
+        monkeypatch.setattr(driver, "iter_json", drifting)
+        result = run_selfcheck(seed=0, pairs=1, generators=[name])
+        (failure,) = result.failures
+        assert failure.check == "writer-vs-json"
+        assert failure.detail.startswith("writer-vs-json: ")
+        assert failure.reproducer.startswith("fleet of 2: ")
 
 
 class TestComponentHarness:
