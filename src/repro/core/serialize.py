@@ -227,7 +227,8 @@ def report_to_json(report: CampionReport) -> str:
     """The report as ``json.dumps(report_to_dict(report), indent=2)``."""
     with perf.timer("serialize.dict"):
         data = report_to_dict(report)
-    return "".join(iter_json(data))
+    with perf.timer("serialize.encode"):
+        return "".join(iter_json(data))
 
 
 def write_json(value: object, stream: TextIO) -> None:
@@ -310,12 +311,8 @@ class _FlatEncoders(dict):
     """depth -> C encoder of a scalar-only container at that depth: its
     item separator already carries the members' newline and indent."""
 
-    def __init__(self, pads: _Pads) -> None:
-        super().__init__()
-        self._pads = pads
-
     def __missing__(self, depth: int):
-        encoder = self[depth] = _c_encoder("," + self._pads[depth + 1])
+        encoder = self[depth] = _c_encoder(",\n" + "  " * (depth + 1))
         return encoder
 
 
@@ -346,7 +343,7 @@ class _Indent2Writer:
         self._compact = _c_encoder(",", ":")
         self._marked = _c_encoder(_MARK)
         self._pads = _Pads()
-        self._flat = _FlatEncoders(self._pads)
+        self._flat = _FlatEncoders()
         #: (depth, compact encoding with holes) -> indented text split at holes
         self._templates: Dict[tuple, List[str]] = {}
         self.fragments = 0

@@ -47,6 +47,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import random
 import re
 import time
@@ -1269,10 +1270,7 @@ def _writer_mismatch(report: dict) -> Optional[str]:
     expected = json.dumps(report, indent=2)
     if written == expected:
         return None
-    at = next(
-        (i for i, (a, b) in enumerate(zip(written, expected)) if a != b),
-        min(len(written), len(expected)),
-    )
+    at = len(os.path.commonprefix([written, expected]))
     return (
         f"{_WRITER_CHECK}: report writer differs from json.dumps(indent=2)"
         f" at byte {at}: {written[at:at + 40]!r} != {expected[at:at + 40]!r}"
