@@ -191,36 +191,32 @@ def fleet_report_to_dict(report) -> Dict:
     timings, precisely to preserve the byte-identity guarantee.
     """
     with perf.timer("serialize.dict"):
-        return _fleet_report_to_dict(report)
-
-
-def _fleet_report_to_dict(report) -> Dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "reference": report.reference,
-        "hostnames": list(report.hostnames),
-        "partial": report.is_partial(),
-        "notes": list(report.notes),
-        "matrix": [
-            [first, second, count]
-            for (first, second), count in sorted(report.matrix.items())
-        ],
-        "failed_pairs": [
-            [first, second, cause]
-            for (first, second), cause in sorted(report.failed_pairs.items())
-        ],
-        "failed_reports": dict(sorted(report.failed_reports.items())),
-        "outliers": report.outliers,
-        "conforming": report.conforming,
-        "coverage": {
-            hostname: coverage.to_dict()
-            for hostname, coverage in sorted(report.coverage.items())
-        },
-        "reports": {
-            hostname: report_to_dict(pair_report)
-            for hostname, pair_report in sorted(report.reports.items())
-        },
-    }
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "reference": report.reference,
+            "hostnames": list(report.hostnames),
+            "partial": report.is_partial(),
+            "notes": list(report.notes),
+            "matrix": [
+                [first, second, count]
+                for (first, second), count in sorted(report.matrix.items())
+            ],
+            "failed_pairs": [
+                [first, second, cause]
+                for (first, second), cause in sorted(report.failed_pairs.items())
+            ],
+            "failed_reports": dict(sorted(report.failed_reports.items())),
+            "outliers": report.outliers,
+            "conforming": report.conforming,
+            "coverage": {
+                hostname: coverage.to_dict()
+                for hostname, coverage in sorted(report.coverage.items())
+            },
+            "reports": {
+                hostname: report_to_dict(pair_report)
+                for hostname, pair_report in sorted(report.reports.items())
+            },
+        }
 
 
 def report_to_json(report: CampionReport) -> str:
@@ -374,19 +370,24 @@ class _Indent2Writer:
     def _key(self, key: object) -> str:
         if type(key) is str:
             return encode_basestring_ascii(key)
-        return "".join(self._compact({key: None}, 0))[1:-6]
+        # The C encoder converts the key as the stdlib does: '{"1":null}'.
+        return "".join(self._compact({key: None}, 0))[1:-len(":null}")]
 
     def _member(self, key: object, value: object, depth: int, out: List[str]) -> None:
         if type(value) is list and value and key in _FRAGMENT_LISTS:
-            inner = self._pads[depth + 1]
-            opener = "[" + inner
-            for element in value:
-                out.append(opener)
-                opener = "," + inner
-                self._fragment(element, depth + 1, out)
-            out.append(self._pads[depth] + "]")
+            self._array(value, depth, out, self._fragment)
         else:
             self._value(value, depth, out)
+
+    def _array(self, items, depth: int, out: List[str], render) -> None:
+        """A non-empty array, each member written by ``render``."""
+        inner = self._pads[depth + 1]
+        opener = "[" + inner
+        for item in items:
+            out.append(opener)
+            opener = "," + inner
+            render(item, depth + 1, out)
+        out.append(self._pads[depth] + "]")
 
     def _value(self, value: object, depth: int, out: List[str]) -> None:
         if type(value) is str:
@@ -412,17 +413,10 @@ class _Indent2Writer:
                 out.append(self._flat_text(value, depth))
             else:
                 rows = self._rows(value, depth)
-                if rows is not None:
+                if rows is None:
+                    self._array(value, depth, out, self._value)
+                else:
                     out.append(rows)
-                    return
-                pads = self._pads
-                inner = pads[depth + 1]
-                opener = "[" + inner
-                for item in value:
-                    out.append(opener)
-                    opener = "," + inner
-                    self._value(item, depth + 1, out)
-                out.append(pads[depth] + "]")
         else:
             out.append("".join(self._compact(value, 0)))
 
