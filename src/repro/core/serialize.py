@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Dict, Iterator, List, Optional, TextIO
+from typing import Callable, Dict, List, Optional, TextIO
 
 from .. import perf
 from ..model.types import SourceSpan
@@ -26,7 +26,7 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "fleet_report_to_dict",
-    "iter_json",
+    "dumps",
     "write_json",
 ]
 
@@ -224,7 +224,7 @@ def report_to_json(report: CampionReport) -> str:
     with perf.timer("serialize.dict"):
         data = report_to_dict(report)
     with perf.timer("serialize.encode"):
-        return "".join(iter_json(data))
+        return dumps(data)
 
 
 def write_json(value: object, stream: TextIO) -> None:
@@ -232,19 +232,24 @@ def write_json(value: object, stream: TextIO) -> None:
     one top-level member (or, one level down, one dict item — a fleet's
     device report) at a time."""
     with perf.timer("serialize.encode"):
-        for chunk in iter_json(value):
-            stream.write(chunk)
+        _render(value, stream.write)
         stream.write("\n")
 
 
-def iter_json(value: object) -> Iterator[str]:
-    """Chunks whose concatenation is exactly ``json.dumps(value, indent=2)``."""
+def dumps(value: object) -> str:
+    """Exactly ``json.dumps(value, indent=2)``."""
+    chunks: List[str] = []
+    _render(value, chunks.append)
+    return "".join(chunks)
+
+
+def _render(value: object, write: Callable[[str], object]) -> None:
     if c_make_encoder is None:  # no C accelerator: the stdlib is as fast
-        yield json.dumps(value, indent=2)
+        write(json.dumps(value, indent=2))
         return
-    writer = _Indent2Writer()
+    writer = _Indent2Writer(write)
     try:
-        yield from writer.stream(value, 0)
+        writer.write(value)
     finally:
         perf.add("serialize.fragments", writer.fragments)
         perf.add("serialize.fragment_renders", writer.renders)
@@ -260,9 +265,8 @@ def iter_json(value: object) -> Iterator[str]:
 # * A container whose members are all plain scalars is one C encode
 #   whose item separator already carries its members' newline and
 #   indent; only the brackets' own line breaks are added around it.
-# * A list of such containers (a fleet matrix) is one C encode with a
-#   control character between items, turned into rows and items by two
-#   ``str.replace`` calls.
+# * A list of such lists (a fleet matrix) is one C encode too, its row
+#   boundaries found by one ``str.replace``.
 # * Each element of a report's ``semantic``/``structural`` list is a
 #   fragment.  Its indented text at a depth is a function of its compact
 #   encoding, so it is rendered once per (depth, compact encoding) and
@@ -278,10 +282,6 @@ _ARRAYS = frozenset((list, tuple))
 #: Stands in for a held-out span filename while a template renders.
 _HOLE = "\x00campion:file\x00"
 _HOLE_TOKEN = encode_basestring_ascii(_HOLE)
-#: Item separator of the row encoder.  A control character appears in
-#: ``ensure_ascii`` output only as a separator: inside strings it is
-#: escaped.
-_MARK = "\x01"
 
 
 def _default(value: object) -> object:
@@ -333,61 +333,39 @@ def _hold_out_files(element: object):
 
 
 class _Indent2Writer:
-    """One run's renderer and fragment cache (never shared across runs)."""
+    """One run's renderer and fragment cache (never shared across runs).
 
-    def __init__(self) -> None:
+    Text is collected in an ``out`` list and handed to ``write`` after
+    each member of a dict at depth 0 or 1: a top-level member, or one
+    device report of a fleet.  Fragments sit at depth 2 or deeper, so a
+    template's own list is never flushed."""
+
+    def __init__(self, write: Callable[[str], object]) -> None:
+        self._write = write
         self._compact = _c_encoder(",", ":")
-        self._marked = _c_encoder(_MARK)
         self._pads = _Pads()
         self._flat = _FlatEncoders()
-        #: (depth, compact encoding with holes) -> indented text split at holes
+        #: (depth, held-out filename count, compact encoding with holes)
+        #: -> indented text split at the holes
         self._templates: Dict[tuple, List[str]] = {}
         self.fragments = 0
         self.renders = 0
 
-    def stream(self, value: object, depth: int) -> Iterator[str]:
-        """Render ``value`` at ``depth``, one chunk per member of a dict
-        at depth 0 or 1."""
-        if depth > 1 or not isinstance(value, dict) or not value:
-            out: List[str] = []
-            self._value(value, depth, out)
-            yield "".join(out)
-            return
-        inner = self._pads[depth + 1]
-        opener = "{" + inner
-        for key, item in value.items():
-            head = opener + self._key(key) + ": "
-            opener = "," + inner
-            if depth == 0 and isinstance(item, dict):
-                yield head
-                yield from self.stream(item, 1)
-            else:
-                out = [head]
-                self._member(key, item, depth + 1, out)
-                yield "".join(out)
-        yield self._pads[depth] + "}"
+    def write(self, value: object) -> None:
+        out: List[str] = []
+        self._value(value, 0, out)
+        self._flush(out)
+
+    def _flush(self, out: List[str]) -> None:
+        if out:
+            self._write("".join(out))
+            out.clear()
 
     def _key(self, key: object) -> str:
         if type(key) is str:
             return encode_basestring_ascii(key)
         # The C encoder converts the key as the stdlib does: '{"1":null}'.
         return "".join(self._compact({key: None}, 0))[1:-len(":null}")]
-
-    def _member(self, key: object, value: object, depth: int, out: List[str]) -> None:
-        if type(value) is list and value and key in _FRAGMENT_LISTS:
-            self._array(value, depth, out, self._fragment)
-        else:
-            self._value(value, depth, out)
-
-    def _array(self, items, depth: int, out: List[str], render) -> None:
-        """A non-empty array, each member written by ``render``."""
-        inner = self._pads[depth + 1]
-        opener = "[" + inner
-        for item in items:
-            out.append(opener)
-            opener = "," + inner
-            render(item, depth + 1, out)
-        out.append(self._pads[depth] + "]")
 
     def _value(self, value: object, depth: int, out: List[str]) -> None:
         if type(value) is str:
@@ -404,21 +382,37 @@ class _Indent2Writer:
                 for key, item in value.items():
                     out.append(opener + self._key(key) + ": ")
                     opener = "," + inner
-                    self._member(key, item, depth + 1, out)
+                    if type(item) is list and item and key in _FRAGMENT_LISTS:
+                        self._array(item, depth + 1, out, self._fragment)
+                    else:
+                        self._value(item, depth + 1, out)
+                    if depth < 2:
+                        self._flush(out)
                 out.append(pads[depth] + "}")
         elif isinstance(value, (list, tuple)):
             if not value:
                 out.append("[]")
             elif _SCALARS.issuperset(map(type, value)):
                 out.append(self._flat_text(value, depth))
+            elif all(
+                type(row) in _ARRAYS and row and _SCALARS.issuperset(map(type, row))
+                for row in value
+            ):
+                out.append(self._rows(value, depth))
             else:
-                rows = self._rows(value, depth)
-                if rows is None:
-                    self._array(value, depth, out, self._value)
-                else:
-                    out.append(rows)
+                self._array(value, depth, out, self._value)
         else:
             out.append("".join(self._compact(value, 0)))
+
+    def _array(self, items, depth: int, out: List[str], render) -> None:
+        """A non-empty array, each member written by ``render``."""
+        inner = self._pads[depth + 1]
+        opener = "[" + inner
+        for item in items:
+            out.append(opener)
+            opener = "," + inner
+            render(item, depth + 1, out)
+        out.append(self._pads[depth] + "]")
 
     def _flat_text(self, value, depth: int) -> str:
         """A non-empty container of scalars, in one C encode."""
@@ -426,41 +420,28 @@ class _Indent2Writer:
         pads = self._pads
         return text[0] + pads[depth + 1] + text[1:-1] + pads[depth] + text[-1]
 
-    def _rows(self, value, depth: int) -> Optional[str]:
-        """A list of non-empty scalar-only lists (or of such dicts) — a
-        fleet matrix — in one C encode, or ``None`` for any other list.
+    def _rows(self, value, depth: int) -> str:
+        """A non-empty list of non-empty scalar-only lists (a fleet
+        matrix), in one C encode.
 
-        Encoded with :data:`_MARK` between items, the rows are flat iff
-        the text holds exactly one opening bracket per row (plus the
-        outer one) and no empty row.  Strings holding a bracket fail the
-        count and take the general path.  Then a mark after a closing
-        bracket is a row boundary and every other mark separates scalars.
-        """
-        kinds = set(map(type, value))
-        if kinds <= _ARRAYS:
-            opening, closing = "[", "]"
-            brackets = {"[": len(value) + 1, "{": 0}
-        elif kinds == {dict} and _SCALARS.issuperset(map(type, value[0].values())):
-            opening, closing = "{", "}"
-            brackets = {"[": 1, "{": len(value)}
-        else:
-            return None
-        text = "".join(self._marked(value, 0))
-        if opening + closing in text or any(
-            text.count(bracket) != count for bracket, count in brackets.items()
-        ):
-            return None
+        The rows' items are at ``depth + 2``, and that depth's flat item
+        separator goes between rows too.  A row's ``]`` followed by the
+        separator and the next row's ``[`` is then a row boundary: a
+        scalar token neither ends in ``]`` nor starts with ``[``, and a
+        string token holds no raw newline."""
+        text = "".join(self._flat[depth + 1](value, 0))
         pads = self._pads
-        outer, row, item = pads[depth], pads[depth + 1], pads[depth + 2]
-        body = text[2:-2].replace(
-            closing + _MARK + opening, row + closing + "," + row + opening + item
-        ).replace(_MARK, "," + item)
-        return "[" + row + opening + item + body + row + closing + outer + "]"
+        row, item = pads[depth + 1], pads[depth + 2]
+        body = text[2:-2].replace("]," + item + "[", row + "]," + row + "[" + item)
+        return "[" + row + "[" + item + body + row + "]" + pads[depth] + "]"
 
     def _fragment(self, element: object, depth: int, out: List[str]) -> None:
         self.fragments += 1
         held, files = _hold_out_files(element)
-        key = (depth, "".join(self._compact(held, 0)))
+        # The count is in the key: an element whose ``file`` is not an
+        # exact ``str`` but equals the hole has the same compact encoding
+        # as a held-out one, and must not reuse its split.
+        key = (depth, len(files), "".join(self._compact(held, 0)))
         pieces = self._templates.get(key)
         if pieces is None:
             self.renders += 1

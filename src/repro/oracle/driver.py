@@ -93,8 +93,8 @@ from ..core.present import (
 )
 from ..core.semantic_diff import diff_acls, diff_route_maps
 from ..core.serialize import (
+    dumps,
     fleet_report_to_dict,
-    iter_json,
     report_to_dict,
     semantic_difference_to_dict,
 )
@@ -1266,7 +1266,7 @@ _WRITER_CHECK = "writer-vs-json"
 def _writer_mismatch(report: dict) -> Optional[str]:
     """The ``writer-vs-json`` check: the report writer's bytes against
     the stdlib's ``json.dumps(report, indent=2)``."""
-    written = "".join(iter_json(report))
+    written = dumps(report)
     expected = json.dumps(report, indent=2)
     if written == expected:
         return None

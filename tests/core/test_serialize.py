@@ -19,7 +19,7 @@ from repro.core import (
     structural_difference_to_dict,
 )
 from repro.core import serialize
-from repro.core.serialize import SCHEMA_VERSION, iter_json, write_json
+from repro.core.serialize import SCHEMA_VERSION, dumps, write_json
 from repro.parsers import parse_cisco
 from repro.workloads.datacenter import gateway_fleet
 from repro.workloads.figure1 import (
@@ -177,7 +177,7 @@ class TestCliJson:
 
 
 def _written(value) -> str:
-    return "".join(iter_json(value))
+    return dumps(value)
 
 
 def _counted(value):
@@ -196,6 +196,10 @@ class _Str(str):
 
 
 class _Int(int):
+    pass
+
+
+class _Dict(dict):
     pass
 
 
@@ -252,6 +256,13 @@ _PINNED = {
             {_HOLE: 1, "text": {"router1": _span("a.cfg")}},
         ]
     },
+    "placeholder file that is not held out": {
+        "semantic": [
+            {"text": {"router1": {"file": "a.cfg"}}},
+            {"text": {"router1": {"file": _Str(_HOLE)}}},
+            {"text": {"router1": _Dict(file=_HOLE)}},
+        ]
+    },
     "non-string file": {
         "semantic": [
             {"text": {"router1": {"file": 7}, "router2": {"file": None}}},
@@ -275,6 +286,7 @@ _PINNED = {
     "rows": {
         "matrix": [["gw0", "gw1", 3], ["gw0", "gw2", 0]],
         "bracketed": [["gw[0]", "{gw1}", 3], ["a", "b", 4]],
+        "separator in a string": [["],\n      [", "]"], ("[", 1)],
         "nested": [[1, [2]], [3, 4]],
         "dicts": [{"k": "a", "n": 1}, {"k": "b", "n": 2}],
         "dicts with lists": [{"k": "a", "n": 1}, {"k": "b", "n": [2]}],
@@ -327,15 +339,25 @@ class TestIndent2Writer:
     def test_write_json_streams_chunks_and_a_newline(self):
         value = {"matrix": [["a", "b", 1]], "reports": {"a": {"x": 1}, "b": {}}}
         stream = io.StringIO()
+        chunks = []
+        stream.write = chunks.append
         write_json(value, stream)
-        assert stream.getvalue() == json.dumps(value, indent=2) + "\n"
-        # One chunk per top-level member, and per item of a top-level dict.
-        assert len(list(iter_json(value))) == 6
+        assert "".join(chunks) == json.dumps(value, indent=2) + "\n"
+        # A chunk ends after each top-level member and after each item of
+        # a dict one level down (a fleet's device reports).
+        assert chunks[1].endswith('"a": {\n      "x": 1\n    }')
+        assert chunks[2] == ',\n    "b": {}'
+        assert len(chunks) == 6
 
     def test_without_the_c_encoder_the_stdlib_writes(self, monkeypatch):
         monkeypatch.setattr(serialize, "c_make_encoder", None)
         value = _PINNED["one fragment at two depths"]
-        assert list(iter_json(value)) == [json.dumps(value, indent=2)]
+        stream = io.StringIO()
+        chunks = []
+        stream.write = chunks.append
+        write_json(value, stream)
+        assert chunks == [json.dumps(value, indent=2), "\n"]
+        assert dumps(value) == json.dumps(value, indent=2)
 
     def test_report_to_json_matches_the_stdlib(self, report):
         assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2)

@@ -133,9 +133,9 @@ class TestWriterCheck:
     @pytest.mark.parametrize("name", ["fleet", "near-symmetry"])
     def test_writer_divergence_is_caught_and_shrunk(self, monkeypatch, name):
         def drifting(value):
-            yield json.dumps(value, indent=2).replace('"matrix": [', '"matrix":[')
+            return json.dumps(value, indent=2).replace('"matrix": [', '"matrix":[')
 
-        monkeypatch.setattr(driver, "iter_json", drifting)
+        monkeypatch.setattr(driver, "dumps", drifting)
         result = run_selfcheck(seed=0, pairs=1, generators=[name])
         (failure,) = result.failures
         assert failure.check == "writer-vs-json"
