@@ -64,7 +64,7 @@ def _run_all() -> dict:
     for name, options in RUNS.items():
         gc.collect()
         start = time.perf_counter()
-        report = compare_fleet(devices, workers=1, **options)
+        report = compare_fleet(devices, **options)
         result[f"{name}_seconds"] = time.perf_counter() - start
         reports[name] = fleet_report_to_dict(report)
     result["speedup_vs_atoms"] = (

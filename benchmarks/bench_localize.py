@@ -67,7 +67,6 @@ def _run(devices, set_backend: str, memo):
     perf.reset()
     report = compare_fleet(
         devices,
-        workers=1,
         use_memo=False if memo is None else True,
         memo=memo,
         set_backend=set_backend,

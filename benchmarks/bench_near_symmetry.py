@@ -74,9 +74,7 @@ def _run_fleet(devices) -> dict:
         gc.collect()
         perf.reset()
         start = time.perf_counter()
-        report = compare_fleet(
-            devices, workers=1, use_memo=False, compress=compress
-        )
+        report = compare_fleet(devices, use_memo=False, compress=compress)
         result[f"{compress}_seconds"] = time.perf_counter() - start
         result[f"{compress}_matrix_seconds"] = _matrix_seconds()
         reports[compress] = fleet_report_to_dict(report)

@@ -63,7 +63,7 @@ def _push_and_wait(url, configs):
     """One fleet push, submit to terminal state; returns (doc, seconds)."""
     gc.collect()
     start = time.perf_counter()
-    body = _http_json(f"{url}/v1/fleet", {"configs": configs, "workers": 1})
+    body = _http_json(f"{url}/v1/fleet", {"configs": configs})
     job_id = body["job"]["id"]
     while True:
         doc = _http_json(f"{url}/v1/jobs/{job_id}")
@@ -86,7 +86,7 @@ def _run_all() -> dict:
         }
         for device in devices
     ]
-    expected = fleet_report_to_dict(compare_fleet(devices, workers=1))
+    expected = fleet_report_to_dict(compare_fleet(devices))
 
     with tempfile.TemporaryDirectory(prefix="campion-bench-svc-") as workdir:
         workdir = pathlib.Path(workdir)
@@ -94,7 +94,6 @@ def _run_all() -> dict:
             port=0,
             journal_path=workdir / "journal.jsonl",
             cache_dir=str(workdir / "cache"),
-            workers=1,
             job_concurrency=1,
         )
         with ServiceThread(config) as thread:

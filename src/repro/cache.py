@@ -20,8 +20,7 @@ deleted, so a version bump atomically invalidates old artifacts even if
 the key format happens to survive.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent processes
-— parallel fleet workers write through the parent, but nothing stops
-two CLI invocations sharing a cache dir — can never observe a torn
+— two CLI invocations sharing a cache dir — can never observe a torn
 entry; writers and evictors additionally serialize on an ``fcntl``
 advisory lock (``<root>/.lock``) so concurrent eviction can't race an
 in-flight replace.  Each store is bounded by ``max_entries`` with

@@ -318,7 +318,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         report = compare_fleet(
             devices,
             reference=args.reference,
-            workers=args.workers,
             timeout=args.timeout,
             node_limit=args.node_limit,
             memo=DiffMemo(cache) if cache is not None else None,
@@ -365,7 +364,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
         tenant_quota=args.tenant_quota,
         job_concurrency=args.job_concurrency,
-        workers=args.workers or 1,
         timeout=args.timeout,
         node_limit=args.node_limit,
         drain_grace=args.drain_grace,
@@ -495,12 +493,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="known-good hostname (default: elect the medoid)",
     )
     fleet_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="processes for the pairwise matrix (default: 1)",
-    )
-    fleet_parser.add_argument(
         "--json",
         action="store_true",
         help="machine-readable, timing-free output (byte-identical across runs)",
@@ -598,12 +590,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=2,
         help="jobs executed concurrently across tenants (default: 2)",
-    )
-    serve_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="processes per job's pairwise matrix (default: 1)",
     )
     serve_parser.add_argument(
         "--drain-grace",

@@ -149,8 +149,8 @@ def config_diff_summary(
     (same walk, same SemanticDiff/StructuralDiff on memo misses, no
     HeaderLocalize — localization never changes a difference count);
     with a warm memo a fully-shared pair costs MatchPolicies plus table
-    lookups — no BDD work at all.  This is what fleet matrix workers
-    run.
+    lookups — no BDD work at all.  This is what the fleet matrix
+    runs.
     """
     report, replayed = _walk_components(
         device1,

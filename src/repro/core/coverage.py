@@ -12,7 +12,7 @@ nothing further about.
 
 Coverage is a pure function of the finished :class:`FleetReport` and
 the parsed devices, so it is byte-identical across set-algebra
-backends, worker counts, and symmetry compression — exactly like the
+backends, memo warmth, and symmetry compression — exactly like the
 rest of the serialized report (schema v4 carries it).
 """
 
@@ -246,7 +246,7 @@ def compute_fleet_coverage(
     Deterministic in the report content alone: spans recorded in the
     reference reports are intersected with each device's policy line
     sets, so any knob that leaves the serialized report unchanged
-    (backend, workers, memo warmth, symmetry compression) leaves
+    (backend, memo warmth, symmetry compression) leaves
     coverage unchanged too.
     """
     coverage: Dict[str, DeviceCoverage] = {}

@@ -8,10 +8,11 @@ rest — the fleet's de-facto intent, in the spirit of the outlier-
 detection related work the paper cites) and reports every other device
 against it, so each outlier comes with Campion's full localization.
 
-Failures are isolated, not fatal: the matrix phase consumes
-:class:`~repro.core.parallel.PairOutcome` objects, so a pair that
-crashes or exceeds its wall-clock timeout is recorded in
-``failed_pairs`` while every surviving pair still lands in the matrix.
+Failures are isolated, not fatal: the matrix phase runs one pair at a
+time and consumes :class:`~repro.core.parallel.PairOutcome` objects,
+so a pair whose analysis raises (twice: it gets one retry) is recorded
+in ``failed_pairs`` while every surviving pair still lands in the
+matrix.  The BDD time and node budgets bound each pair.
 The medoid is then elected over *surviving* pairs (mean differences per
 surviving pair, so devices with failed pairs are not advantaged by
 their missing entries), and devices whose reference report cannot be
@@ -56,7 +57,7 @@ from .fleet_atoms import seed_acl_counts
 from .match_policies import match_policies
 from .memo import DiffMemo
 from .near_symmetry import FALLBACK_COUNTER, plan_near_pairs
-from .parallel import pairwise_count_outcomes, resolve_timeout, resolve_workers
+from .parallel import pairwise_count_outcomes, resolve_timeout
 from .results import CampionReport
 
 __all__ = [
@@ -163,13 +164,13 @@ class FleetReport:
     matrix: Dict[Tuple[str, str], int] = field(default_factory=dict)
     # full reports of each non-reference device against the reference
     reports: Dict[str, CampionReport] = field(default_factory=dict)
-    # pairs whose comparison crashed or timed out, with the cause
+    # pairs whose comparison failed, with the cause
     failed_pairs: Dict[Tuple[str, str], str] = field(default_factory=dict)
     # devices whose reference report could not be produced, with the cause
     failed_reports: Dict[str, str] = field(default_factory=dict)
     # diagnostics (e.g. near-symmetry fallbacks); kept sorted and
     # deduplicated so the serialized form (schema v4 carries notes)
-    # stays byte-identical across backends and worker counts
+    # stays byte-identical across backends and compression modes
     notes: List[str] = field(default_factory=list)
     # per-device configuration coverage (schema v4): which policy lines
     # participated in some localized diff vs. untouched policy
@@ -277,7 +278,6 @@ def compare_fleet(
     devices: Sequence[DeviceConfig],
     reference: Optional[str] = None,
     exhaustive_communities: bool = False,
-    workers: Optional[int] = None,
     timeout: Optional[float] = None,
     node_limit: Optional[int] = None,
     memo: Optional[DiffMemo] = None,
@@ -311,17 +311,11 @@ def compare_fleet(
     ``FleetReport.notes``), since a fault observed on one substitution
     instance says nothing about the others.
 
-    ``workers`` fans the matrix phase over that many processes
-    (``None`` = serial).  Workers return only difference counts; the
-    n-1 reference reports are always computed in this process, so the
-    resulting :class:`FleetReport` — and its serialized form — is
-    identical whatever the worker count.
-
-    ``timeout`` bounds each pair's wall clock (``None`` = unbounded);
-    ``node_limit`` bounds each pair's BDD allocation.  Either tripping
-    turns that pair into a ``failed_pairs`` entry (matrix phase) or a
-    per-component degradation inside the report (reference phase)
-    rather than sinking the run.
+    ``timeout`` is each pair's BDD time budget in seconds (``None`` =
+    unbounded); ``node_limit`` bounds each pair's BDD allocation.
+    Either tripping aborts only the offending component rather than
+    sinking the run: its matrix count leaves the component out, and the
+    reference report lists it as aborted (so the report is partial).
 
     Fingerprint memoization is on by default (``use_memo=True``): each
     unique component-content pair is diffed once and replayed across
@@ -333,11 +327,11 @@ def compare_fleet(
     Reports and counts are identical in every mode.
 
     ``set_backend`` names the SemanticDiff set-algebra backend used in
-    the matrix workers and the reference reports (``None`` = ``atoms``;
+    the matrix and the reference reports (``None`` = ``atoms``;
     see :mod:`repro.core.setalg`) — another knob that changes
     only the wall clock, never the report.
 
-    With a memo on the ``atoms`` backend, each matrix fan-out is
+    With a memo on the ``atoms`` backend, each matrix phase is
     preceded by fleet-scale atomization
     (:func:`~repro.core.fleet_atoms.seed_acl_counts`): the ACL pairs it
     will analyze that miss the memo and its cache are folded into
@@ -364,7 +358,6 @@ def compare_fleet(
             "fleet hostnames must be unique; duplicated: " + ", ".join(duplicates)
         )
     hostnames = sorted(by_name)
-    workers = resolve_workers(workers)
     timeout = resolve_timeout(timeout)
     compress = resolve_compress(compress)
     if memo is None and use_memo:
@@ -385,7 +378,6 @@ def compare_fleet(
                 seed_acl_counts(pairs, pairings, memo)
             return pairwise_count_outcomes(
                 pairs,
-                workers=workers,
                 exhaustive_communities=exhaustive_communities,
                 timeout=timeout,
                 node_limit=node_limit,

@@ -4,8 +4,8 @@ Under the per-pair backends every matrix pairing of two distinct ACLs
 repays the full cost of encoding and refining both partitions, so a
 fleet whose devices all differ pays it N(N−1)/2 times.
 :func:`seed_acl_counts` runs in :func:`repro.core.fleet.compare_fleet`
-after the symmetry plan and before each matrix fan-out, over exactly
-the pairs that fan-out will analyze:
+after the symmetry plan and before each matrix pass, over exactly
+the pairs that pass will analyze:
 
 1. collect the ACL pairs whose memo key is neither in the memo nor in
    its persistent cache (:meth:`DiffMemo.peek`, which counts no memo

@@ -26,9 +26,9 @@ keep *reports* (not just verdicts) exact:
 
 Entries are JSON-compatible dictionaries (serialized via
 :mod:`repro.core.serialize`), so the memo can be backed by the on-disk
-:class:`repro.cache.ArtifactCache` and shipped across process
-boundaries: workers accumulate their new entries and return them inside
-``PairOutcome.memo_updates`` for the parent to merge.
+:class:`repro.cache.ArtifactCache`.  One memo serves one run: the
+fleet matrix and the reference reports read and write it in the same
+process, one pair at a time.
 """
 
 from __future__ import annotations
@@ -169,16 +169,11 @@ class DiffMemo:
 
     Reads fall through to the :class:`~repro.cache.ArtifactCache` when
     one is attached (read-through), and every new entry is written
-    through immediately, so a warm cache survives the process.  The
-    cache handle never crosses process boundaries (``__getstate__``
-    drops it): workers read the entries snapshot they inherited and
-    report new entries back via :meth:`take_updates`, which the parent
-    folds in — and persists — with :meth:`merge`.
+    through immediately, so a warm cache survives the process.
     """
 
     def __init__(self, cache: Optional[object] = None) -> None:
         self._entries: Dict[MemoKey, Dict] = {}
-        self._updates: Dict[MemoKey, Dict] = {}
         self._cache = cache
 
     def __len__(self) -> int:
@@ -212,7 +207,6 @@ class DiffMemo:
         if key in self._entries:
             return
         self._entries[key] = entry
-        self._updates[key] = entry
         perf.add("memo.stores")
         if self._cache is not None:
             self._cache.put_diff(key, entry)
@@ -232,7 +226,6 @@ class DiffMemo:
         if existing is not None and existing.get("localized"):
             return
         self._entries[key] = entry
-        self._updates[key] = entry
         perf.add("memo.upgrades")
         if self._cache is not None:
             self._cache.put_diff(key, entry)
@@ -244,9 +237,8 @@ class DiffMemo:
         (:func:`repro.core.fleet_atoms.seed_acl_counts`); they are
         written through to the persistent cache so warm and edit runs
         fold only what changed (see :func:`count_entry` for why a
-        persisted seed is sound).  They stay out of ``_updates``: seeds
-        are made in the parent, which owns the cache.  First write wins,
-        and a seed never overwrites an existing entry.
+        persisted seed is sound).  First write wins, and a seed never
+        overwrites an existing entry.
         """
         if key in self._entries:
             return
@@ -254,36 +246,3 @@ class DiffMemo:
         perf.add("memo.seeds")
         if self._cache is not None:
             self._cache.put_diff(key, entry)
-
-    def take_updates(self) -> Dict[MemoKey, Dict]:
-        """Drain entries added since the last drain (worker → parent)."""
-        updates, self._updates = self._updates, {}
-        return updates
-
-    def merge(self, updates: Dict[MemoKey, Dict]) -> None:
-        """Fold another process's new entries in (and persist them).
-
-        First write wins, with one exception mirroring :meth:`upgrade`:
-        a localized entry from a worker replaces a count-only entry the
-        parent already holds, so the extra information survives the
-        round trip.
-        """
-        for key, entry in updates.items():
-            existing = self._entries.get(key)
-            if existing is not None and (
-                existing.get("localized") or not entry.get("localized")
-            ):
-                continue
-            self._entries[key] = entry
-            perf.add("memo.merged")
-            if self._cache is not None:
-                self._cache.put_diff(key, entry)
-
-    # -- pickling: entries travel, the cache handle stays home ---------------
-    def __getstate__(self) -> Dict:
-        return {"entries": dict(self._entries)}
-
-    def __setstate__(self, state: Dict) -> None:
-        self._entries = dict(state["entries"])
-        self._updates = {}
-        self._cache = None

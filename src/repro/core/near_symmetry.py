@@ -42,7 +42,7 @@ count and a ``FleetReport.notes`` entry — mirroring the atom-budget
 fallback convention.  A representative pair that *fails* at runtime
 fails only content-identical pairs; merely near-symmetric member pairs
 fall back to concrete analysis (``expand_near`` returns them for a
-second fan-out), so one targeted fault cannot poison an entire class.
+second matrix pass), so one targeted fault cannot poison an entire class.
 
 :func:`raw_substitution` / :func:`replay_report_dict` are the
 full-report form of the replay identity: the oracle and the test suite

@@ -70,8 +70,7 @@ class DeviceConfig:
 
         Parsers seal them (:meth:`seal_fingerprints`) so every parsed
         device carries its fingerprints; the cached value pickles with
-        the device, so workers and the on-disk artifact cache never
-        recompute it.
+        the device, so the on-disk artifact cache never recomputes it.
         """
         cached = self.__dict__.get("_fingerprints")
         if cached is None:
@@ -99,7 +98,7 @@ class DeviceConfig:
 
         The near-symmetry layer (``repro.core.near_symmetry``) touches
         this; like :attr:`fingerprints`, the cached value pickles with
-        the device so workers never recompute it.
+        the device so a cached device never recomputes it.
         """
         cached = self.__dict__.get("_template")
         if cached is None:

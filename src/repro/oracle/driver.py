@@ -904,21 +904,17 @@ class _FleetRow:
 
 def _default_report(env, devices) -> dict:
     """The default path (near compression, memo on), serialized."""
-    return fleet_report_to_dict(compare_fleet(devices, workers=1))
+    return fleet_report_to_dict(compare_fleet(devices))
 
 
 def _per_pair_report(env, devices) -> dict:
     """Memo off: every pair recomputed, no fleet-scale seeding."""
-    return fleet_report_to_dict(
-        compare_fleet(devices, workers=1, use_memo=False)
-    )
+    return fleet_report_to_dict(compare_fleet(devices, use_memo=False))
 
 
 def _uncompressed_report(env, devices) -> dict:
     """Compression off: every matrix pair analyzed."""
-    return fleet_report_to_dict(
-        compare_fleet(devices, workers=1, compress="off")
-    )
+    return fleet_report_to_dict(compare_fleet(devices, compress="off"))
 
 
 def _config_texts(devices) -> List[dict]:
@@ -958,7 +954,6 @@ def _live_service() -> Iterator[str]:
             port=0,
             journal_path=f"{tmp}/journal.jsonl",
             no_cache=True,
-            workers=1,
             job_concurrency=1,
         )
         with ServiceThread(config) as service:
@@ -1190,9 +1185,9 @@ def _service_roundtrip(url: str, configs) -> dict:
 
     request = urllib.request.Request(
         url + "/v1/fleet",
-        data=json.dumps(
-            {"configs": configs, "tenant": "oracle", "workers": 1}
-        ).encode("utf-8"),
+        data=json.dumps({"configs": configs, "tenant": "oracle"}).encode(
+            "utf-8"
+        ),
         headers={"Content-Type": "application/json"},
         method="POST",
     )

@@ -2,8 +2,8 @@
 
 The hot paths (SemanticDiff, HeaderLocalize, the parsers) report into a
 process-global :class:`PerfRegistry`; benchmarks and the CLI snapshot it
-to JSON so perf trajectories (``BENCH_kernels.json``,
-``BENCH_atoms.json``) carry the *why* behind a wall-clock number — how
+to JSON so perf trajectories (``BENCH_atoms.json``,
+``BENCH_fleet_memo.json``) carry the *why* behind a wall-clock number — how
 many class pairs were compared (``semantic_diff.pairs_compared``, the
 ``bdd`` backend's loop) or how many atoms/bitset operations replaced
 them (``setalg.atoms``, ``setalg.atom_probes``, ``setalg.bitset_ops``,
@@ -12,13 +12,9 @@ long parsing took versus diffing, how the BDD caches behaved.
 
 Instrumentation is deliberately coarse-grained (one timer span per
 parse/diff/localize call, counters bumped in bulk), so the registry adds
-nothing measurable to the hot loops it describes.  Worker *processes*
-(``repro.core.parallel``) each get their own registry whose numbers
-describe that worker alone; within one process, mutation is guarded by
-a lock because the analysis service (``repro.service``) runs jobs on
-threads that report concurrently.  The lock is re-initialized in fork
-children (``os.register_at_fork``) so a worker forked while another
-service thread held it can never deadlock on the inherited state.
+nothing measurable to the hot loops it describes.  Mutation is guarded
+by a lock because the analysis service (``repro.service``) runs jobs on
+threads that report concurrently.
 
 Usage::
 
@@ -35,7 +31,6 @@ Usage::
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -124,14 +119,6 @@ class PerfRegistry:
 
 #: The process-global registry the instrumented modules report into.
 REGISTRY = PerfRegistry()
-
-if hasattr(os, "register_at_fork"):
-    # A fork snapshots all thread state, including a possibly-held
-    # registry lock in another (service) thread; give the child a
-    # fresh lock so its first perf.add can never deadlock.
-    os.register_at_fork(
-        after_in_child=lambda: setattr(REGISTRY, "_lock", threading.Lock())
-    )
 
 # Module-level conveniences bound to the global registry.
 add = REGISTRY.add

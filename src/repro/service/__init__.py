@@ -3,9 +3,9 @@
 The batch CLI (``campion fleet``) re-ran the whole pipeline per
 invocation; this package wraps the same incremental substrate —
 content-addressed parse cache, :class:`~repro.core.memo.DiffMemo`,
-process-parallel :func:`~repro.core.fleet.compare_fleet` — in a
-long-running daemon (``campion serve``) so config pushes cost only the
-changed pairs.  Robustness is the first-class design axis:
+:func:`~repro.core.fleet.compare_fleet` — in a long-running daemon
+(``campion serve``) so config pushes cost only the changed pairs.
+Robustness is the first-class design axis:
 
 * :mod:`repro.service.journal` — crash-safe append-only JSONL journal
   with torn-tail tolerance and atomic compaction.
@@ -13,10 +13,11 @@ changed pairs.  Robustness is the first-class design axis:
   journaled), per-job retry with jittered exponential backoff, a
   dead-letter state after ``max_attempts``, and restart recovery of
   in-flight jobs.
-* :mod:`repro.service.supervisor` — runs jobs through the pipeline,
-  quarantines worker-crashed pairs with structured diagnostics, and a
-  circuit breaker that degrades to serial in-process execution while
-  the worker pool keeps dying.
+* :mod:`repro.service.supervisor` — runs each job through the
+  pipeline on a job thread, one pair at a time under the job's BDD
+  time and node budgets; a failing pair lands in the report's
+  ``failed_pairs`` and the job still succeeds.  Errors are classified
+  permanent (bad payload) or transient (retried by the queue).
 * :mod:`repro.service.api` — minimal stdlib ``asyncio`` HTTP/1.1
   JSON API (submit fleets, poll jobs, ``/healthz``/``/readyz``).
 * :mod:`repro.service.app` — the daemon: admission control (bounded
@@ -30,7 +31,7 @@ Everything is stdlib-only; no new dependencies.
 from .app import AnalysisService, ServiceConfig, ServiceThread
 from .journal import Journal
 from .queue import Job, JobQueue, QueueFull
-from .supervisor import CircuitBreaker, Supervisor
+from .supervisor import Supervisor
 
 __all__ = [
     "AnalysisService",
@@ -40,6 +41,5 @@ __all__ = [
     "Job",
     "JobQueue",
     "QueueFull",
-    "CircuitBreaker",
     "Supervisor",
 ]

@@ -14,7 +14,7 @@ Endpoints (wired by the app):
 * ``GET /v1/jobs/<id>``  — job state; the full result document once
   ``done``.
 * ``GET /v1/jobs``       — all job summaries.
-* ``GET /healthz``       — liveness + queue/breaker/cache/perf gauges
+* ``GET /healthz``       — liveness + queue/cache/perf gauges
   (200 while the process runs, even when degraded).
 * ``GET /readyz``        — admission: 200 iff a new job would be
   accepted right now, else 503.

@@ -44,7 +44,7 @@ from ..cache import ArtifactCache, resolve_cache_dir
 from .api import HttpServer, JsonResponse
 from .journal import Journal
 from .queue import JobQueue, QueueFull
-from .supervisor import CircuitBreaker, JobError, Supervisor
+from .supervisor import JobError, Supervisor
 
 __all__ = ["ServiceConfig", "AnalysisService", "ServiceThread"]
 
@@ -72,7 +72,6 @@ class ServiceConfig:
     max_attempts: int = 3
     tenant_quota: int = 1
     job_concurrency: int = 2
-    workers: int = 1
     timeout: Optional[float] = None
     node_limit: Optional[int] = None
     drain_grace: float = 30.0
@@ -97,13 +96,10 @@ class AnalysisService:
             if self.config.no_cache
             else ArtifactCache(resolve_cache_dir(self.config.cache_dir))
         )
-        self.breaker = CircuitBreaker()
         self.supervisor = Supervisor(
             cache=self.cache,
-            workers=self.config.workers,
             timeout=self.config.timeout,
             node_limit=self.config.node_limit,
-            breaker=self.breaker,
         )
         self.http = HttpServer(
             self._handle,
@@ -293,11 +289,7 @@ class AnalysisService:
                 "limit": self.config.queue_limit,
                 "states": self.queue.counts(),
             },
-            "workers": {
-                "configured": self.config.workers,
-                "job_concurrency": self.config.job_concurrency,
-                "breaker": self.breaker.snapshot(),
-            },
+            "workers": {"job_concurrency": self.config.job_concurrency},
             "cache": {
                 "enabled": self.cache is not None,
                 "root": str(self.cache.root) if self.cache else None,

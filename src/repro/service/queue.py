@@ -20,9 +20,9 @@ either in its previous state or its next one — never lost.  On restart
 intact, or dead-lettered if the crash burned their last attempt.
 
 Retries use jittered exponential backoff (``not_before`` gate on
-claim).  Transient failures (timeouts, crashed workers, internal
-errors) retry; permanent failures (malformed payloads, duplicate
-hostnames — errors a retry cannot fix) go straight to ``failed``.
+claim).  Transient failures (internal errors) retry; permanent
+failures (malformed payloads, duplicate hostnames — errors a retry
+cannot fix) go straight to ``failed``.
 
 Admission control: the queue is bounded (``limit``) over non-terminal
 jobs; :meth:`submit` raises :class:`QueueFull` so the HTTP layer can
@@ -185,7 +185,7 @@ class JobQueue:
         Respects per-job backoff gates (``not_before``) and the
         per-tenant concurrency quota (a tenant with ``tenant_quota``
         jobs already running is skipped — one tenant's burst cannot
-        monopolize the workers).  The attempt counter increments at
+        monopolize the job runners).  The attempt counter increments at
         claim time, so a crash mid-run burns the attempt — a poison
         job cannot loop forever through recovery.
         """

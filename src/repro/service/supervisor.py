@@ -1,4 +1,4 @@
-"""Job execution under supervision: crash quarantine + circuit breaker.
+"""Job execution under supervision: per-pair isolation + error classes.
 
 The supervisor is the bridge between a queued job payload (config
 texts + options) and the analysis pipeline.  One job = parse every
@@ -7,18 +7,13 @@ config (through the tenant's cache namespace) and run
 :class:`~repro.core.memo.DiffMemo` in front, so a warm re-push only
 analyzes changed pairs.
 
-Worker death is handled at two levels.  :mod:`repro.core.parallel`
-already classifies a died worker as a per-pair ``crashed`` outcome
-(respawning the pool with backoff) and retries it serially in-parent;
-a pair that *still* shows a ``worker-crashed`` diagnostic lands in
-``FleetReport.failed_pairs`` and is surfaced by the supervisor as a
-structured quarantine entry on the job result — the job itself
-succeeds with the surviving pairs.  On top of that, a circuit breaker
-watches for *persistent* pool death across jobs: after
-``crash_threshold`` consecutive crash-affected jobs it opens and
-degrades execution to serial in-process workers (``workers=1`` — no
-pool to kill), probing parallel execution again (half-open) after a
-jittered, doubling cooldown.
+A failing pair does not fail its job.  :mod:`repro.core.parallel` runs
+the matrix one pair at a time on the job's thread and turns a pair
+whose analysis raises (on its retry too) into a ``failed_pairs`` entry
+of the report; the job succeeds with the surviving pairs.  The job's
+``timeout`` and ``node_limit`` options become each pair's BDD time and
+node budgets, so a pathological pair degrades into a budget-aborted
+result instead of holding the thread.
 
 Error classification mirrors the CLI exit-code contract:
 :class:`~repro.model.types.ConfigError` / :class:`ValueError` /
@@ -29,9 +24,6 @@ is transient and eligible for retry.
 
 from __future__ import annotations
 
-import random
-import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
 from .. import perf
@@ -40,9 +32,7 @@ from ..core import COMPRESS_MODES, DiffMemo, compare_fleet, fleet_report_to_dict
 from ..model.types import ConfigError
 from ..parsers import StanzaMemo, parse_config
 
-__all__ = ["CircuitBreaker", "Supervisor", "JobError"]
-
-_CRASH_MARKER = "worker-crashed"
+__all__ = ["Supervisor", "JobError"]
 
 
 class JobError(Exception):
@@ -53,110 +43,18 @@ class JobError(Exception):
         self.permanent = permanent
 
 
-class CircuitBreaker:
-    """closed → open (serial) → half-open (probe) → closed.
-
-    Thread-safe; ``decide_workers`` is consulted before every job and
-    ``record`` after it, so state advances even when jobs overlap.
-    """
-
-    def __init__(
-        self,
-        crash_threshold: int = 2,
-        cooldown: float = 5.0,
-        max_cooldown: float = 300.0,
-    ) -> None:
-        self.crash_threshold = crash_threshold
-        self.base_cooldown = cooldown
-        self.max_cooldown = max_cooldown
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._consecutive_crashes = 0
-        self._open_until = 0.0
-        self._cooldown = cooldown
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        """Current breaker state: closed, open, or half-open."""
-        with self._lock:
-            return self._state
-
-    def decide_workers(self, requested: int) -> int:
-        """Worker count for the next job under the current state."""
-        if requested <= 1:
-            return requested
-        with self._lock:
-            if self._state == "closed":
-                return requested
-            now = time.monotonic()
-            if self._state == "open" and now >= self._open_until:
-                self._state = "half-open"
-            if self._state == "half-open" and not self._probing:
-                # One probe job gets the pool back; the rest stay
-                # serial until the probe reports success.
-                self._probing = True
-                return requested
-            return 1
-
-    def record(self, crashed: bool, parallel_job: bool) -> None:
-        """Account one finished job's crash evidence."""
-        with self._lock:
-            if crashed:
-                self._consecutive_crashes += 1
-                perf.add("service.breaker.crash_jobs")
-                if self._state == "half-open":
-                    # The probe died too: back to open, longer cooldown.
-                    self._probing = False
-                    self._trip_locked()
-                elif (
-                    self._state == "closed"
-                    and self._consecutive_crashes >= self.crash_threshold
-                ):
-                    self._trip_locked()
-            else:
-                self._consecutive_crashes = 0
-                if self._state == "half-open" and parallel_job:
-                    # Probe succeeded: pool is healthy again.
-                    self._state = "closed"
-                    self._probing = False
-                    self._cooldown = self.base_cooldown
-                    perf.add("service.breaker.closes")
-
-    def _trip_locked(self) -> None:
-        self._state = "open"
-        self._open_until = time.monotonic() + self._cooldown * (
-            1.0 + random.random()
-        )
-        self._cooldown = min(self.max_cooldown, self._cooldown * 2)
-        perf.add("service.breaker.trips")
-
-    def snapshot(self) -> Dict:
-        """State, crash streak, and cooldown, for /healthz."""
-        with self._lock:
-            return {
-                "state": self._state,
-                "consecutive_crash_jobs": self._consecutive_crashes,
-                "cooldown_seconds": self._cooldown,
-            }
-
-
 class Supervisor:
     """Executes job payloads through the pipeline, supervised."""
 
     def __init__(
         self,
         cache: Optional[ArtifactCache],
-        workers: int = 1,
         timeout: Optional[float] = None,
         node_limit: Optional[int] = None,
-        breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.cache = cache
-        self.workers = workers
         self.timeout = timeout
         self.node_limit = node_limit
-        self.breaker = breaker or CircuitBreaker()
 
     # -- payload -------------------------------------------------------------
     @staticmethod
@@ -192,20 +90,16 @@ class Supervisor:
 
     # -- execution -----------------------------------------------------------
     def run_job(self, payload: Dict, tenant_cache: Optional[ArtifactCache]) -> Dict:
-        """Run one fleet analysis; blocking (call from a worker thread).
+        """Run one fleet analysis; blocking (call from a job thread).
 
         Returns the job result document: the timing-free serialized
-        fleet report plus supervision metadata (quarantined pairs,
-        execution mode, cache/memo deltas for warm-push verification).
-        Raises :class:`JobError` with a permanence classification on
-        failure.
+        fleet report plus its notes, symmetry-compression statistics
+        and cache/memo deltas (for warm-push verification).  Raises
+        :class:`JobError` with a permanence classification on failure.
+        A ``"workers"`` key, like ``"set_backend"``, is ignored.
         """
         configs = self.validate_payload(payload)
         cache = tenant_cache if tenant_cache is not None else self.cache
-        requested = self._int_option(payload, "workers", self.workers)
-        effective_workers = self.breaker.decide_workers(requested)
-        if effective_workers < requested:
-            perf.add("service.jobs.degraded_serial")
         counter_base = {
             name: perf.REGISTRY.counters.get(name, 0)
             for name in (
@@ -215,11 +109,8 @@ class Supervisor:
                 "memo.misses",
                 "memo.localization_replays",
                 "header_localize.dag_cache_hits",
-                "parallel.worker_crashes",
-                "parallel.pool_respawns",
             )
         }
-        crashed = False
         try:
             memo = StanzaMemo()
             devices = [
@@ -232,7 +123,6 @@ class Supervisor:
                 exhaustive_communities=bool(
                     payload.get("exhaustive_communities", False)
                 ),
-                workers=effective_workers,
                 timeout=self._float_option(payload, "timeout", self.timeout),
                 node_limit=self._int_option(
                     payload, "node_limit", self.node_limit
@@ -253,26 +143,14 @@ class Supervisor:
                 f"internal error ({type(exc).__name__}: {exc})",
                 permanent=False,
             )
-        finally:
-            deltas = {
-                name: perf.REGISTRY.counters.get(name, 0) - base
-                for name, base in counter_base.items()
-            }
-            crashed = deltas["parallel.worker_crashes"] > 0
-            self.breaker.record(
-                crashed=crashed, parallel_job=effective_workers > 1
-            )
-        quarantined = {
-            f"{first}<->{second}": cause
-            for (first, second), cause in report.failed_pairs.items()
-            if _CRASH_MARKER in cause
+        deltas = {
+            name: perf.REGISTRY.counters.get(name, 0) - base
+            for name, base in counter_base.items()
         }
-        if quarantined:
-            perf.add("service.jobs.quarantined_pairs", len(quarantined))
         # Symmetry-compression counters: how much of the matrix phase
         # near-symmetry planning let this job skip.  Kept
         # out of the serialized report (like timings) and surfaced here
-        # instead, alongside the other supervision metadata.
+        # instead, alongside the cache deltas.
         if report.symmetry is not None:
             symmetry = {
                 "compressed": True,
@@ -297,14 +175,6 @@ class Supervisor:
             "report": fleet_report_to_dict(report),
             "notes": list(report.notes),
             "symmetry": symmetry,
-            "supervision": {
-                "workers": effective_workers,
-                "requested_workers": requested,
-                "mode": "parallel" if effective_workers > 1 else "serial",
-                "worker_crashes": deltas["parallel.worker_crashes"],
-                "pool_respawns": deltas["parallel.pool_respawns"],
-                "quarantined_pairs": quarantined,
-            },
             "cache": {
                 "device_hits": deltas["cache.device.hits"],
                 "diff_hits": deltas["cache.diff.hits"],

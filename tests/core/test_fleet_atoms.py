@@ -12,7 +12,6 @@ Covers the two layers of fleet atomization on the default path:
   on warm runs.
 """
 
-import pickle
 import random
 
 import pytest
@@ -255,7 +254,7 @@ class TestFleetAtomizerGrouping:
     def test_topology_blind_fleet_is_one_universe(self):
         devices, _ = gateway_fleet(count=5, outliers=4, rule_count=10, seed=9)
         before = _counter("fleet_atoms.universes")
-        compare_fleet(devices, workers=1)
+        compare_fleet(devices)
         assert _counter("fleet_atoms.universes") == before + 1
 
 
@@ -285,7 +284,7 @@ class TestSeededMatrix:
         pairings = _seed(pairs, memo)
         before = _counter("bdd.applies")
         outcomes = pairwise_count_outcomes(
-            pairs, workers=1, memo=memo, pairings=pairings
+            pairs, memo=memo, pairings=pairings
         )
         assert _counter("bdd.applies") == before  # the acceptance criterion
         assert all(outcome.ok for outcome in outcomes)
@@ -293,7 +292,7 @@ class TestSeededMatrix:
     def test_reports_identical_to_other_backends(self):
         devices, _ = gateway_fleet(count=5, outliers=3, rule_count=10, seed=2)
         reports = {
-            name: fleet_report_to_dict(compare_fleet(devices, workers=1, **kw))
+            name: fleet_report_to_dict(compare_fleet(devices, **kw))
             for name, kw in (
                 ("default", {}),
                 ("bdd", {"set_backend": "bdd"}),
@@ -316,7 +315,7 @@ class TestSeededMatrix:
             return real(device1, device2)
 
         monkeypatch.setattr(fleet_module, "match_policies", counting)
-        report = compare_fleet(devices, workers=1)
+        report = compare_fleet(devices)
         analyzed = report.symmetry.analyzed_pairs
         assert analyzed < report.symmetry.total_pairs
         assert len(calls) == len(set(calls)) == analyzed
@@ -336,11 +335,11 @@ class TestBudgetFallback:
     def test_env_budget_fallback_keeps_report_identical(self, monkeypatch):
         devices, _ = gateway_fleet(count=4, outliers=3, rule_count=10, seed=6)
         baseline = fleet_report_to_dict(
-            compare_fleet(devices, workers=1, use_memo=False)
+            compare_fleet(devices, use_memo=False)
         )
         monkeypatch.setattr(atoms, "default_atom_budget", lambda n1, n2: 4)
         before = _counter("fleet_atoms.budget_fallbacks")
-        report = compare_fleet(devices, workers=1)
+        report = compare_fleet(devices)
         assert _counter("fleet_atoms.budget_fallbacks") > before
         # The fallback is a perf counter, never a report note.
         assert report.notes == []
@@ -348,7 +347,7 @@ class TestBudgetFallback:
 
     def test_unconstrained_run_has_no_notes(self):
         devices, _ = gateway_fleet(count=4, outliers=2, rule_count=10, seed=6)
-        report = compare_fleet(devices, workers=1)
+        report = compare_fleet(devices)
         assert report.notes == []
 
 
@@ -357,31 +356,23 @@ class TestPersistedSeeds:
         devices, _ = gateway_fleet(count=4, outliers=3, rule_count=10, seed=8)
         memo = DiffMemo()
         before = _counter("fleet_atoms.universes")
-        first = fleet_report_to_dict(compare_fleet(devices, workers=1, memo=memo))
+        first = fleet_report_to_dict(compare_fleet(devices, memo=memo))
         assert _counter("fleet_atoms.universes") == before + 1
-        second = fleet_report_to_dict(compare_fleet(devices, workers=1, memo=memo))
+        second = fleet_report_to_dict(compare_fleet(devices, memo=memo))
         assert _counter("fleet_atoms.universes") == before + 1
         assert first == second
-
-    def test_seeds_cross_pickling(self):
-        devices, _ = gateway_fleet(count=3, outliers=2, rule_count=8, seed=8)
-        memo = DiffMemo()
-        _seed(_all_pairs(devices), memo)
-        # Matrix workers receive the memo pickled; the seeds travel.
-        clone = pickle.loads(pickle.dumps(memo))
-        assert len(clone) == len(memo) > 0
 
     def test_warm_run_on_a_persistent_cache_folds_nothing(self, tmp_path):
         devices, _ = gateway_fleet(count=6, outliers=5, rule_count=10, seed=3)
         cold = fleet_report_to_dict(
             compare_fleet(
-                devices, workers=1, memo=DiffMemo(ArtifactCache(tmp_path))
+                devices, memo=DiffMemo(ArtifactCache(tmp_path))
             )
         )
         perf.reset()
         warm = fleet_report_to_dict(
             compare_fleet(
-                devices, workers=1, memo=DiffMemo(ArtifactCache(tmp_path))
+                devices, memo=DiffMemo(ArtifactCache(tmp_path))
             )
         )
         counters = perf.REGISTRY.counters
@@ -392,19 +383,19 @@ class TestPersistedSeeds:
 
     def test_one_device_edit_folds_only_its_pairs(self, tmp_path):
         devices, _ = gateway_fleet(count=6, outliers=5, rule_count=10, seed=3)
-        compare_fleet(devices, workers=1, memo=DiffMemo(ArtifactCache(tmp_path)))
+        compare_fleet(devices, memo=DiffMemo(ArtifactCache(tmp_path)))
         edited = list(devices)
         edited[0] = _device(devices[0].hostname, _acl("GW_POLICY", seed=99))
         perf.reset()
         report = compare_fleet(
-            edited, workers=1, memo=DiffMemo(ArtifactCache(tmp_path))
+            edited, memo=DiffMemo(ArtifactCache(tmp_path))
         )
         counters = perf.REGISTRY.counters
         assert counters.get("fleet_atoms.universes", 0) == 1
         # The edited ACL against each of the other five.
         assert counters.get("memo.seeds", 0) == len(devices) - 1
         assert fleet_report_to_dict(report) == fleet_report_to_dict(
-            compare_fleet(edited, workers=1, use_memo=False)
+            compare_fleet(edited, use_memo=False)
         )
 
 

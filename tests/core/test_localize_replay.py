@@ -23,7 +23,7 @@ from repro.core import (
     report_to_dict,
     semantic_difference_to_dict,
 )
-from repro.core.memo import count_entry, semantic_entry
+from repro.core.memo import semantic_entry
 from repro.core.replay import replay_semantic_differences
 from repro.core.results import ComponentKind
 from repro.encoding import RouteSpace
@@ -183,7 +183,7 @@ class TestMemoReplay:
         config_diff(devices[0], devices[1], memo=memo)
         entries = [
             entry
-            for entry in memo.take_updates().values()
+            for entry in memo._entries.values()
             if entry.get("localized") and entry["count"] > 0
         ]
         assert entries, "expected localized memo entries"
@@ -197,9 +197,11 @@ class TestMemoReplay:
         devices = self._fleet()
         memo = DiffMemo()
         config_diff(devices[0], devices[1], memo=memo)
-        memo.take_updates()
+        entries = dict(memo._entries)
+        writes = _counter("memo.stores") + _counter("memo.upgrades")
         config_diff(devices[0], devices[1], memo=memo)
-        assert memo.take_updates() == {}
+        assert _counter("memo.stores") + _counter("memo.upgrades") == writes
+        assert memo._entries == entries
 
     def test_count_entry_upgraded_after_collect(self):
         from repro.core.config_diff import config_diff_summary
@@ -209,13 +211,17 @@ class TestMemoReplay:
         # Count mode stores entries without localization; the first
         # collect-mode walk recomputes live and upgrades them in place.
         config_diff_summary(devices[0], devices[1], memo=memo)
-        count_entries = dict(memo.take_updates())
+        count_entries = dict(memo._entries)
         assert count_entries and not any(
             e.get("localized") for e in count_entries.values()
         )
         before = _counter("memo.upgrades")
         config_diff(devices[0], devices[1], memo=memo)
-        upgraded = dict(memo.take_updates())
+        upgraded = {
+            key: entry
+            for key, entry in memo._entries.items()
+            if entry is not count_entries.get(key)
+        }
         assert _counter("memo.upgrades") > before
         assert any(
             e.get("localized") and e["count"] > 0 for e in upgraded.values()
@@ -254,15 +260,3 @@ class TestMemoReplay:
         assert json.dumps(collected, sort_keys=True) == json.dumps(
             live, sort_keys=True
         )
-
-    def test_merge_prefers_localized_entries(self):
-        memo = DiffMemo()
-        key = ("acl", "a", "b")
-        memo.put(key, count_entry(ComponentKind.ACL, 2))
-        localized = semantic_entry(
-            ComponentKind.ACL, [], provenance="p", replay={"semantic": []}
-        )
-        memo.merge({key: localized})
-        assert memo.get(key) is localized
-        memo.merge({key: count_entry(ComponentKind.ACL, 2)})
-        assert memo.get(key) is localized

@@ -366,7 +366,7 @@ class TestThreeModeByteIdentity:
     def _identical(self, devices):
         serialized = {
             mode: fleet_report_to_dict(
-                compare_fleet(devices, workers=1, compress=mode)
+                compare_fleet(devices, compress=mode)
             )
             for mode in ("off", "near")
         }
@@ -393,7 +393,7 @@ class TestThreeModeByteIdentity:
         devices, _ = parameterized_clos_fleet(
             count=8, roles=2, rule_count=6, seed=2
         )
-        stats = compare_fleet(devices, workers=1, compress="near").symmetry
+        stats = compare_fleet(devices, compress="near").symmetry
         assert stats.classes == 2
         assert stats.analyzed_pairs == 3
         assert stats.total_pairs == 28
@@ -403,7 +403,7 @@ class TestThreeModeByteIdentity:
         devices, _ = parameterized_clos_fleet(
             count=6, roles=2, rule_count=4, seed=0
         )
-        report = compare_fleet(devices, workers=1, compress="near")
+        report = compare_fleet(devices, compress="near")
         assert not any("near-symmetry" in note for note in report.notes)
 
 
@@ -512,7 +512,7 @@ class TestNearFallback:
 
         monkeypatch.setattr(parallel, "_count_pair", poisoned)
         base = perf.REGISTRY.counters.get(FALLBACK_COUNTER, 0)
-        report = compare_fleet(devices, workers=1, compress="near")
+        report = compare_fleet(devices, compress="near")
         fallback_count = perf.REGISTRY.counters.get(FALLBACK_COUNTER, 0) - base
 
         expected_fallback = sum(
@@ -527,7 +527,7 @@ class TestNearFallback:
         # the fault stays on its own pair (possibly healed by the
         # reference phase if it involves the medoid) — never spreads
         uncompressed = compare_fleet(
-            devices, workers=1, compress="off"
+            devices, compress="off"
         )
         assert report.failed_pairs == uncompressed.failed_pairs
         assert set(report.failed_pairs) <= {target}
@@ -548,14 +548,14 @@ class TestNearFallback:
             return real(task)
 
         monkeypatch.setattr(parallel, "_count_pair", poisoned)
-        report = compare_fleet(devices, workers=1, compress="near")
+        report = compare_fleet(devices, compress="near")
         stats = report.symmetry
         assert stats.fallback_pairs == 5  # 6 pairs, 1 analyzed, 5 replayed
         assert stats.analyzed_pairs == 1 + 5
         # The target pair involves the medoid, so the reference phase
         # re-runs and heals it — the matrix ends up complete, exactly
         # like the uncompressed run under the same fault.
-        uncompressed = compare_fleet(devices, workers=1, compress="off")
+        uncompressed = compare_fleet(devices, compress="off")
         assert report.failed_pairs == uncompressed.failed_pairs == {}
         assert report.matrix == uncompressed.matrix
 

@@ -211,7 +211,7 @@ class TestFailureExpansion:
         # for are content-identical and fail with it; merely
         # near-symmetric members fall back to concrete analysis
         # instead (see tests/core/test_near_symmetry.py).
-        report = compare_fleet(devices, workers=1)
+        report = compare_fleet(devices)
         # The intra-class pair never ran _count_pair, so it survives ...
         assert report.matrix[(first, second)] == 0
         # ... which makes `first` the medoid; the reference phase then

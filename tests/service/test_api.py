@@ -28,7 +28,6 @@ def service(tmp_path):
         port=0,
         journal_path=tmp_path / "journal.jsonl",
         no_cache=True,
-        workers=1,
         job_concurrency=1,
         queue_limit=4,
     )
@@ -78,15 +77,18 @@ class TestSubmitAndPoll:
         assert final["job"]["attempts"] == 1  # permanent: never retried
         assert "'off', 'near'" in final["job"]["error"]
 
-    def test_non_integer_workers_fails_permanently(self, service, small_fleet):
+    def test_workers_key_is_ignored(self, service, small_fleet):
         configs, _, _ = small_fleet
-        _, body = http_json(
-            f"{service.url}/v1/fleet", {"configs": configs, "workers": "two"}
-        )
-        final = wait_for_job(service.url, body["job"]["id"])
-        assert final["job"]["state"] == "failed"
-        assert final["job"]["attempts"] == 1  # permanent: never retried
-        assert "option 'workers' is not an integer" in final["job"]["error"]
+        reports = []
+        for extra in ({}, {"workers": 2}, {"workers": "two"}):
+            _, body = http_json(
+                f"{service.url}/v1/fleet", {"configs": configs, **extra}
+            )
+            final = wait_for_job(service.url, body["job"]["id"])
+            assert final["job"]["state"] == "done"
+            reports.append(final["result"]["report"])
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
 
 
 class TestHealth:
@@ -95,8 +97,31 @@ class TestHealth:
         assert status == 200
         assert body["status"] == "ok"
         assert body["queue"]["depth"] == 0
-        assert body["workers"]["breaker"]["state"] == "closed"
+        assert body["workers"] == {"job_concurrency": 1}
         assert "counters" in body
+
+    def test_no_pool_supervision_fields(self, service, small_fleet):
+        """Nothing runs a worker pool, so neither a job result nor the
+        health document carries pool, breaker or quarantine fields."""
+        configs, _, _ = small_fleet
+        _, body = http_json(f"{service.url}/v1/fleet", {"configs": configs})
+        final = wait_for_job(service.url, body["job"]["id"])
+        assert final["job"]["state"] == "done"
+        assert "supervision" not in final["result"]
+        _, health = http_json(f"{service.url}/healthz")
+        assert health["workers"] == {"job_concurrency": 1}
+        assert not [
+            name
+            for name in health["counters"]
+            if name.startswith("service.breaker.")
+            or name
+            in (
+                "service.jobs.degraded_serial",
+                "service.jobs.quarantined_pairs",
+                "parallel.worker_crashes",
+                "parallel.pool_respawns",
+            )
+        ]
 
     def test_readyz_ready_when_idle(self, service):
         status, body = http_json(f"{service.url}/readyz")
@@ -157,7 +182,6 @@ class TestBackpressure:
             port=0,
             journal_path=tmp_path / "journal.jsonl",
             no_cache=True,
-            workers=1,
             job_concurrency=1,
             queue_limit=2,
             tenant_quota=1,

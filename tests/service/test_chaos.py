@@ -1,23 +1,12 @@
-"""Chaos acceptance: the daemon survives worker kills, corrupt cache
-entries, malformed pushes, and queue overflow; jobs always reach a
-terminal state; a warm re-push after restart reuses cached analysis.
+"""Chaos acceptance: the daemon survives corrupt cache entries,
+malformed pushes, and queue overflow; jobs always reach a terminal
+state; a warm re-push after restart reuses cached analysis.
 """
 
-import os
-import signal
-import time
-
-from repro.core import parallel
 from repro.service.app import ServiceConfig, ServiceThread
 
 from .conftest import fleet_configs, http_json
 from .test_api import wait_for_job
-
-
-def in_worker():
-    import multiprocessing
-
-    return multiprocessing.current_process().name != "MainProcess"
 
 
 def service_config(tmp_path, **overrides):
@@ -25,7 +14,6 @@ def service_config(tmp_path, **overrides):
         port=0,
         journal_path=tmp_path / "journal.jsonl",
         cache_dir=str(tmp_path / "cache"),
-        workers=1,
         job_concurrency=1,
         queue_limit=8,
     )
@@ -34,21 +22,12 @@ def service_config(tmp_path, **overrides):
 
 
 class TestChaosGauntlet:
-    def test_daemon_survives_the_gauntlet(self, tmp_path, monkeypatch):
-        """Worker kill -9, corrupt cache entry, malformed push, and
-        queue overflow, one after another — the daemon keeps serving
-        and every accepted job reaches a terminal state."""
+    def test_daemon_survives_the_gauntlet(self, tmp_path):
+        """Malformed push, queue overflow and a corrupt cache entry,
+        one after another — the daemon keeps serving and every accepted
+        job reaches a terminal state."""
         configs, devices, expected_outliers = fleet_configs()
-        config = service_config(tmp_path, workers=2, queue_limit=2)
-        kill_next = {"armed": False}
-        real = parallel._count_pair
-
-        def flaky(task):
-            if kill_next["armed"] and in_worker():
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(task)
-
-        monkeypatch.setattr(parallel, "_count_pair", flaky)
+        config = service_config(tmp_path, queue_limit=2)
         with ServiceThread(config) as thread:
             # 1. malformed pushes: protocol errors are rejected at the
             # door; payload errors are accepted and fail permanently
@@ -61,15 +40,12 @@ class TestChaosGauntlet:
             final = wait_for_job(thread.url, body["job"]["id"], timeout=60)
             assert final["job"]["state"] == "failed"
 
-            # 2. a worker killed mid-job: retry/isolation heals the job
-            kill_next["armed"] = True
+            # 2. overflow: keep pushing until the queue says 429
             status, body = http_json(
                 f"{thread.url}/v1/fleet", {"configs": configs}
             )
             assert status == 202
-            kill_id = body["job"]["id"]
-
-            # 3. overflow: keep pushing until the queue says 429
+            first_id = body["job"]["id"]
             saw_429 = False
             for _ in range(8):
                 status, _ = http_json(
@@ -80,16 +56,14 @@ class TestChaosGauntlet:
                     break
             assert saw_429
 
-            final = wait_for_job(thread.url, kill_id, timeout=120)
-            kill_next["armed"] = False
+            final = wait_for_job(thread.url, first_id, timeout=120)
             assert final["job"]["state"] == "done"
-            assert final["result"]["supervision"]["worker_crashes"] > 0
             assert (
                 final["result"]["report"]["outliers"]
                 == sorted(expected_outliers)
             )
 
-            # 4. corrupt a cached artifact, then push again
+            # 3. corrupt a cached artifact, then push again
             cache_root = tmp_path / "cache"
             corrupted = 0
             for path in cache_root.rglob("*"):
@@ -114,7 +88,7 @@ class TestChaosGauntlet:
                 == sorted(expected_outliers)
             )
 
-            # 5. the daemon is still healthy and every job is terminal
+            # 4. the daemon is still healthy and every job is terminal
             status, health = http_json(f"{thread.url}/healthz")
             assert status == 200
             assert health["queue"]["depth"] == 0

@@ -1,20 +1,9 @@
-"""Supervisor behavior: validation, classification, breaker, quarantine."""
-
-import os
-import signal
+"""Supervisor behavior: validation, classification, ignored keys."""
 
 import pytest
 
 from repro.core import parallel
-from repro.service.supervisor import CircuitBreaker, JobError, Supervisor
-
-from .conftest import fleet_configs
-
-
-def in_worker():
-    import multiprocessing
-
-    return multiprocessing.current_process().name != "MainProcess"
+from repro.service.supervisor import JobError, Supervisor
 
 
 class TestPayloadValidation:
@@ -45,15 +34,14 @@ class TestPayloadValidation:
 class TestRunJob:
     def test_happy_path_result_document(self, small_fleet):
         configs, _, expected_outliers = small_fleet
-        supervisor = Supervisor(cache=None, workers=1)
+        supervisor = Supervisor(cache=None)
         result = supervisor.run_job({"configs": configs}, None)
         assert result["report"]["outliers"] == sorted(expected_outliers)
-        assert result["supervision"]["mode"] == "serial"
-        assert result["supervision"]["quarantined_pairs"] == {}
+        assert set(result) == {"report", "notes", "symmetry", "cache"}
 
     def test_boolean_compress_matches_mode_names(self, small_fleet):
         configs, _, _ = small_fleet
-        supervisor = Supervisor(cache=None, workers=1)
+        supervisor = Supervisor(cache=None)
 
         def run(compress):
             return supervisor.run_job(
@@ -70,7 +58,7 @@ class TestRunJob:
 
     def test_duplicate_hostnames_permanent(self, small_fleet):
         configs, _, _ = small_fleet
-        supervisor = Supervisor(cache=None, workers=1)
+        supervisor = Supervisor(cache=None)
         doubled = [configs[0], configs[0]] + configs[1:]
         with pytest.raises(JobError) as excinfo:
             supervisor.run_job({"configs": doubled}, None)
@@ -78,39 +66,39 @@ class TestRunJob:
 
     def test_bad_option_permanent(self, small_fleet):
         configs, _, _ = small_fleet
-        supervisor = Supervisor(cache=None, workers=1)
+        supervisor = Supervisor(cache=None)
         with pytest.raises(JobError) as excinfo:
             supervisor.run_job(
                 {"configs": configs, "timeout": "soon"}, None
             )
         assert excinfo.value.permanent
 
-    def test_non_integer_workers_permanent(self, small_fleet):
+    def test_workers_key_is_ignored(self, small_fleet):
         configs, _, _ = small_fleet
-        supervisor = Supervisor(cache=None, workers=1)
-        with pytest.raises(JobError) as excinfo:
-            supervisor.run_job({"configs": configs, "workers": "two"}, None)
-        assert excinfo.value.permanent
-        assert "option 'workers' is not an integer" in str(excinfo.value)
+        supervisor = Supervisor(cache=None)
+        plain = supervisor.run_job({"configs": configs}, None)
+        for workers in (2, "two"):
+            keyed = supervisor.run_job(
+                {"configs": configs, "workers": workers}, None
+            )
+            assert keyed["report"] == plain["report"]
 
     def test_set_backend_key_is_ignored(self, small_fleet):
         configs, _, _ = small_fleet
-        supervisor = Supervisor(cache=None, workers=1)
+        supervisor = Supervisor(cache=None)
         plain = supervisor.run_job({"configs": configs}, None)
         keyed = supervisor.run_job(
             {"configs": configs, "set_backend": "cubes"}, None
         )
         assert keyed["report"] == plain["report"]
 
-    def test_crashed_pair_quarantined_not_fatal(self, small_fleet, monkeypatch):
-        """A pair whose worker keeps dying (even through the serial
-        retry) lands in quarantined_pairs; the job still succeeds."""
+    def test_failing_pair_not_fatal(self, small_fleet, monkeypatch):
+        """A pair whose analysis keeps raising (through its retry too)
+        lands in the report's failed_pairs; the job still succeeds."""
         configs, devices, _ = small_fleet
-        # the reference device's pairs are healed in-parent by the
-        # report phase, so doom a pair that excludes the medoid
-        baseline = Supervisor(cache=None, workers=1).run_job(
-            {"configs": configs}, None
-        )
+        # the reference device's pairs are healed by the report phase,
+        # so doom a pair that excludes the medoid
+        baseline = Supervisor(cache=None).run_job({"configs": configs}, None)
         reference = baseline["report"]["reference"]
         hostnames = sorted(
             device.hostname
@@ -120,71 +108,22 @@ class TestRunJob:
         doomed = {hostnames[0], hostnames[1]}
         real = parallel._count_pair
 
-        def kill_pair(task):
+        def fail_pair(task):
             if {task[0].hostname, task[1].hostname} == doomed:
-                if in_worker():
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise RuntimeError("worker-crashed: injected parent-side too")
+                raise RuntimeError("injected pair failure")
             return real(task)
 
-        monkeypatch.setattr(parallel, "_count_pair", kill_pair)
-        supervisor = Supervisor(cache=None, workers=2)
+        monkeypatch.setattr(parallel, "_count_pair", fail_pair)
         # The fault targets hostnames; symmetry compression would expand
         # the doomed pair from its representatives without running it.
-        result = supervisor.run_job(
+        result = Supervisor(cache=None).run_job(
             {"configs": configs, "compress": False}, None
         )
-        (quarantined_key,) = result["supervision"]["quarantined_pairs"]
-        assert set(quarantined_key.split("<->")) == doomed
-        assert result["supervision"]["worker_crashes"] > 0
-
-
-class TestCircuitBreaker:
-    def test_closed_until_threshold(self):
-        breaker = CircuitBreaker(crash_threshold=2)
-        assert breaker.decide_workers(4) == 4
-        breaker.record(crashed=True, parallel_job=True)
-        assert breaker.state == "closed"
-        breaker.record(crashed=True, parallel_job=True)
-        assert breaker.state == "open"
-
-    def test_open_degrades_to_serial(self):
-        breaker = CircuitBreaker(crash_threshold=1, cooldown=60.0)
-        breaker.record(crashed=True, parallel_job=True)
-        assert breaker.state == "open"
-        assert breaker.decide_workers(4) == 1
-
-    def test_success_resets_consecutive_count(self):
-        breaker = CircuitBreaker(crash_threshold=2)
-        breaker.record(crashed=True, parallel_job=True)
-        breaker.record(crashed=False, parallel_job=True)
-        breaker.record(crashed=True, parallel_job=True)
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_closes_on_success(self, monkeypatch):
-        breaker = CircuitBreaker(crash_threshold=1, cooldown=0.0)
-        breaker.record(crashed=True, parallel_job=True)
-        assert breaker.state == "open"
-        # cooldown of 0: the next decision transitions to half-open and
-        # grants one probe the full pool
-        assert breaker.decide_workers(4) == 4
-        assert breaker.state == "half-open"
-        # concurrent jobs stay serial while the probe is in flight
-        assert breaker.decide_workers(4) == 1
-        breaker.record(crashed=False, parallel_job=True)
-        assert breaker.state == "closed"
-        assert breaker.decide_workers(4) == 4
-
-    def test_half_open_probe_failure_reopens_with_longer_cooldown(self):
-        breaker = CircuitBreaker(crash_threshold=1, cooldown=0.0)
-        breaker.record(crashed=True, parallel_job=True)
-        before = breaker.snapshot()["cooldown_seconds"]
-        breaker.decide_workers(4)  # half-open probe
-        breaker.record(crashed=True, parallel_job=True)
-        assert breaker.state == "open"
-        assert breaker.snapshot()["cooldown_seconds"] >= before
-
-    def test_serial_requests_bypass(self):
-        breaker = CircuitBreaker(crash_threshold=1)
-        breaker.record(crashed=True, parallel_job=True)
-        assert breaker.decide_workers(1) == 1  # no pool involved
+        assert result["report"]["partial"] is True
+        assert result["report"]["reference"] == reference
+        assert result["report"]["failed_pairs"] == [
+            [
+                *sorted(doomed),
+                "error: RuntimeError: injected pair failure (after retry)",
+            ]
+        ]

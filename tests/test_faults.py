@@ -1,20 +1,14 @@
 """Fault-injection tests for the robustness layer.
 
-Exercises the failure paths the happy-path suites never reach: workers
-that crash, workers that hang past the pair timeout, stanzas the
-parsers cannot model (strict vs lenient), and BDD analyses that blow
-through their node budget.  Worker faults are injected by
-monkeypatching the module-level task function ``_count_pair`` in
-:mod:`repro.core.parallel` — the ``fork`` start method hands children
-the patched parent module state, and the in-parent retry sees the same
-patched function, so one injection point covers both sides.
+Exercises the failure paths the happy-path suites never reach: pair
+analyses that raise, stanzas the parsers cannot model (strict vs
+lenient), and BDD analyses that blow through their node budget.  Pair
+faults are injected by monkeypatching the module-level task function
+``_count_pair`` in :mod:`repro.core.parallel`, which the matrix looks
+up at call time for the first attempt and the retry alike.
 """
 
-import multiprocessing
-import os
 import random
-import signal
-import time
 
 import pytest
 
@@ -27,10 +21,6 @@ from repro.parsers import parse_cisco
 from repro.workloads.acl_gen import random_rules, render_cisco_acl
 from repro.workloads.datacenter import gateway_fleet, parameterized_clos_fleet
 from repro.workloads.figure1 import CISCO_FIGURE1, figure1_devices
-
-
-def in_worker() -> bool:
-    return multiprocessing.current_process().name != "MainProcess"
 
 
 def crash_everywhere(task):
@@ -53,25 +43,28 @@ class TestCrashingWorker:
 
         monkeypatch.setattr(parallel, "_count_pair", poisoned)
         pairs = [(devices[0], devices[1]), (devices[1], devices[2]), (devices[2], devices[3])]
-        outcomes = parallel.pairwise_count_outcomes(pairs, workers=2)
+        outcomes = parallel.pairwise_count_outcomes(pairs)
         assert [o.status for o in outcomes] == ["error", "ok", "ok"]
         assert "injected crash" in outcomes[0].error
         assert outcomes[0].retried  # the automatic retry ran and also failed
         assert all(isinstance(o.result, int) for o in outcomes[1:])
 
     def test_transient_crash_healed_by_retry(self, monkeypatch):
-        """A worker-only crash (e.g. environmental) succeeds on the
-        in-parent serial retry."""
+        """A crash on a pair's first attempt only (e.g. environmental)
+        succeeds on the retry."""
         real = parallel._count_pair
+        seen = set()
 
-        def worker_only_crash(task):
-            if in_worker():
+        def first_attempt_crash(task):
+            pair = (task[0].hostname, task[1].hostname)
+            if pair not in seen:
+                seen.add(pair)
                 raise RuntimeError("injected crash")
             return real(task)
 
-        monkeypatch.setattr(parallel, "_count_pair", worker_only_crash)
+        monkeypatch.setattr(parallel, "_count_pair", first_attempt_crash)
         d1, d2 = figure1_devices()
-        outcomes = parallel.pairwise_count_outcomes([(d1, d2)] * 2, workers=2)
+        outcomes = parallel.pairwise_count_outcomes([(d1, d2), (d2, d1)])
         assert all(o.ok and o.retried for o in outcomes)
         assert [o.result for o in outcomes] == [
             config_diff(d1, d2).total_differences()
@@ -81,7 +74,7 @@ class TestCrashingWorker:
         monkeypatch.setattr(parallel, "_count_pair", crash_everywhere)
         d1, d2 = figure1_devices()
         outcomes = parallel.pairwise_count_outcomes(
-            [(d1, d2)] * 2, workers=2, retry=False
+            [(d1, d2)] * 2, retry=False
         )
         assert all(o.status == "error" and not o.retried for o in outcomes)
 
@@ -89,58 +82,16 @@ class TestCrashingWorker:
         monkeypatch.setattr(parallel, "_count_pair", crash_everywhere)
         d1, d2 = figure1_devices()
         outcomes = parallel.pairwise_count_outcomes(
-            [(d1, d2)], workers=1, retry=False
+            [(d1, d2)], retry=False
         )
         assert outcomes[0].status == "error"
 
 
-class TestTimeoutWorker:
-    def test_hung_worker_times_out_and_pool_is_reaped(self, monkeypatch):
-        real = parallel._count_pair
-
-        def hang_in_worker(task):
-            if in_worker():
-                time.sleep(60)
-            raise RuntimeError("retry should not run")
-
-        monkeypatch.setattr(parallel, "_count_pair", hang_in_worker)
-        d1, d2 = figure1_devices()
-        start = time.monotonic()
-        outcomes = parallel.pairwise_count_outcomes(
-            [(d1, d2)] * 2, workers=2, timeout=1.0, retry=False
-        )
-        elapsed = time.monotonic() - start
-        assert [o.status for o in outcomes] == ["timeout", "timeout"]
-        assert all("1.0s" in o.error for o in outcomes)
-        assert elapsed < 30  # terminated, not joined on the 60s sleep
-        # deterministic teardown: no fork children left grinding
-        for _ in range(50):
-            if not multiprocessing.active_children():
-                break
-            time.sleep(0.1)
-        assert not multiprocessing.active_children()
-
-    def test_timeout_healed_by_parent_retry(self, monkeypatch):
-        real = parallel._count_pair
-
-        def hang_in_worker(task):
-            if in_worker():
-                time.sleep(60)
-            return real(task)
-
-        monkeypatch.setattr(parallel, "_count_pair", hang_in_worker)
-        d1, d2 = figure1_devices()
-        outcomes = parallel.pairwise_count_outcomes(
-            [(d1, d2)] * 2, workers=2, timeout=1.0
-        )
-        assert all(o.ok and o.retried for o in outcomes)
-
-
 class TestFleetFaults:
     def test_six_device_fleet_survives_crash_and_timeout(self, monkeypatch):
-        """The acceptance scenario: crash + timeout in a 6-device fleet
-        still yields a medoid from the surviving pairs and lists the
-        failed pairs."""
+        """A pair that fails on its retry too, in a 6-device fleet run
+        under a time budget, still yields a medoid from the surviving
+        pairs and lists the failed pair with its cause."""
         real = parallel._count_pair
         devices, expected_outliers = gateway_fleet(
             count=6, outliers=2, rule_count=8, seed=5
@@ -160,10 +111,12 @@ class TestFleetFaults:
         # symmetry compression would reroute through class
         # representatives (gateway clones share a fingerprint class).
         monkeypatch.setattr(parallel, "_count_pair", faulty)
-        report = compare_fleet(devices, workers=2, timeout=30.0, compress="off")
+        report = compare_fleet(devices, timeout=30.0, compress="off")
         assert report.is_partial()
         assert list(report.failed_pairs) == [tuple(sorted(doomed))]
-        assert "injected crash" in next(iter(report.failed_pairs.values()))
+        assert list(report.failed_pairs.values()) == [
+            "error: RuntimeError: injected crash (after retry)"
+        ]
         assert report.reference not in doomed
         # every other device still got a full reference report
         assert set(report.reports) == set(names) - {report.reference}
@@ -176,7 +129,7 @@ class TestFleetFaults:
         # class pairs expand to 0 without running _count_pair, so not
         # every pair can fail.
         with pytest.raises(RuntimeError, match="all 3 pairwise"):
-            compare_fleet(devices, workers=2, compress="off")
+            compare_fleet(devices, compress="off")
 
     def test_near_all_pairs_failed_counts_fallback_pairs(self, monkeypatch):
         """Under near compression the one analyzed pair fails, its 9
@@ -195,7 +148,7 @@ class TestFleetFaults:
 
         monkeypatch.setattr(parallel, "_count_pair", faulty)
         with pytest.raises(RuntimeError) as excinfo:
-            compare_fleet(devices, workers=1, compress="near")
+            compare_fleet(devices, compress="near")
         assert str(excinfo.value) == (
             "fleet comparison failed: all 10 pairwise comparisons failed"
             " (10 analyzed of 10 fleet pairs, 9 of them near-symmetry"
@@ -215,7 +168,7 @@ class TestFleetFaults:
             return real(d1, d2, **kwargs)
 
         monkeypatch.setattr(fleet_module, "config_diff", faulty)
-        report = compare_fleet(devices, workers=1)
+        report = compare_fleet(devices)
         assert report.failed == [names[-1]]
         assert "reference diff crashed" in report.failed_reports[names[-1]]
         assert report.is_partial()
@@ -292,97 +245,6 @@ class TestNodeLimit:
         assert budgeted.total_differences() == unbudgeted.total_differences()
 
 
-class TestWorkerDeath:
-    """A worker process dying outright (SIGKILL — OOM killer, segfault)
-    is classified per-pair, the pool respawns, and the in-parent retry
-    still gets a shot."""
-
-    @staticmethod
-    def _kill_in_worker_factory(real):
-        def kill_in_worker(task):
-            if in_worker():
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(task)
-
-        return kill_in_worker
-
-    def test_killed_worker_classified_and_healed_by_retry(self, monkeypatch):
-        real = parallel._count_pair
-        monkeypatch.setattr(
-            parallel, "_count_pair", self._kill_in_worker_factory(real)
-        )
-        d1, d2 = figure1_devices()
-        base = perf.REGISTRY.counters.get("parallel.pool_respawns", 0)
-        outcomes = parallel.pairwise_count_outcomes([(d1, d2)] * 2, workers=2)
-        # every worker attempt died; the in-parent serial retry healed it
-        assert all(o.ok and o.retried for o in outcomes)
-        assert [o.result for o in outcomes] == [
-            config_diff(d1, d2).total_differences()
-        ] * 2
-        assert perf.REGISTRY.counters.get("parallel.pool_respawns", 0) > base
-
-    def test_killed_worker_without_retry_reports_crashed(self, monkeypatch):
-        real = parallel._count_pair
-        monkeypatch.setattr(
-            parallel, "_count_pair", self._kill_in_worker_factory(real)
-        )
-        d1, d2 = figure1_devices()
-        outcomes = parallel.pairwise_count_outcomes(
-            [(d1, d2)] * 2, workers=2, retry=False
-        )
-        assert [o.status for o in outcomes] == ["crashed", "crashed"]
-        assert all("worker-crashed" in o.error for o in outcomes)
-        # deterministic teardown even after SIGKILLs
-        for _ in range(50):
-            if not multiprocessing.active_children():
-                break
-            time.sleep(0.1)
-        assert not multiprocessing.active_children()
-
-    def test_completed_results_harvested_from_broken_generation(
-        self, monkeypatch
-    ):
-        """One poison pair must not discard its generation's finished
-        work: the healthy pair's result is harvested, not recomputed."""
-        real = parallel._count_pair
-        devices, _ = gateway_fleet(count=3, outliers=0, rule_count=6, seed=9)
-        doomed = {devices[0].hostname, devices[1].hostname}
-
-        def kill_one_pair(task):
-            if (
-                in_worker()
-                and {task[0].hostname, task[1].hostname} == doomed
-            ):
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(task)
-
-        monkeypatch.setattr(parallel, "_count_pair", kill_one_pair)
-        pairs = [
-            (devices[0], devices[1]),
-            (devices[1], devices[2]),
-            (devices[0], devices[2]),
-        ]
-        outcomes = parallel.pairwise_count_outcomes(
-            pairs, workers=2, retry=False
-        )
-        assert outcomes[0].status == "crashed"
-        assert [o.status for o in outcomes[1:]] == ["ok", "ok"]
-
-    def test_fleet_survives_killed_worker(self, monkeypatch):
-        """End to end: a worker SIGKILL during the fleet matrix leaves
-        the report intact (healed by the serial retry)."""
-        real = parallel._count_pair
-        monkeypatch.setattr(
-            parallel, "_count_pair", self._kill_in_worker_factory(real)
-        )
-        devices, expected = gateway_fleet(
-            count=4, outliers=1, rule_count=6, seed=5
-        )
-        report = compare_fleet(devices, workers=2)
-        assert not report.failed_pairs
-        assert set(report.outliers) == set(expected)
-
-
 class TestFleetAtomsFaults:
     """Fault paths of fleet-scale seeding on the default path: a
     component that cannot be atomized falls back to per-pair atoms and
@@ -395,7 +257,7 @@ class TestFleetAtomsFaults:
         from repro.core.serialize import fleet_report_to_dict
 
         return fleet_report_to_dict(
-            compare_fleet(devices, workers=1, use_memo=False)
+            compare_fleet(devices, use_memo=False)
         )
 
     def test_atom_budget_fallback_keeps_report_intact(self, monkeypatch):
@@ -406,7 +268,7 @@ class TestFleetAtomsFaults:
         baseline = self._baseline(devices)
         monkeypatch.setattr(atoms, "default_atom_budget", lambda n1, n2: 2)
         base = perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
-        report = compare_fleet(devices, workers=1)
+        report = compare_fleet(devices)
         assert (
             perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
             > base
@@ -428,30 +290,10 @@ class TestFleetAtomsFaults:
 
         monkeypatch.setattr(fleet_atoms_module, "_fold", tripped)
         base = perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
-        report = compare_fleet(devices, workers=1)
+        report = compare_fleet(devices)
         assert (
             perf.REGISTRY.counters.get("fleet_atoms.budget_fallbacks", 0)
             > base
         )
-        assert fleet_report_to_dict(report) == baseline
-        assert set(report.outliers) == set(expected)
-
-    def test_worker_crash_under_fleet_atoms(self, monkeypatch):
-        """SIGKILLed workers + fleet seeding: the memo-seeded matrix
-        still completes (serial retry) with an intact report."""
-        from repro.core.serialize import fleet_report_to_dict
-
-        devices, expected = self._fleet()
-        baseline = self._baseline(devices)
-        real = parallel._count_pair
-
-        def kill_in_worker(task):
-            if in_worker():
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(task)
-
-        monkeypatch.setattr(parallel, "_count_pair", kill_in_worker)
-        report = compare_fleet(devices, workers=2)
-        assert not report.failed_pairs
         assert fleet_report_to_dict(report) == baseline
         assert set(report.outliers) == set(expected)
