@@ -27,17 +27,20 @@ Quick start::
     print(render_report(report))
 """
 
-from .core import config_diff, render_report
-from .parsers import load_config, parse_cisco, parse_config, parse_juniper
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "config_diff",
-    "load_config",
-    "parse_cisco",
-    "parse_config",
-    "parse_juniper",
-    "render_report",
-]
+# Lazy (PEP 562): ``import repro.cli`` must not load both vendor
+# parsers and the analysis engine before it knows what the run needs.
+__getattr__, __dir__, _exports = lazy_exports(
+    __name__,
+    {
+        "core.config_diff": ("config_diff",),
+        "core.present": ("render_report",),
+        "parsers.cisco": ("parse_cisco",),
+        "parsers.juniper": ("parse_juniper",),
+        "parsers.loader": ("load_config", "parse_config"),
+    },
+)
+__all__ = ["__version__", *_exports]

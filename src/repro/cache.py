@@ -3,7 +3,8 @@
 Two stores under one root make repeated CLI invocations incremental:
 
 * ``devices/`` — parsed :class:`~repro.model.device.DeviceConfig`
-  objects (pickled, with their component fingerprints already computed),
+  objects (pickled with the facts the parser sealed on them:
+  component fingerprints, template, reachable policy spans),
   keyed by the SHA-256 of the configuration *text* plus filename,
   dialect, and strictness — re-running over an unchanged file skips the
   parser entirely.
@@ -77,7 +78,9 @@ __all__ = [
 #: "provenance", "replay") and stats() reports localized entry counts.
 #: v3: diff entries keep their insertion key order (v2 sorted keys, so
 #: replayed differences printed their fields in a different order).
-CACHE_SCHEMA_VERSION = 3
+#: v4: device pickles carry the parse-time template and reachable spans
+#: (``DeviceConfig.seal``); a v3 device would be re-derived every run.
+CACHE_SCHEMA_VERSION = 4
 
 CACHE_DIR_ENV = "CAMPION_CACHE_DIR"
 
@@ -197,8 +200,9 @@ class ArtifactCache:
         strict: bool,
         device: DeviceConfig,
     ) -> None:
-        """Store a parsed device (fingerprints ride along pickled)."""
-        device.fingerprints  # ensure the cached property is materialized
+        """Store a parsed device with its sealed facts (fingerprints,
+        template, reachable spans) pickled along."""
+        device.seal()  # a no-op for parser-built devices
         digest = self._digest(
             _DEVICES, self.device_text_key(text, filename, dialect, strict)
         )

@@ -40,30 +40,25 @@ file it.
 from __future__ import annotations
 
 import argparse
+import gc
 import pathlib
 import sys
 import time
 from typing import List, Optional
 
 from . import perf
-from .baseline import monolithic_route_map_check, monolithic_static_route_check
 from .cache import ArtifactCache, resolve_cache_dir
-from .core import (
-    DiffMemo,
-    compare_fleet,
-    config_diff,
-    fleet_report_to_dict,
-    render_report,
-    render_semantic_difference,
-    report_to_json,
-    write_json,
-)
+from .core.config_diff import config_diff
+from .core.fleet import compare_fleet
+from .core.memo import DiffMemo
+from .core.serialize import fleet_report_to_dict, report_to_json, write_json
 from .model.device import DeviceConfig
 from .model.types import ConfigError
 # ``load_config`` stays importable from here: the e2e benchmark's tracer
 # (benchmarks/e2e/traced_cli.py) wraps ``repro.cli.load_config`` and
-# ``repro.cli.parse_config``.
-from .parsers import StanzaMemo, load_config, parse_config  # noqa: F401
+# ``repro.cli.parse_config``.  Neither imports a vendor parser until a
+# configuration has to be parsed.
+from .parsers.loader import load_config, parse_config  # noqa: F401
 
 __all__ = ["main"]
 
@@ -153,11 +148,34 @@ def _load(
     """Load the command's configs honoring ``--strict``/``--lenient``.
 
     With a cache, an unchanged file (same text/name/dialect/strictness)
-    is unpickled instead of re-parsed — fingerprints included.  The
-    parses share one stanza memo, so an ACL stanza repeated across the
-    files is parsed and fingerprinted once.
+    is unpickled instead of re-parsed — with the facts the parser
+    sealed on it.  The parses share one stanza memo, so an ACL stanza
+    repeated across the files is parsed and fingerprinted once.
+
+    Every caller is a one-shot command, so the loaded devices live
+    until the process exits.  The cyclic collector is paused while
+    they load and then frozen out of its generations
+    (:func:`gc.freeze`): a collection over them could free nothing, yet
+    every later allocation burst would rescan them.  Only this CLI
+    path does it; ``campion serve`` and the library API keep the
+    default collector, since a long-lived process must not freeze.
     """
-    memo = StanzaMemo()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_devices(args, paths, cache)
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
+
+
+def _load_devices(
+    args: argparse.Namespace,
+    paths: List[str],
+    cache: Optional[ArtifactCache],
+) -> List[DeviceConfig]:
+    memo = None  # the run's StanzaMemo, made by the first parse
     devices = []
     for path in paths:
         with open(path, "r") as handle:
@@ -170,6 +188,10 @@ def _load(
         if cache is not None:
             device = cache.get_device(text, path, args.dialect, args.strict)
         if device is None:
+            if memo is None:
+                from .parsers.common import StanzaMemo
+
+                memo = StanzaMemo()
             device = parse_config(
                 text,
                 filename=filename,
@@ -227,6 +249,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.json:
         print(report_to_json(report))
     else:
+        from .core.present import render_report
+
         print(render_report(report))
         print()
         print(f"(parse {parse_time:.2f}s, diff {diff_time:.2f}s)")
@@ -237,6 +261,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
+    from .baseline import monolithic_route_map_check, monolithic_static_route_check
+
     device1, device2 = _load(args, [args.config1, args.config2])
     found = False
     shared_maps = set(device1.route_maps) & set(device2.route_maps)
@@ -278,6 +304,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     if result.verified:
         print("verification: translation is behaviorally equivalent", file=sys.stderr)
         return EXIT_EQUIVALENT
+    from .core.present import render_report
+
     print("verification: translation DIFFERS from the source:", file=sys.stderr)
     print(render_report(result.report), file=sys.stderr)
     return EXIT_DIFFERENCES
@@ -334,6 +362,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         # same fleet (cold or warm) print byte-identical JSON.
         write_json(fleet_report_to_dict(report), sys.stdout)
     else:
+        from .core.present import render_report
+
         print(report.render_summary())
         if report.symmetry is not None:
             print(report.symmetry.render())
@@ -401,7 +431,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``campion`` CLI."""
+    """Entry point for the ``campion`` CLI.
+
+    A command that loads configs freezes the loaded fleet out of the
+    cyclic collector (:func:`_load`), and with it every object the
+    process tracks at that moment.  A console run exits right after; an
+    in-process caller that goes on working should call
+    :func:`gc.unfreeze` once the command returns.
+    """
     parser = argparse.ArgumentParser(
         prog="campion",
         description="Debug router configuration differences (SIGCOMM 2021 reproduction)",

@@ -1,221 +1,149 @@
-"""Campion core: SemanticDiff, StructuralDiff, HeaderLocalize, ConfigDiff."""
+"""Campion core: SemanticDiff, StructuralDiff, HeaderLocalize, ConfigDiff.
 
-from .community_localize import (
-    CommunityCondition,
-    CommunityLocalization,
-    localize_communities,
-)
-from .config_diff import COMPONENT_CHECKS, config_diff, config_diff_summary
-from .coverage import (
-    DeviceCoverage,
-    PolicyCoverage,
-    compute_fleet_coverage,
-    policy_spans,
-)
-from .fleet import (
-    COMPRESS_MODES,
-    FleetReport,
-    SymmetryStats,
-    compare_fleet,
-    resolve_compress,
-)
-from .near_symmetry import (
-    SymmetryPlan,
-    pair_pattern,
-    pair_signature,
-    plan_near_pairs,
-    verify_template_class,
-)
-from .memo import (
-    DiffMemo,
-    acl_key,
-    route_map_key,
-    semantic_entry,
-    structural_entry,
-    structural_key,
-)
-from .grouping import IssueGroup, group_differences
-from .topology import (
-    Adjacency,
-    BackupCandidate,
-    audit_backup_pairs,
-    discover_backup_pairs,
-    infer_adjacencies,
-)
-from .ddnf import (
-    DdnfDag,
-    DdnfNode,
-    RangeAlgebra,
-    address_prefix_algebra,
-    build_dag,
-    cached_dag,
-    close_under_intersection,
-    dag_cache_clear,
-    prefix_range_algebra,
-)
-from .header_localize import (
-    DagAtoms,
-    FlatTerm,
-    GetMatchStats,
-    HeaderLocalizeError,
-    Localization,
-    LocalizeSession,
-    MatchTerm,
-    compute_dag_atoms,
-    flatten_terms,
-    get_match,
-    header_localize,
-    minimal_flat_terms,
-)
-from .match_policies import AclPair, PolicyPairing, RouteMapPair, match_policies
-from .parallel import PairOutcome, pairwise_count_outcomes, resolve_timeout
-from .present import (
-    localize_acl_differences,
-    localize_route_map_differences,
-    render_report,
-    render_semantic_difference,
-    render_structural_difference,
-)
-from .replay import (
-    localization_provenance,
-    replay_semantic_differences,
-    semantic_difference_from_dict,
-)
-from .results import (
-    AbortedAnalysis,
-    CampionReport,
-    ComponentKind,
-    SemanticDifference,
-    StructuralDifference,
-    UnmatchedPolicy,
-)
-from .semantic_diff import (
-    canonical_action_key,
-    diff_acls,
-    diff_route_maps,
-    semantic_diff_classes,
-)
-from .setalg import (
-    AtomsBackend,
-    BACKEND_NAMES,
-    BddBackend,
-    DEFAULT_BACKEND,
-    SetAlgebraBackend,
-    resolve_backend,
-)
-from .serialize import (
-    fleet_report_to_dict,
-    report_to_dict,
-    report_to_json,
-    semantic_difference_to_dict,
-    structural_difference_to_dict,
-    write_json,
-)
-from .structural_diff import (
-    diff_admin_distances,
-    diff_bgp_properties,
-    diff_connected_routes,
-    diff_ospf_properties,
-    diff_static_routes,
-    structural_diff_all,
-)
+Names are re-exported lazily: reading one imports its submodule, so a
+warm run that replays every component from the cache never loads the
+BDD engine, the encoders or the set-algebra backends.
+"""
 
-__all__ = [
-    "AbortedAnalysis",
-    "AclPair",
-    "Adjacency",
-    "AtomsBackend",
-    "BACKEND_NAMES",
-    "BackupCandidate",
-    "BddBackend",
-    "CampionReport",
-    "COMPRESS_MODES",
-    "DEFAULT_BACKEND",
-    "DeviceCoverage",
-    "PolicyCoverage",
-    "SetAlgebraBackend",
-    "CommunityCondition",
-    "CommunityLocalization",
-    "COMPONENT_CHECKS",
-    "ComponentKind",
-    "DagAtoms",
-    "DdnfDag",
-    "DdnfNode",
-    "DiffMemo",
-    "FlatTerm",
-    "FleetReport",
-    "GetMatchStats",
-    "HeaderLocalizeError",
-    "IssueGroup",
-    "Localization",
-    "LocalizeSession",
-    "MatchTerm",
-    "PairOutcome",
-    "PolicyPairing",
-    "RangeAlgebra",
-    "RouteMapPair",
-    "SemanticDifference",
-    "StructuralDifference",
-    "SymmetryPlan",
-    "SymmetryStats",
-    "UnmatchedPolicy",
-    "acl_key",
-    "address_prefix_algebra",
-    "audit_backup_pairs",
-    "build_dag",
-    "cached_dag",
-    "canonical_action_key",
-    "close_under_intersection",
-    "compare_fleet",
-    "compute_dag_atoms",
-    "compute_fleet_coverage",
-    "config_diff",
-    "config_diff_summary",
-    "dag_cache_clear",
-    "fleet_report_to_dict",
-    "diff_acls",
-    "discover_backup_pairs",
-    "diff_admin_distances",
-    "diff_bgp_properties",
-    "diff_connected_routes",
-    "diff_ospf_properties",
-    "diff_route_maps",
-    "diff_static_routes",
-    "flatten_terms",
-    "get_match",
-    "group_differences",
-    "header_localize",
-    "infer_adjacencies",
-    "localization_provenance",
-    "localize_acl_differences",
-    "localize_communities",
-    "localize_route_map_differences",
-    "match_policies",
-    "minimal_flat_terms",
-    "pair_pattern",
-    "pair_signature",
-    "pairwise_count_outcomes",
-    "plan_near_pairs",
-    "verify_template_class",
-    "policy_spans",
-    "prefix_range_algebra",
-    "resolve_backend",
-    "resolve_compress",
-    "resolve_timeout",
-    "render_report",
-    "report_to_dict",
-    "report_to_json",
-    "render_semantic_difference",
-    "render_structural_difference",
-    "replay_semantic_differences",
-    "route_map_key",
-    "semantic_diff_classes",
-    "semantic_difference_from_dict",
-    "semantic_difference_to_dict",
-    "semantic_entry",
-    "structural_diff_all",
-    "structural_difference_to_dict",
-    "structural_entry",
-    "structural_key",
-    "write_json",
-]
+from .._lazy import lazy_exports
+
+# Bound eagerly: each name is also a submodule's, and importing that
+# submodule would otherwise leave the module, not the function, here.
+from .config_diff import config_diff
+from .header_localize import header_localize
+from .match_policies import match_policies
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "community_localize": (
+            "CommunityCondition",
+            "CommunityLocalization",
+            "localize_communities",
+        ),
+        "config_diff": (
+            "COMPONENT_CHECKS",
+            "PairAborted",
+            "config_diff",
+            "config_diff_summary",
+        ),
+        "coverage": (
+            "DeviceCoverage",
+            "PolicyCoverage",
+            "compute_fleet_coverage",
+            "policy_spans",
+        ),
+        "ddnf": (
+            "DdnfDag",
+            "DdnfNode",
+            "RangeAlgebra",
+            "address_prefix_algebra",
+            "build_dag",
+            "cached_dag",
+            "close_under_intersection",
+            "dag_cache_clear",
+            "prefix_range_algebra",
+        ),
+        "fleet": (
+            "COMPRESS_MODES",
+            "FleetReport",
+            "SymmetryStats",
+            "compare_fleet",
+            "resolve_compress",
+        ),
+        "grouping": ("IssueGroup", "group_differences"),
+        "header_localize": (
+            "DagAtoms",
+            "FlatTerm",
+            "GetMatchStats",
+            "HeaderLocalizeError",
+            "Localization",
+            "LocalizeSession",
+            "MatchTerm",
+            "compute_dag_atoms",
+            "flatten_terms",
+            "get_match",
+            "header_localize",
+            "minimal_flat_terms",
+        ),
+        "match_policies": (
+            "AclPair",
+            "PolicyPairing",
+            "RouteMapPair",
+            "match_policies",
+        ),
+        "memo": (
+            "DiffMemo",
+            "acl_key",
+            "route_map_key",
+            "semantic_entry",
+            "structural_entry",
+            "structural_key",
+        ),
+        "near_symmetry": (
+            "SymmetryPlan",
+            "pair_pattern",
+            "pair_signature",
+            "plan_near_pairs",
+            "verify_template_class",
+        ),
+        "parallel": ("PairOutcome", "pairwise_count_outcomes", "resolve_timeout"),
+        "present": (
+            "localize_acl_differences",
+            "localize_route_map_differences",
+            "render_report",
+            "render_semantic_difference",
+            "render_structural_difference",
+        ),
+        "replay": (
+            "provenance_digest",
+            "replay_semantic_differences",
+            "semantic_difference_from_dict",
+        ),
+        "results": (
+            "AbortedAnalysis",
+            "CampionReport",
+            "ComponentKind",
+            "SemanticDifference",
+            "StructuralDifference",
+            "UnmatchedPolicy",
+        ),
+        "semantic_diff": (
+            "canonical_action_key",
+            "diff_acls",
+            "diff_route_maps",
+            "semantic_diff_classes",
+        ),
+        "serialize": (
+            "fleet_report_to_dict",
+            "report_to_dict",
+            "report_to_json",
+            "semantic_difference_to_dict",
+            "structural_difference_to_dict",
+            "write_json",
+        ),
+        "setalg": (
+            "AtomsBackend",
+            "BACKEND_NAMES",
+            "BddBackend",
+            "DEFAULT_BACKEND",
+            "SetAlgebraBackend",
+            "resolve_backend",
+        ),
+        "structural_diff": (
+            "diff_admin_distances",
+            "diff_bgp_properties",
+            "diff_connected_routes",
+            "diff_ospf_properties",
+            "diff_static_routes",
+            "structural_diff_all",
+        ),
+        "topology": (
+            "Adjacency",
+            "BackupCandidate",
+            "audit_backup_pairs",
+            "discover_backup_pairs",
+            "infer_adjacencies",
+        ),
+    },
+)

@@ -35,12 +35,10 @@ structural rather than a matter of keeping two loops in sync.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Dict, Optional, Tuple
 
 from .. import perf
-from ..bdd import AnalysisBudgetExceeded
 from ..model.device import DeviceConfig
 from .match_policies import PolicyPairing, match_policies
 from .memo import (
@@ -52,9 +50,8 @@ from .memo import (
     structural_entry,
     structural_key,
 )
-from .present import localize_acl_differences, localize_route_map_differences
 from .replay import (
-    localization_provenance,
+    provenance_digest,
     replay_augmentation,
     replay_semantic_differences,
 )
@@ -64,15 +61,60 @@ from .results import (
     ComponentKind,
     UnmatchedPolicy,
 )
-from .semantic_diff import diff_acls, diff_route_maps
-from .structural_diff import structural_diff_all
 
-__all__ = ["COMPONENT_CHECKS", "config_diff", "config_diff_summary"]
+__all__ = [
+    "COMPONENT_CHECKS",
+    "PairAborted",
+    "config_diff",
+    "config_diff_summary",
+    "pair_count",
+]
 
 # Table 1: Components supported by Campion and the check used for each.
 COMPONENT_CHECKS: Dict[ComponentKind, str] = {
     kind: kind.check_used() for kind in ComponentKind
 }
+
+
+class PairAborted(RuntimeError):
+    """A budget aborted a component of a count-mode pair.
+
+    The pair's count would leave that component out, so
+    :func:`pair_count` raises instead of returning an undercount; the
+    fleet matrix records the pair as failed.
+    """
+
+
+def pair_count(report: CampionReport) -> int:
+    """A count-mode pair's difference count.
+
+    An aborted component has no count, so a report with one raises
+    :class:`PairAborted` naming the first instead of returning a total
+    that leaves it out.
+    """
+    if report.aborted:
+        raise PairAborted(report.aborted[0].render())
+    return report.total_differences()
+
+
+def diff_acls(*args, **kwargs):
+    """SemanticDiff of two ACLs (:func:`repro.core.semantic_diff.diff_acls`).
+
+    The BDD engine loads here, on the first component a memo cannot
+    answer, so a fully warm run never imports it.
+    """
+    from .semantic_diff import diff_acls as diff
+
+    return diff(*args, **kwargs)
+
+
+def diff_route_maps(*args, **kwargs):
+    """SemanticDiff of two route maps
+    (:func:`repro.core.semantic_diff.diff_route_maps`), imported on
+    first use like :func:`diff_acls`."""
+    from .semantic_diff import diff_route_maps as diff
+
+    return diff(*args, **kwargs)
 
 
 def _component_label(name1: str, name2: str, prefix: str) -> str:
@@ -104,8 +146,9 @@ def config_diff(
     ``time_budget`` bounds this whole pair's wall clock; a component
     whose analysis trips either budget is recorded on
     ``report.aborted`` (its verdict is unknown) while every other
-    component's result — still sound per Theorem 3.3 — stands.  The
-    report also carries both devices' error-severity parse diagnostics
+    component's result — still sound per Theorem 3.3 — stands.  With a
+    ``memo``, a component that already aborted under the same budgets
+    in this run is recorded aborted at once.  The report also carries both devices' error-severity parse diagnostics
     so downstream consumers can flag reduced coverage.
 
     ``memo`` enables fingerprint-keyed reuse: components whose memoized
@@ -151,6 +194,9 @@ def config_diff_summary(
     with a warm memo a fully-shared pair costs MatchPolicies plus table
     lookups — no BDD work at all.  This is what the fleet matrix
     runs.
+
+    A component aborted by ``node_limit`` or ``time_budget`` has no
+    count, so the pair raises :class:`PairAborted` (:func:`pair_count`).
     """
     report, replayed = _walk_components(
         device1,
@@ -163,7 +209,7 @@ def config_diff_summary(
         collect=False,
         set_backend=set_backend,
     )
-    return report.total_differences() + replayed
+    return pair_count(report) + replayed
 
 
 def _walk_components(
@@ -226,17 +272,19 @@ def _walk_components(
         entry_context: str,
         prefix: str,
         diff,
-        localize,
     ) -> int:
         """SemanticDiff one matched ACL or route-map pair onto ``report``.
 
         A memo hit is replayed when it can be: as a count in count
         mode, as localized differences in collect mode when its
         provenance digest matches this pair.  Anything else runs
-        ``diff`` under the pair budget (plus ``localize`` in collect
-        mode) and records the clean result under ``key`` with
-        ``entry_context``.  Returns the differences replayed as a count
-        only, which the caller adds to ``replayed``.
+        ``diff`` under the pair budget (plus Present's localization in
+        collect mode) and records the clean result under ``key`` with
+        ``entry_context``, or the abort when a budget trips; a
+        component the memo knows aborted under the same budgets is
+        reported aborted without running.  Returns the differences
+        replayed as a count only, which the caller adds to
+        ``replayed``.
         """
         entry = provenance = None
         if memo is not None:
@@ -247,8 +295,13 @@ def _walk_components(
                 if not collect:
                     return entry["count"]
             if collect:
-                provenance = localization_provenance(
-                    policy1, policy2, context, pair.name1, pair.name2
+                span_kind = "acl" if kind is ComponentKind.ACL else "route-map"
+                provenance = provenance_digest(
+                    device1.reachable_spans[(span_kind, pair.name1)],
+                    device2.reachable_spans[(span_kind, pair.name2)],
+                    context,
+                    pair.name1,
+                    pair.name2,
                 )
             if (
                 entry is not None
@@ -263,9 +316,25 @@ def _walk_components(
             # provenance differs came from a clone at other file
             # offsets; its localization would report the wrong lines).
         component = _component_label(pair.name1, pair.name2, prefix)
+        if memo is not None:
+            budget = (node_limit, time_budget)
+            known = memo.known_abort(key, budget, collect)
+            if known is not None:
+                reason, resource = known
+                report.aborted.append(
+                    AbortedAnalysis(
+                        kind=kind,
+                        component=component,
+                        reason=reason,
+                        resource=resource,
+                    )
+                )
+                return 0
         left = _remaining(component, kind)
         if left is not None and left <= 0:
             return 0
+        from ..bdd.engine import AnalysisBudgetExceeded
+
         try:
             space, differences = diff(
                 policy1,
@@ -278,7 +347,21 @@ def _walk_components(
                 set_backend=set_backend,
             )
             if collect:
-                localize(space, differences, policy1, policy2, backend=set_backend)
+                from . import present
+
+                if kind is ComponentKind.ROUTE_MAP:
+                    present.localize_route_map_differences(
+                        space,
+                        differences,
+                        policy1,
+                        policy2,
+                        exhaustive_communities=exhaustive_communities,
+                        backend=set_backend,
+                    )
+                else:
+                    present.localize_acl_differences(
+                        space, differences, policy1, policy2, backend=set_backend
+                    )
         except AnalysisBudgetExceeded as exc:
             report.aborted.append(
                 AbortedAnalysis(
@@ -288,7 +371,11 @@ def _walk_components(
                     resource=exc.resource,
                 )
             )
-            return 0  # aborted results are never memoized
+            if memo is not None:
+                # Never a memo entry, but a repeat under the same
+                # budget fails at once instead of spending it again.
+                memo.put_abort(key, budget, collect, str(exc), exc.resource)
+            return 0
         report.semantic.extend(differences)
         if memo is not None:
             if collect:
@@ -308,10 +395,6 @@ def _walk_components(
         return 0
 
     replayed = 0
-    localize_route_maps = functools.partial(
-        localize_route_map_differences,
-        exhaustive_communities=exhaustive_communities,
-    )
     seen_route_map_pairs = set()
     for pair in pairing.route_map_pairs:
         dedup_key = (pair.name1, pair.name2)
@@ -353,7 +436,6 @@ def _walk_components(
             entry_context=pair.context,
             prefix="route map",
             diff=diff_route_maps,
-            localize=localize_route_maps,
         )
 
     for pair in pairing.acl_pairs:
@@ -370,24 +452,22 @@ def _walk_components(
             entry_context="",
             prefix="ACL",
             diff=diff_acls,
-            localize=localize_acl_differences,
         )
 
+    sentry = skey = None
     if memo is not None:
         skey = structural_key(fps1, fps2, pairing.ospf_interface_pairing)
         sentry = memo.get(skey)
-        if sentry is not None and sentry["count"] == 0:
-            pass  # structurally identical: report.structural stays []
-        elif sentry is not None and not collect:
-            replayed += sentry["count"]
-        else:
-            report.structural = structural_diff_all(
-                device1, device2, pairing.ospf_interface_pairing
-            )
-            if sentry is None:
-                memo.put(skey, structural_entry(report.structural))
+    if sentry is not None and sentry["count"] == 0:
+        pass  # structurally identical: report.structural stays []
+    elif sentry is not None and not collect:
+        replayed += sentry["count"]
     else:
+        from .structural_diff import structural_diff_all
+
         report.structural = structural_diff_all(
             device1, device2, pairing.ospf_interface_pairing
         )
+        if memo is not None and sentry is None:
+            memo.put(skey, structural_entry(report.structural))
     return report, replayed

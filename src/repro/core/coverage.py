@@ -18,8 +18,6 @@ rest of the serialized report (schema v4 carries it).
 
 from __future__ import annotations
 
-import dataclasses
-import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
@@ -111,60 +109,6 @@ class DeviceCoverage:
         return "; ".join(parts)
 
 
-#: Marks SourceSpan types in ``_CHILDREN``.
-_SPAN = object()
-
-#: type -> how the span walk reaches an instance's children: ``_SPAN``,
-#: a function returning the children in visit order, or ``None`` for
-#: types with nothing to descend into (str, int, enums, ...).
-_CHILDREN: Dict[type, object] = {}
-
-
-def _children_of(cls: type) -> object:
-    """The ``_CHILDREN`` entry for ``cls``, computed once per type."""
-    if issubclass(cls, SourceSpan):
-        return _SPAN
-    if dataclasses.is_dataclass(cls):
-        names = tuple(field.name for field in dataclasses.fields(cls))
-        if len(names) == 1:
-            getter = operator.attrgetter(names[0])
-            return lambda value: (getter(value),)
-        return operator.attrgetter(*names) if names else None
-    if issubclass(cls, dict):
-        return operator.methodcaller("values")
-    if issubclass(cls, (list, tuple, set, frozenset)):
-        return iter
-    return None
-
-
-def _collect_spans(children, value: object, spans: List[SourceSpan]) -> None:
-    for item in children(value):
-        try:
-            step = _CHILDREN[type(item)]
-        except KeyError:
-            step = _CHILDREN[type(item)] = _children_of(type(item))
-        if step is None:
-            continue
-        if step is _SPAN:
-            if not item.is_empty():
-                spans.append(item)
-        else:
-            _collect_spans(step, item, spans)
-
-
-def _walk_spans(value: object) -> List[SourceSpan]:
-    """Every non-empty SourceSpan reachable from a model object.
-
-    Depth-first: dataclass fields in declaration order, dict values and
-    list/tuple/set items in iteration order.  The order is persisted:
-    :func:`~repro.core.replay.localization_provenance` hashes the spans
-    in it, so reordering the walk orphans every cached localized entry.
-    """
-    spans: List[SourceSpan] = []
-    _collect_spans(iter, (value,), spans)
-    return spans
-
-
 def _span_lines(span: SourceSpan, filename: str) -> Iterable[int]:
     if span.filename == filename and span.start_line > 0:
         return range(span.start_line, span.end_line + 1)
@@ -178,15 +122,16 @@ def policy_spans(device: DeviceConfig) -> List[Tuple[str, str, FrozenSet[int]]]:
     so a route map's footprint includes the definition lines of the
     prefix/community lists its clauses resolve — those lines shape the
     policy's behavior, so a difference touching the clause exercises
-    them too (they are where the operator must look).
+    them too (they are where the operator must look).  The spans are
+    the ones the parser sealed on the device
+    (:attr:`~repro.model.device.DeviceConfig.reachable_spans`).
     """
     result: List[Tuple[str, str, FrozenSet[int]]] = []
-    for kind, policies in (("acl", device.acls), ("route-map", device.route_maps)):
-        for name in sorted(policies):
-            lines: Set[int] = set()
-            for span in _walk_spans(policies[name]):
-                lines.update(_span_lines(span, device.filename))
-            result.append((kind, name, frozenset(lines)))
+    for (kind, name), spans in device.reachable_spans.items():
+        lines: Set[int] = set()
+        for span in spans:
+            lines.update(_span_lines(span, device.filename))
+        result.append((kind, name, frozenset(lines)))
     return result
 
 

@@ -309,13 +309,19 @@ def compare_fleet(
     merely near-symmetric pairs *fall back to concrete analysis*
     (counted under ``near_symmetry.fallbacks`` and noted on
     ``FleetReport.notes``), since a fault observed on one substitution
-    instance says nothing about the others.
+    instance says nothing about the others.  A budget abort is not such
+    a fault: every pair a budget-aborted representative stands for
+    fails with its cause.
 
     ``timeout`` is each pair's BDD time budget in seconds (``None`` =
     unbounded); ``node_limit`` bounds each pair's BDD allocation.
     Either tripping aborts only the offending component rather than
-    sinking the run: its matrix count leaves the component out, and the
-    reference report lists it as aborted (so the report is partial).
+    sinking the run: the matrix pair fails (listed in ``failed_pairs``
+    with the abort, without a retry; the election runs over the
+    surviving pairs), and the reference report lists the component as
+    aborted (so the report is partial).  With a memo, each component
+    spends a budget once per run: a later pair or report holding the
+    same component pair is recorded aborted at once.
 
     Fingerprint memoization is on by default (``use_memo=True``): each
     unique component-content pair is diffed once and replayed across
@@ -474,8 +480,8 @@ def compare_fleet(
                 continue
             key = (min(reference, hostname), max(reference, hostname))
             # Always re-run oriented reference-first so reports read
-            # uniformly; budgets make the retry of a matrix-phase failure
-            # degrade per-component instead of repeating the blow-up.
+            # uniformly; a component the matrix saw abort is recorded
+            # aborted from the memo instead of repeating the blow-up.
             try:
                 report = config_diff(
                     by_name[reference],
@@ -490,7 +496,8 @@ def compare_fleet(
                 result.failed_reports[hostname] = f"{type(exc).__name__}: {exc}"
                 continue
             result.reports[hostname] = report
-            result.matrix.setdefault(key, report.total_differences())
-            result.failed_pairs.pop(key, None)
+            if not report.aborted:  # an aborted report has no count
+                result.matrix.setdefault(key, report.total_differences())
+                result.failed_pairs.pop(key, None)
     result.coverage = compute_fleet_coverage(by_name, result)
     return result

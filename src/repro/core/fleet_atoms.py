@@ -42,19 +42,11 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .. import perf
-from ..bdd.atoms import AtomBudgetExceeded, resolve_atom_budget
-from ..bdd.fleet_atoms import (
-    AtomUniverse,
-    UniverseCoverageError,
-    differing_pair_count,
-)
-from ..encoding import PacketSpace, acl_equivalence_classes
 from ..model.acl import Acl
 from ..model.device import DeviceConfig
 from .match_policies import PolicyPairing
 from .memo import DiffMemo, acl_key, count_entry
 from .results import ComponentKind
-from .setalg import canonical_action_key
 
 __all__ = ["seed_acl_counts"]
 
@@ -93,6 +85,11 @@ def seed_acl_counts(
                 missing[(fp1, fp2)] = None
                 acls.setdefault(fp1, device1.acls[pair.name1])
                 acls.setdefault(fp2, device2.acls[pair.name2])
+        if not missing:
+            return  # all cached: the BDD engine is never loaded
+        from ..bdd.atoms import AtomBudgetExceeded
+        from ..bdd.fleet_atoms import UniverseCoverageError, differing_pair_count
+
         for component in _components(missing):
             fingerprints = sorted({fp for edge in component for fp in edge})
             try:
@@ -139,6 +136,11 @@ def _fold(acls: Dict[str, Acl]) -> VectorTable:
     ACLs are folded in the (sorted) order given, so the universe is a
     function of the ACL set alone.
     """
+    from ..bdd.atoms import resolve_atom_budget
+    from ..bdd.fleet_atoms import AtomUniverse
+    from ..encoding import PacketSpace, acl_equivalence_classes
+    from .setalg import canonical_action_key
+
     space = PacketSpace()
     classes_by_fp = {
         fingerprint: acl_equivalence_classes(space, acl)

@@ -71,6 +71,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Generic,
@@ -84,7 +85,6 @@ from typing import (
 )
 
 from .. import perf
-from ..bdd import Bdd
 from ..model.types import Prefix
 from .ddnf import (
     DdnfDag,
@@ -93,6 +93,9 @@ from .ddnf import (
     RangeAlgebra,
     cached_dag,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only; no engine import
+    from ..bdd import Bdd
 
 __all__ = [
     "HeaderLocalizeError",

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..model.device import DeviceConfig
-from ..model.routemap import RouteMap
 from ..model.types import int_to_ip
 from .results import ComponentKind, UnmatchedPolicy
 

@@ -17,7 +17,10 @@ keep *reports* (not just verdicts) exact:
 
 * only **clean** results are memoized — a component aborted by a node
   or time budget is never stored, so budgets need not be part of the
-  key and a memo hit always represents a completed analysis;
+  key and a memo hit always represents a completed analysis (aborts
+  are remembered apart, in memory only and keyed by the budgets, so a
+  run spends a budget on each aborted component once:
+  :meth:`DiffMemo.known_abort`);
 * an entry with ``count > 0`` is replayed as a *count* (fleet matrix)
   or recomputed live (full reports), because text localization must
   point at the actual devices' lines; an entry with ``count == 0``
@@ -175,6 +178,8 @@ class DiffMemo:
     def __init__(self, cache: Optional[object] = None) -> None:
         self._entries: Dict[MemoKey, Dict] = {}
         self._cache = cache
+        # (key, budget) -> (collect, reason, resource); never persisted.
+        self._aborts: Dict[Tuple, Tuple[bool, str, str]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -246,3 +251,39 @@ class DiffMemo:
         perf.add("memo.seeds")
         if self._cache is not None:
             self._cache.put_diff(key, entry)
+
+    def known_abort(
+        self, key: MemoKey, budget: Tuple, collect: bool
+    ) -> Optional[Tuple[str, str]]:
+        """``(reason, resource)`` of an abort :meth:`put_abort` recorded
+        for ``key`` under ``budget`` (the pair's node limit and time
+        budget), or ``None``.
+
+        A count-mode abort stands for collect mode too: collect mode
+        runs the same SemanticDiff and then localizes on top of it.  A
+        collect-mode abort may have tripped in that localization, so it
+        does not stand for count mode.
+        """
+        known = self._aborts.get((key, budget))
+        if known is None or (known[0] and not collect):
+            return None
+        perf.add("memo.abort_replays")
+        return known[1], known[2]
+
+    def put_abort(
+        self,
+        key: MemoKey,
+        budget: Tuple,
+        collect: bool,
+        reason: str,
+        resource: str,
+    ) -> None:
+        """Remember that ``key``'s analysis tripped ``budget``.
+
+        Kept in memory for this memo's run, never in the backing cache:
+        an abort answers one budget, not the component.  A count-mode
+        record replaces a collect-mode one, since it stands for both.
+        """
+        known = self._aborts.get((key, budget))
+        if known is None or (known[0] and not collect):
+            self._aborts[(key, budget)] = (collect, reason, resource)

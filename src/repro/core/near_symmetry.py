@@ -143,7 +143,10 @@ class SymmetryPlan:
         representative takes that pair's count, but if that pair failed
         it is merely near-symmetric, not content-identical: its fleet
         pairs are returned as ``fallback_pairs`` for concrete analysis,
-        so one targeted fault never poisons a whole template class.
+        so one targeted fault never poisons a whole template class.  A
+        budget abort is the exception: it answers the work the signature
+        demands under the run's budgets, so the replaying pairs fail
+        with its cause instead of each spending the budget again.
 
         Each representative pair's outcome is looked up once and reused
         for every fleet pair it stands for.
@@ -170,7 +173,7 @@ class SymmetryPlan:
                     outcome = outcomes[replay]
                     if outcome.ok:
                         verdict = (matrix, outcome.result)
-                    elif rep_key == replay:
+                    elif rep_key == replay or outcome.aborted:
                         verdict = (failed, outcome.describe())
                     else:
                         verdict = (None, None)

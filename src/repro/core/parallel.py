@@ -11,8 +11,12 @@ with the rendered cause.  A failed pair gets one retry (counted under
 A pair is bounded by the BDD engine's own budgets, not by killing it:
 the ``timeout`` argument becomes the pair's time budget, checked at the
 engine's deadline points, and ``node_limit`` its node budget.  A
-blow-up therefore degrades into a budget-aborted count rather than
-hanging the run.
+blow-up therefore fails the pair (:class:`~repro.core.config_diff.
+PairAborted`) rather than hanging the run or counting the aborted
+component as no differences.  Such a pair is not retried: the abort is
+the answer to the budget it was given (a node-limit abort recurs
+exactly, and the memo would replay either kind at once), so its outcome
+is marked ``aborted`` instead.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .. import perf
 from ..model.device import DeviceConfig
-from .config_diff import config_diff, config_diff_summary
+from .config_diff import (
+    PairAborted,
+    config_diff,
+    config_diff_summary,
+    pair_count,
+)
 from .match_policies import PolicyPairing
 from .memo import DiffMemo
 from .near_symmetry import SymmetryPlan  # re-export for existing importers
@@ -60,7 +69,9 @@ class PairOutcome:
     ``status`` is ``"ok"`` (``result`` holds the difference count) or
     ``"error"`` (the analysis raised; ``error`` holds the rendered
     cause).  ``retried`` marks outcomes that went through the automatic
-    retry, whatever its final status.
+    retry, whatever its final status; ``aborted`` marks an error that
+    is a budget abort (:class:`~repro.core.config_diff.PairAborted`),
+    which is never retried.
     """
 
     index: int
@@ -68,6 +79,7 @@ class PairOutcome:
     result: Optional[object] = None
     error: str = ""
     retried: bool = False
+    aborted: bool = False
 
     @property
     def ok(self) -> bool:
@@ -114,16 +126,17 @@ def _count_pair(task: _Task) -> int:
             memo=memo,
             set_backend=backend,
         )
-    report = config_diff(
-        device1,
-        device2,
-        pairing=pairing,
-        exhaustive_communities=exhaustive,
-        node_limit=node_limit,
-        time_budget=time_budget,
-        set_backend=backend,
+    return pair_count(
+        config_diff(
+            device1,
+            device2,
+            pairing=pairing,
+            exhaustive_communities=exhaustive,
+            node_limit=node_limit,
+            time_budget=time_budget,
+            set_backend=backend,
+        )
     )
-    return report.total_differences()
 
 
 def _guarded_call(index: int, task: _Task) -> PairOutcome:
@@ -138,7 +151,10 @@ def _guarded_call(index: int, task: _Task) -> PairOutcome:
         result = _count_pair(task)
     except Exception as exc:  # noqa: BLE001 - isolation boundary by design
         return PairOutcome(
-            index, "error", error=f"{type(exc).__name__}: {exc}"
+            index,
+            "error",
+            error=f"{type(exc).__name__}: {exc}",
+            aborted=isinstance(exc, PairAborted),
         )
     return PairOutcome(index, "ok", result=result)
 
@@ -162,7 +178,8 @@ def pairwise_count_outcomes(
     backend-independent.  ``pairings`` (aligned with ``pairs``) hands
     over MatchPolicies results the caller already computed, so no pair
     is matched twice.  A failed pair is retried once unless ``retry``
-    is false; the retry keeps the first attempt's cause if it fails.
+    is false or a budget aborted it; the retry keeps the first
+    attempt's cause if it fails.
     """
     timeout = resolve_timeout(timeout)
     if pairings is None:
@@ -186,7 +203,7 @@ def pairwise_count_outcomes(
             outcome = _guarded_call(index, task)
             if not outcome.ok:
                 perf.add("parallel.errors")
-                if retry:
+                if retry and not outcome.aborted:
                     perf.add("parallel.retries")
                     again = _guarded_call(index, task)
                     if again.ok:

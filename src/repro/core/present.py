@@ -15,11 +15,8 @@ Present does two jobs:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..bdd import Bdd, complete_model
-from ..encoding.packet import PacketSpace
-from ..encoding.route import RouteSpace
 from ..model.acl import Acl, IP_PROTOCOL_NAMES
 from ..model.routemap import RouteMap
 from ..model.types import Prefix, PrefixRange, int_to_ip
@@ -31,6 +28,11 @@ from .header_localize import (
 )
 from .ddnf import address_prefix_algebra, prefix_range_algebra
 from .results import CampionReport, ComponentKind, SemanticDifference, StructuralDifference
+
+if TYPE_CHECKING:  # pragma: no cover - the engine loads with the first diff
+    from ..bdd import Bdd
+    from ..encoding.packet import PacketSpace
+    from ..encoding.route import RouteSpace
 
 __all__ = [
     "localize_route_map_differences",
@@ -98,6 +100,8 @@ def _localize_route_map(
         )
     except HeaderLocalizeError:
         difference.localization = None  # fall back to example-only output
+
+    from ..bdd.sat import complete_model
 
     model = complete_model(difference.input_set, space.manager.num_vars)
     if model is not None:
@@ -204,6 +208,8 @@ def _localize_acl(
             difference.extra_localizations[label] = localization
         except HeaderLocalizeError:
             difference.extra_localizations[label] = None
+
+    from ..bdd.sat import complete_model
 
     model = complete_model(difference.input_set, space.manager.num_vars)
     if model is not None:

@@ -16,8 +16,8 @@ Soundness (the near-symmetry replay theorem, specialized):
 * The only entry material that is **not** covered by the fingerprint is
   source provenance: line numbers and raw text of every span, plus the
   pair's context/name labels that SemanticDiff threads into each
-  difference.  :func:`localization_provenance` hashes exactly that
-  residue — *filename-free*, in deterministic span-walk order.  When
+  difference.  :func:`provenance_digest` hashes exactly that residue
+  — *filename-free*, in deterministic span-walk order.  When
   the stored provenance equals the current pair's, every serialized
   field except span filenames is byte-identical to what a live run
   would produce.
@@ -40,25 +40,23 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..model.types import SourceSpan
-from ..encoding.classes import EquivalenceClass
-from .coverage import _walk_spans
+from ..model.types import EquivalenceClass, SourceSpan
 from .header_localize import FlatTerm, Localization
 from .results import ComponentKind, SemanticDifference
 
 __all__ = [
-    "localization_provenance",
+    "provenance_digest",
     "replay_augmentation",
     "replay_semantic_differences",
     "semantic_difference_from_dict",
 ]
 
 
-def localization_provenance(
-    component1: object,
-    component2: object,
+def provenance_digest(
+    spans1: Sequence[SourceSpan],
+    spans2: Sequence[SourceSpan],
     context: str,
     name1: str,
     name2: str,
@@ -68,22 +66,20 @@ def localization_provenance(
     Fingerprints hash the span-free canonical form, so two components
     can share a fingerprint while sitting at different lines of their
     files.  This digest covers the residue a serialized difference
-    exposes: every reachable source span's line range and raw text
-    (walked in the same deterministic order as
-    :func:`~repro.core.coverage.policy_spans`) plus the context and
-    policy-name labels SemanticDiff threads into each difference.
+    exposes: every reachable source span's line range and raw text, in
+    walk order (:func:`~repro.model.spans.walk_spans`), plus the context
+    and policy-name labels SemanticDiff threads into each difference.
     Filenames are deliberately excluded — they are rewritten per-device
-    at replay time.
+    at replay time.  ConfigDiff passes the spans the parser sealed on
+    each device (:attr:`~repro.model.device.DeviceConfig.reachable_spans`),
+    so a replay never walks the model.
     """
     material = {
         "context": context,
         "names": [name1, name2],
         "spans": [
-            [
-                [span.start_line, span.end_line, list(span.text)]
-                for span in _walk_spans(component)
-            ]
-            for component in (component1, component2)
+            [[span.start_line, span.end_line, list(span.text)] for span in spans]
+            for spans in (spans1, spans2)
         ],
     }
     canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))

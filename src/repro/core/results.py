@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..bdd import Bdd
 from ..diagnostics import Diagnostic
-from ..encoding.classes import EquivalenceClass
-from ..model.types import SourceSpan
+from ..model.types import EquivalenceClass, SourceSpan
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only; no engine import
+    from ..bdd import Bdd
 
 __all__ = [
     "AbortedAnalysis",

@@ -18,13 +18,11 @@ with the invariants (checked by property tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-from ..bdd import Bdd
-from ..model.acl import AclAction
 from ..model.routemap import Action, SetAction
-from ..model.types import SourceSpan
+from ..model.types import EquivalenceClass
 
 __all__ = ["RouteMapAction", "EquivalenceClass"]
 
@@ -57,29 +55,3 @@ class RouteMapAction:
         parts = [s.describe() for s in self.sets]
         parts.append("ACCEPT" if self.action is Action.PERMIT else "REJECT")
         return "\n".join(parts)
-
-
-@dataclass(frozen=True)
-class EquivalenceClass:
-    """One path through a component: predicate, action, and source text.
-
-    ``action`` is an :class:`~repro.model.acl.AclAction` for ACL paths and
-    a :class:`RouteMapAction` for route-map paths.  ``policy_name`` and
-    ``step_name`` feed the Policy Name / Text rows of the report tables.
-    """
-
-    predicate: Bdd
-    action: object
-    policy_name: str
-    step_name: str
-    source: SourceSpan = field(default_factory=SourceSpan, compare=False)
-    index: int = 0
-    is_default: bool = False
-
-    def text(self) -> str:
-        """The text-localization payload for this path."""
-        if not self.source.is_empty():
-            return self.source.render()
-        if self.is_default:
-            return f"(implicit default of {self.policy_name})"
-        return self.step_name

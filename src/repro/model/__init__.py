@@ -1,98 +1,61 @@
-"""Vendor-independent configuration model (Batfish-representation substitute)."""
+"""Vendor-independent configuration model (Batfish-representation substitute).
 
-from .acl import Acl, AclAction, AclLine, IpWildcard, PortRange
-from .bgp import BgpNeighbor, BgpProcess, Redistribution
-from .device import DEFAULT_ADMIN_DISTANCES, DeviceConfig
-from .eval import ConcreteRoute, PolicyResult, evaluate_clause_match, evaluate_route_map
-from .interface import Interface
-from .ospf import OspfInterfaceSettings, OspfProcess, OspfRedistribution
-from .routemap import (
-    Action,
-    AsPathList,
-    AsPathListEntry,
-    CommunityList,
-    CommunityListEntry,
-    MatchAsPath,
-    MatchCommunities,
-    MatchCondition,
-    MatchPrefixList,
-    MatchProtocol,
-    MatchTag,
-    PrefixList,
-    PrefixListEntry,
-    RouteMap,
-    RouteMapClause,
-    SetAction,
-    SetAsPathPrepend,
-    SetCommunities,
-    SetLocalPref,
-    SetMed,
-    SetNextHop,
-    SetTag,
-    community_regex_matches,
-)
-from .static_route import ConnectedRoute, StaticRoute
-from .types import (
-    Community,
-    ConfigError,
-    Prefix,
-    PrefixRange,
-    SourceSpan,
-    int_to_ip,
-    ip_to_int,
-    wildcard_to_prefix_len,
-)
+Names are re-exported lazily, so unpickling a cached device loads only
+the model modules its objects come from.
+"""
 
-__all__ = [
-    "Acl",
-    "AclAction",
-    "AclLine",
-    "Action",
-    "AsPathList",
-    "AsPathListEntry",
-    "BgpNeighbor",
-    "BgpProcess",
-    "Community",
-    "ConcreteRoute",
-    "CommunityList",
-    "CommunityListEntry",
-    "ConfigError",
-    "ConnectedRoute",
-    "DEFAULT_ADMIN_DISTANCES",
-    "DeviceConfig",
-    "Interface",
-    "IpWildcard",
-    "MatchAsPath",
-    "MatchCommunities",
-    "MatchCondition",
-    "MatchPrefixList",
-    "MatchProtocol",
-    "MatchTag",
-    "OspfInterfaceSettings",
-    "OspfProcess",
-    "OspfRedistribution",
-    "PortRange",
-    "PolicyResult",
-    "Prefix",
-    "PrefixList",
-    "PrefixListEntry",
-    "PrefixRange",
-    "Redistribution",
-    "RouteMap",
-    "RouteMapClause",
-    "SetAction",
-    "SetAsPathPrepend",
-    "SetCommunities",
-    "SetLocalPref",
-    "SetMed",
-    "SetNextHop",
-    "SetTag",
-    "SourceSpan",
-    "StaticRoute",
-    "community_regex_matches",
-    "evaluate_clause_match",
-    "evaluate_route_map",
-    "int_to_ip",
-    "ip_to_int",
-    "wildcard_to_prefix_len",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "acl": ("Acl", "AclAction", "AclLine", "IpWildcard", "PortRange"),
+        "bgp": ("BgpNeighbor", "BgpProcess", "Redistribution"),
+        "device": ("DEFAULT_ADMIN_DISTANCES", "DeviceConfig"),
+        "eval": (
+            "ConcreteRoute",
+            "PolicyResult",
+            "evaluate_clause_match",
+            "evaluate_route_map",
+        ),
+        "interface": ("Interface",),
+        "ospf": ("OspfInterfaceSettings", "OspfProcess", "OspfRedistribution"),
+        "routemap": (
+            "Action",
+            "AsPathList",
+            "AsPathListEntry",
+            "CommunityList",
+            "CommunityListEntry",
+            "MatchAsPath",
+            "MatchCommunities",
+            "MatchCondition",
+            "MatchPrefixList",
+            "MatchProtocol",
+            "MatchTag",
+            "PrefixList",
+            "PrefixListEntry",
+            "RouteMap",
+            "RouteMapClause",
+            "SetAction",
+            "SetAsPathPrepend",
+            "SetCommunities",
+            "SetLocalPref",
+            "SetMed",
+            "SetNextHop",
+            "SetTag",
+            "community_regex_matches",
+        ),
+        "static_route": ("ConnectedRoute", "StaticRoute"),
+        "types": (
+            "Community",
+            "ConfigError",
+            "HostPrefix",
+            "Prefix",
+            "PrefixRange",
+            "SourceSpan",
+            "int_to_ip",
+            "ip_to_int",
+            "wildcard_to_prefix_len",
+        ),
+    },
+)

@@ -12,17 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - fingerprint imports this module
-    from .fingerprint import ComponentFingerprints, DeviceTemplate
-
 from ..diagnostics import Diagnostic, Severity
-from .acl import Acl
-from .bgp import BgpProcess
-from .interface import Interface
-from .ospf import OspfProcess
-from .routemap import AsPathList, CommunityList, PrefixList, RouteMap
-from .static_route import ConnectedRoute, StaticRoute
 from .types import SourceSpan
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    # Component modules load with the first object that needs them (a
+    # parse, or a cached device unpickling), not with the device class.
+    from .acl import Acl
+    from .bgp import BgpProcess
+    from .fingerprint import ComponentFingerprints, DeviceTemplate
+    from .interface import Interface
+    from .ospf import OspfProcess
+    from .routemap import AsPathList, CommunityList, PrefixList, RouteMap
+    from .static_route import ConnectedRoute, StaticRoute
 
 __all__ = ["DeviceConfig", "DEFAULT_ADMIN_DISTANCES"]
 
@@ -68,45 +70,63 @@ class DeviceConfig:
     def fingerprints(self) -> "ComponentFingerprints":
         """Content-addressed component fingerprints, computed lazily once.
 
-        Parsers seal them (:meth:`seal_fingerprints`) so every parsed
-        device carries its fingerprints; the cached value pickles with
-        the device, so the on-disk artifact cache never recomputes it.
+        Parsers seal them (:meth:`seal`) so every parsed device carries
+        its fingerprints; the cached value pickles with the device, so
+        the on-disk artifact cache never recomputes it.
         """
         cached = self.__dict__.get("_fingerprints")
         if cached is None:
-            cached = self.seal_fingerprints()
+            from .fingerprint import compute_fingerprints
+
+            cached = self.__dict__["_fingerprints"] = compute_fingerprints(self)
         return cached
-
-    def seal_fingerprints(
-        self, acl_digests: Optional[Dict[str, str]] = None
-    ) -> "ComponentFingerprints":
-        """Compute and cache :attr:`fingerprints` now.
-
-        Parsers call this once the model is complete, passing the
-        digests of ACLs they took from the stanza memo so those ACLs
-        are not fingerprinted again.
-        """
-        from .fingerprint import compute_fingerprints
-
-        fingerprints = compute_fingerprints(self, acl_digests)
-        self.__dict__["_fingerprints"] = fingerprints
-        return fingerprints
 
     @property
     def template(self) -> "DeviceTemplate":
         """Template fingerprint + hole substitution, computed lazily once.
 
-        The near-symmetry layer (``repro.core.near_symmetry``) touches
-        this; like :attr:`fingerprints`, the cached value pickles with
-        the device so a cached device never recomputes it.
+        The near-symmetry layer (``repro.core.near_symmetry``) reads
+        this.  Parsers seal it (:meth:`seal`), so it pickles with the
+        device and a cached device never recomputes it.
         """
         cached = self.__dict__.get("_template")
         if cached is None:
             from .fingerprint import compute_template
 
-            cached = compute_template(self)
-            self.__dict__["_template"] = cached
+            cached = self.__dict__["_template"] = compute_template(self)
         return cached
+
+    @property
+    def reachable_spans(self) -> "Dict[Tuple[str, str], Tuple[SourceSpan, ...]]":
+        """``(kind, name) -> spans`` reachable from each ACL and route map.
+
+        Coverage and localization replay read policy footprints from
+        here (see :mod:`repro.model.spans`).  Parsers seal it
+        (:meth:`seal`), so it pickles with the device and a cached
+        device is never walked for its spans.
+        """
+        cached = self.__dict__.get("_reachable_spans")
+        if cached is None:
+            from .spans import reachable_span_table
+
+            cached = self.__dict__["_reachable_spans"] = reachable_span_table(self)
+        return cached
+
+    def seal(self, acl_digests: Optional[Dict[str, str]] = None) -> None:
+        """Compute now every fact a cached device carries.
+
+        That is :attr:`fingerprints`, :attr:`template` and
+        :attr:`reachable_spans`.  Parsers call this once the model is
+        complete, passing the digests of ACLs they took from the stanza
+        memo so those ACLs are not fingerprinted again.  The model must
+        not change afterwards: the sealed facts would go stale.
+        """
+        if "_fingerprints" not in self.__dict__:
+            from .fingerprint import compute_fingerprints
+
+            self.__dict__["_fingerprints"] = compute_fingerprints(self, acl_digests)
+        self.template
+        self.reachable_spans
 
     def parse_errors(self) -> List[Diagnostic]:
         """Error-severity parse diagnostics (skipped modeled stanzas)."""

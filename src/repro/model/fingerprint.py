@@ -58,7 +58,9 @@ __all__ = [
 
 #: Bump whenever canonicalization or model semantics change; stale
 #: fingerprints must never collide with current ones.
-FINGERPRINT_SCHEMA_VERSION = 1
+#: v2: both parsers' interface addresses are one model type,
+#: ``HostPrefix`` (its class name enters every interface digest).
+FINGERPRINT_SCHEMA_VERSION = 2
 
 
 def canonical_form(value: object) -> object:
@@ -236,8 +238,8 @@ def _hole_for(kind: str, attribute: object) -> "TemplateHole | None":
     if attribute is None:
         return None
     if kind == "interface-address":
-        # Interface addresses retain their host bits (see the parsers'
-        # _InterfacePrefix), but the diff only ever reads the *masked
+        # Interface addresses retain their host bits (see
+        # repro.model.types.HostPrefix), but the diff only ever reads the *masked
         # subnet* (connected routes, OSPF interface pairing) — so the
         # hole value keeps the host form for substitution replay while
         # the equality atom is the subnet.  Masking in the atom is a

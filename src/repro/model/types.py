@@ -19,16 +19,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only; no engine import
+    from ..bdd import Bdd
 
 __all__ = [
     "ip_to_int",
     "int_to_ip",
     "wildcard_to_prefix_len",
     "Prefix",
+    "HostPrefix",
     "PrefixRange",
     "Community",
     "SourceSpan",
+    "EquivalenceClass",
     "ConfigError",
 ]
 
@@ -142,6 +147,25 @@ class Prefix:
 
     def __str__(self) -> str:
         return f"{int_to_ip(self.network)}/{self.length}"
+
+
+class HostPrefix(Prefix):
+    """An interface address: a Prefix that keeps its host bits.
+
+    ``Prefix`` canonicalizes by masking host bits; interface addresses
+    must retain them (two backup routers on one subnet have different
+    host addresses but the same connected route).  Only the subnet view
+    (``Interface.subnet()``) masks.  Both parsers build interface
+    addresses with this one model type, so a cached device unpickles
+    without importing either parser; the class name is part of every
+    interface fingerprint.
+    """
+
+    def __post_init__(self) -> None:  # skip canonicalization, keep checks
+        if not 0 <= self.length <= 32:
+            raise ConfigError(f"prefix length out of range: {self.length}")
+        if not 0 <= self.network <= 0xFFFFFFFF:
+            raise ConfigError(f"prefix network out of range: {self.network}")
 
 
 @dataclass(frozen=True, order=True)
@@ -303,3 +327,32 @@ class SourceSpan:
     def is_empty(self) -> bool:
         """Whether the span carries no text."""
         return not self.text
+
+
+@dataclass(frozen=True)
+class EquivalenceClass:
+    """One path through a component: predicate, action, and source text.
+
+    ``action`` is an :class:`~repro.model.acl.AclAction` for ACL paths
+    and a :class:`~repro.encoding.classes.RouteMapAction` for route-map
+    paths.  ``policy_name`` and ``step_name`` feed the Policy Name /
+    Text rows of the report tables.  It lives with the model's value
+    types, not with the encoders, because replay rebuilds it without
+    loading them.
+    """
+
+    predicate: Bdd
+    action: object
+    policy_name: str
+    step_name: str
+    source: SourceSpan = field(default_factory=SourceSpan, compare=False)
+    index: int = 0
+    is_default: bool = False
+
+    def text(self) -> str:
+        """The text-localization payload for this path."""
+        if not self.source.is_empty():
+            return self.source.render()
+        if self.is_default:
+            return f"(implicit default of {self.policy_name})"
+        return self.step_name

@@ -1,26 +1,23 @@
-"""Configuration parsers (Batfish substitute): Cisco IOS and Juniper JunOS."""
+"""Configuration parsers (Batfish substitute): Cisco IOS and Juniper JunOS.
 
-from .cisco import parse_cisco
-from .common import (
-    NumberedLine,
-    ParseContext,
-    ParserWarning,
-    StanzaMemo,
-    number_lines,
+Names are re-exported lazily, so loading a cached device imports
+neither vendor parser.
+"""
+
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cisco": ("parse_cisco",),
+        "common": (
+            "NumberedLine",
+            "ParseContext",
+            "ParserWarning",
+            "StanzaMemo",
+            "number_lines",
+        ),
+        "juniper": ("JunosStatement", "parse_juniper"),
+        "loader": ("detect_dialect", "load_config", "parse_config"),
+    },
 )
-from .juniper import JunosStatement, parse_juniper
-from .loader import detect_dialect, load_config, parse_config
-
-__all__ = [
-    "JunosStatement",
-    "NumberedLine",
-    "ParseContext",
-    "ParserWarning",
-    "StanzaMemo",
-    "detect_dialect",
-    "load_config",
-    "number_lines",
-    "parse_cisco",
-    "parse_config",
-    "parse_juniper",
-]

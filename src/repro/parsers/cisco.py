@@ -69,7 +69,7 @@ from ..model import (
 )
 from .. import perf
 from ..model.acl import IP_PROTOCOL_NUMBERS
-from ..model.types import ConfigError
+from ..model.types import ConfigError, HostPrefix
 from .common import (
     NumberedLine,
     ParseContext,
@@ -100,7 +100,7 @@ def parse_cisco(
         device = parser.parse()
     perf.add("parse.cisco.lines", len(parser.lines))
     with perf.timer("parse.fingerprint"):
-        device.seal_fingerprints(parser.acl_digests())
+        device.seal(parser.acl_digests())
     return device
 
 
@@ -232,7 +232,7 @@ class _CiscoParser:
                 # Prefix (subnet prefix used for connected routes).
                 host = ip_to_int(words[2])
                 mask_len = address.length
-                address = _InterfacePrefix(host, mask_len)
+                address = HostPrefix(host, mask_len)
             elif words[0] == "description":
                 description = " ".join(words[1:])
             elif words[0] == "shutdown":
@@ -926,22 +926,6 @@ class _CiscoParser:
             if wildcard.matches(host):
                 return area
         return None
-
-
-class _InterfacePrefix(Prefix):
-    """A Prefix that keeps the host address (interface ``ip address``).
-
-    ``Prefix`` canonicalizes by masking host bits; interface addresses
-    must retain them (two backup routers on one subnet have different
-    host addresses but the same connected route).  Only the subnet view
-    (via ``Interface.subnet()``) masks.
-    """
-
-    def __post_init__(self) -> None:  # skip canonicalization, keep checks
-        if not 0 <= self.length <= 32:
-            raise ConfigError(f"prefix length out of range: {self.length}")
-        if not 0 <= self.network <= 0xFFFFFFFF:
-            raise ConfigError(f"prefix network out of range: {self.network}")
 
 
 class _PendingPrefixMatch:

@@ -83,7 +83,7 @@ from ..model import (
 )
 from .. import perf
 from ..model.acl import IP_PROTOCOL_NUMBERS
-from ..model.types import ConfigError
+from ..model.types import ConfigError, HostPrefix
 from .common import ParseContext, StanzaMemo
 
 __all__ = ["parse_juniper", "JunosStatement"]
@@ -291,7 +291,7 @@ def parse_juniper(
         device = interpreter.interpret()
     perf.add("parse.juniper.lines", len(interpreter.raw_lines))
     with perf.timer("parse.fingerprint"):
-        device.seal_fingerprints(interpreter.acl_digests)
+        device.seal(interpreter.acl_digests)
     return device
 
 
@@ -987,23 +987,12 @@ def _policy_name(statement: Optional[JunosStatement]) -> Optional[str]:
     return statement.words[1]
 
 
-class _HostPrefix(Prefix):
-    """A Prefix that keeps the host address (see cisco._InterfacePrefix).
-
-    Module-level so that devices pickle and equal addresses compare
-    equal; the class name is part of every interface digest.
-    """
-
-    def __post_init__(self) -> None:
-        pass
-
-
 def _interface_prefix(text: str) -> Prefix:
-    """Interface address keeping host bits (see cisco._InterfacePrefix)."""
+    """Interface address keeping host bits (see ``HostPrefix``)."""
     address, _, length_text = text.partition("/")
     host = ip_to_int(address)
     length = int(length_text) if length_text else 32
-    return _HostPrefix(host, length)
+    return HostPrefix(host, length)
 
 
 def _route_filter_range(words: List[str]) -> PrefixRange:

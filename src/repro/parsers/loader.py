@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import pathlib
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from ..model.device import DeviceConfig
 from ..model.types import ConfigError
-from .cisco import parse_cisco
-from .common import StanzaMemo
-from .juniper import parse_juniper
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..model.device import DeviceConfig
+    from .common import StanzaMemo
 
 __all__ = ["detect_dialect", "parse_config", "load_config"]
 
@@ -80,12 +80,17 @@ def parse_config(
     """
     if dialect == "auto":
         dialect = detect_dialect(text, filename)
+    # Each vendor parser is imported by the first parse that needs it.
     if dialect in ("cisco", "arista"):
+        from .cisco import parse_cisco
+
         device = parse_cisco(text, filename, strict=strict, memo=memo)
         if dialect == "arista":
             device.vendor = "arista"
         return device
     if dialect == "juniper":
+        from .juniper import parse_juniper
+
         return parse_juniper(text, filename, strict=strict, memo=memo)
     raise ConfigError(f"unknown dialect {dialect!r}")
 

@@ -13,10 +13,12 @@ from collections import Counter
 
 import pytest
 
-from repro.core import compare_fleet, coverage as coverage_module
+from repro.core import compare_fleet
 from repro.core import fleet_report_to_dict
 from repro.core.coverage import compute_fleet_coverage, policy_spans
-from repro.core.replay import localization_provenance
+from repro.core.replay import provenance_digest
+from repro.model import spans as spans_module
+from repro.model.spans import walk_spans
 from repro.model.types import SourceSpan
 from repro.parsers import parse_cisco
 from repro.workloads.datacenter import gateway_fleet
@@ -200,17 +202,22 @@ class TestSpanWalker:
 
     def test_provenance_digests_are_pinned(self):
         # Persisted localized cache entries are keyed by these digests,
-        # which hash the spans in walk order: a reordered walk must fail
-        # here rather than silently orphan every stored entry.
-        acl1 = parse_cisco(self.ACL_A, "a.cfg").acls["EDGE"]
-        acl2 = parse_cisco(self.ACL_B, "b.cfg").acls["EDGE"]
-        assert localization_provenance(
-            acl1, acl2, "ACL EDGE", "EDGE", "EDGE"
+        # which hash the spans the parsers seal on each device, in walk
+        # order: a reordered walk must fail here rather than silently
+        # orphan every stored entry.
+        a = parse_cisco(self.ACL_A, "a.cfg")
+        b = parse_cisco(self.ACL_B, "b.cfg")
+        assert provenance_digest(
+            a.reachable_spans[("acl", "EDGE")],
+            b.reachable_spans[("acl", "EDGE")],
+            "ACL EDGE",
+            "EDGE",
+            "EDGE",
         ) == "fdfa47dfea2f2e5375066695819ca58311bf394b107bfcf555d98e710e874662"
         cisco, juniper = figure1_devices()
-        assert localization_provenance(
-            cisco.route_maps["POL"],
-            juniper.route_maps["POL"],
+        assert provenance_digest(
+            cisco.reachable_spans[("route-map", "POL")],
+            juniper.reachable_spans[("route-map", "POL")],
             "BGP neighbor 10.255.0.1 out",
             "POL",
             "POL",
@@ -221,15 +228,15 @@ class TestSpanWalker:
         for device in [*devices, *figure1_devices()]:
             assert policy_spans(device) == _reflective_policy_spans(device)
             for policy in [*device.acls.values(), *device.route_maps.values()]:
-                assert coverage_module._walk_spans(policy) == list(
-                    _reflective_walk(policy)
-                )
+                assert walk_spans(policy) == list(_reflective_walk(policy))
 
     def test_fields_read_once_per_type_across_fleet_coverage(
         self, fleet, monkeypatch
     ):
-        devices, _, report = fleet
-        monkeypatch.setattr(coverage_module, "_CHILDREN", {})
+        # The walk runs when the parser seals a device, so rebuild every
+        # device's span table here from an empty type table.
+        devices, _, _ = fleet
+        monkeypatch.setattr(spans_module, "_CHILDREN", {})
         calls = Counter()
         real_fields = dataclasses.fields
 
@@ -242,8 +249,8 @@ class TestSpanWalker:
             return real_fields(class_or_instance)
 
         monkeypatch.setattr(dataclasses, "fields", counting_fields)
-        by_name = {device.hostname: device for device in devices}
-        compute_fleet_coverage(by_name, report)
+        for device in devices:
+            assert spans_module.reachable_span_table(device) == device.reachable_spans
         assert calls, "the walk met no dataclass"
         assert max(calls.values()) == 1, calls
 

@@ -1,14 +1,17 @@
 """Tests for n-way fleet comparison and outlier detection."""
 
+import importlib
 import random
 from unittest import mock
 
 import pytest
 
-from repro.core import compare_fleet
+from repro import perf
+from repro.bdd import AnalysisBudgetExceeded
+from repro.core import compare_fleet, fleet_report_to_dict
 from repro.core.fleet import FleetReport, _elect_medoid
 from repro.parsers import parse_cisco
-from repro.workloads.datacenter import gateway_fleet
+from repro.workloads.datacenter import gateway_fleet, parameterized_clos_fleet
 from repro.workloads.figure1 import CISCO_FIGURE1
 
 
@@ -212,3 +215,113 @@ class TestPairCountErrors:
         report = compare_fleet(devices, reference=hostnames[0])
         with pytest.raises(KeyError, match="was not compared"):
             report.pair_count(hostnames[1], hostnames[2])
+
+
+class TestBudgetAbortedPairs:
+    """A matrix pair whose analysis a budget aborts has no count: it
+    fails (without a retry) instead of counting the aborted component
+    as zero differences, and the medoid is elected over the rest."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        devices, _ = gateway_fleet(count=4, outliers=3, rule_count=24, seed=0)
+        return devices
+
+    @pytest.mark.parametrize("compress", ["off", "near"])
+    def test_every_pair_aborted_is_no_verdict(self, fleet, compress):
+        # Unbudgeted, the six pairs count 1 or 2 differences; at 50
+        # nodes every one of them aborts on ACL GW_POLICY.
+        with pytest.raises(RuntimeError, match="all 6 pairwise comparisons failed"):
+            compare_fleet(fleet, node_limit=50, compress=compress)
+
+    @pytest.mark.parametrize("compress", ["off", "near"])
+    def test_aborted_pairs_fail_and_survivors_elect(self, fleet, compress):
+        perf.reset()
+        report = compare_fleet(fleet, node_limit=300, compress=compress)
+        aborted = {("gw0", "gw2"), ("gw0", "gw3"), ("gw2", "gw3")}
+        assert set(report.failed_pairs) == aborted
+        for cause in report.failed_pairs.values():
+            assert cause == (
+                "error: PairAborted: [ACLs] ACL GW_POLICY: analysis aborted:"
+                " analysis budget exceeded (nodes): 300 nodes allocated,"
+                " limit 300"
+            )
+        # A node-limit abort recurs exactly, so it is not retried.
+        assert "parallel.retries" not in perf.snapshot()["counters"]
+        # Only gw1's pairs survive, each with its one difference; gw0
+        # and gw1 tie on a mean of 1 and the hostname breaks the tie.
+        assert report.matrix == {
+            ("gw0", "gw1"): 1,
+            ("gw1", "gw2"): 1,
+            ("gw1", "gw3"): 1,
+        }
+        assert report.reference == "gw0"
+        assert report.is_partial()
+
+
+class TestBudgetAbortsUnderNearSymmetry:
+    """On a templated fleet one budget-aborted representative pair
+    stands for many fleet pairs: they fail with its cause, and no
+    aborted component is analyzed twice in the run."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        devices, _ = parameterized_clos_fleet(
+            count=12, roles=3, rule_count=8, seed=0
+        )
+        return devices
+
+    def _aborting_diffs(self, monkeypatch):
+        """Patch ConfigDiff's ACL diff to list each call that aborts."""
+        module = importlib.import_module("repro.core.config_diff")
+        real = module.diff_acls
+        aborted = []
+
+        def recording(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except AnalysisBudgetExceeded:
+                aborted.append(args[:2])
+                raise
+
+        monkeypatch.setattr(module, "diff_acls", recording)
+        return aborted
+
+    def test_replaying_pairs_fail_without_fallback(self, fleet, monkeypatch):
+        aborted = self._aborting_diffs(monkeypatch)
+        perf.reset()
+        report = compare_fleet(fleet, node_limit=1000)
+        counters = perf.snapshot()["counters"]
+        # 6 representative pairs stand for all 66; the 3 cross-role
+        # ones abort on the role ACL, and the 48 fleet pairs they stand
+        # for fail with that cause instead of being analyzed one by one.
+        assert report.symmetry.analyzed_pairs == 6
+        assert report.symmetry.fallback_pairs == 0
+        assert "near_symmetry.fallbacks" not in counters
+        assert counters["parallel.errors"] == 3
+        assert len(report.failed_pairs) == 48
+        assert len(report.matrix) == 18  # every same-role pair
+        for cause in report.failed_pairs.values():
+            assert cause.startswith("error: PairAborted: [ACLs] ACL PCLOS_POLICY_")
+            assert "limit 1000" in cause
+        # Each aborting ACL pair ran to the budget once; the reference
+        # reports replayed the remembered aborts.
+        assert len(aborted) == 6
+        assert counters["memo.abort_replays"] > 0
+        assert report.is_partial()
+
+    def test_same_report_as_uncompressed(self, fleet, monkeypatch):
+        aborted = self._aborting_diffs(monkeypatch)
+        near = fleet_report_to_dict(compare_fleet(fleet, node_limit=1000))
+        near_aborts = len(aborted)
+        off = fleet_report_to_dict(
+            compare_fleet(fleet, node_limit=1000, compress="off")
+        )
+        near.pop("symmetry", None)
+        off.pop("symmetry", None)
+        assert near == off
+        # Uncompressed, all 66 pairs run, yet each aborting ACL pair
+        # still runs to the budget once per orientation (memo keys are
+        # ordered): 3 role pairs x 2 ACLs, both ways round.
+        assert near_aborts == 6
+        assert len(aborted) - near_aborts == 2 * near_aborts

@@ -34,6 +34,30 @@ class TestDiffMemoTable:
         memo.put(key, {"count": 99})
         assert memo.get(key) == {"count": 0}
 
+    def test_aborts_are_kept_apart_per_budget_and_mode(self):
+        memo = DiffMemo()
+        key = acl_key("fp1", "fp2")
+        memo.put_abort(key, (300, None), True, "in localize", "nodes")
+        # A collect-mode abort may have tripped while localizing, which
+        # count mode never does.
+        assert memo.known_abort(key, (300, None), collect=False) is None
+        assert memo.known_abort(key, (300, None), collect=True) == (
+            "in localize",
+            "nodes",
+        )
+        memo.put_abort(key, (300, None), False, "in diff", "nodes")
+        assert memo.known_abort(key, (300, None), collect=False) == (
+            "in diff",
+            "nodes",
+        )
+        assert memo.known_abort(key, (300, None), collect=True) == (
+            "in diff",
+            "nodes",
+        )
+        # Another budget, another answer; and an abort is no entry.
+        assert memo.known_abort(key, (301, None), collect=True) is None
+        assert memo.get(key) is None and len(memo) == 0
+
 
 class TestConfigDiffParity:
     def test_summary_matches_report_without_memo(self):

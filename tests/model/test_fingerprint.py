@@ -1,5 +1,6 @@
 """Tests for canonical component fingerprints."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -90,11 +91,20 @@ class TestDeviceFingerprints:
 
 class TestDeviceTemplate:
     def test_cached_on_first_access(self):
-        device = _named("r1")
+        # Parsers seal the template; a device built directly (here a
+        # field-by-field copy) derives it on first access.
+        device = dataclasses.replace(_named("r1"))
         assert "_template" not in device.__dict__
         assert isinstance(device.template, DeviceTemplate)
         assert "_template" in device.__dict__
         assert device.template is device.template
+
+    def test_parsers_seal_it_and_it_pickles(self):
+        device = _named("r1")
+        assert "_template" in device.__dict__
+        clone = pickle.loads(pickle.dumps(device))
+        assert "_template" in clone.__dict__
+        assert clone.template == device.template == compute_template(device)
 
     def test_renamed_clone_has_identical_template(self):
         one = _named("r1", "one.cfg")
@@ -193,8 +203,10 @@ class TestSchemaVersion:
 # Pinned digests.  Fingerprints are cache keys: the memo tables and the
 # on-disk artifact cache are addressed by them, so a walk that changes a
 # digest without bumping FINGERPRINT_SCHEMA_VERSION would silently serve
-# stale entries.  These values were computed before the per-type walker
-# and the stanza memo existed; they must never change under a schema 1.
+# stale entries.  Schema 1's values were computed before the per-type
+# walker and the stanza memo existed; these are schema 2's, re-pinned when
+# both parsers' interface addresses became one model type (``HostPrefix``),
+# and must never change under a schema 2.
 
 PINNED_CISCO = """hostname pin-cisco
 !
@@ -281,16 +293,16 @@ firewall {
 
 PINNED_DIGESTS = {
     "cisco": {
-        "acls": {"EDGE": "ee3a119303c15351957b1a6d779f6b4dba8ad6829d4a0f529e99ffd43bceda31"},
-        "route_maps": {"OUT": "91c17dfcadf50e10d080be1620759fe784da9ca7656bb2a00d0d54d72ef0f7c8"},
-        "static_routes": "10782b8e81136cebb076779e09d5ce652843615982ae1b25076072b01dc6707f",
-        "interfaces": "dbac498e0674b2efb491fa0576156f78d070264cdd3941c3100dd490c1b4834d",
-        "bgp": "95c2a4158cf728e5d8a0a65ebb710c2ceab41cbabad1a6e5dc1957d1b4f277d4",
-        "ospf": "c400b539db69b1af3eaf0ddbd5b5608c104e56cabc7d3c932573b3365f37930e",
-        "admin_distances": "c409b9672e8118bf017d4c1820bce9fd528501066bfe654454b575f122ea9892",
-        "structural": "0b6df84ec9ca71acb986b36a5f3a2608a41ae438c4358225f6c67f6c04aa2856",
-        "device": "37cbf06af505cb3d181e0406dcacef87af9d1ca4d9468fe08893042c2c966efe",
-        "template": "b80cbb5ec5bfbb7a90f13a3dad5e761996379eae1f453fe773ec11f110ae2998",
+        "acls": {"EDGE": "7a46782bb60fe1aa41f7069f23944d130f351c05baed210749686b21c443c186"},
+        "route_maps": {"OUT": "eaee61093130a496737096ef203d050d1d166572db7691a14f9307d7692572da"},
+        "static_routes": "3b9d64c3e330753456acc5768df20562a481757c2801357f39961015e28e591e",
+        "interfaces": "fdb422bcc8fc6952963024a3f3f4341ddf32177fe9f3ae6054db8e5a68e4953b",
+        "bgp": "6655d6241b9dc87109e0037c534e1659e56ffd14a68e35e667434a0574250739",
+        "ospf": "9fac4d37589e9665ac6062e25b6ba7f0f17f26c74c33924fed8dc01ffe4e9906",
+        "admin_distances": "f466190c8f18da75ca8e753cea1bc5443cf93570a8725eef88a6a63ffb621a7c",
+        "structural": "cd05d999fb7a4b3295a8a3e6b67cc15896bccf4d8c5dd296168bace3b6a44603",
+        "device": "21a6cbc800e620fc4883c69db61c282ef5c536afe547170fdc9c8b27efefa97e",
+        "template": "df7bd589112d4678697d61c86d9d42d65f0d14f5c5e417de1a92ae1ba94166ef",
         "substitution": (
             "10.200.0.1/30",
             "10.255.0.1/32",
@@ -300,16 +312,16 @@ PINNED_DIGESTS = {
         ),
     },
     "junos": {
-        "acls": {"EDGE": "99b831c6ffa8b121a21b8d3ddaea3408925198765a9ecf726c5a77af7ab11610"},
+        "acls": {"EDGE": "6bd7f40a4f06453a8052cc379c9796754ec8f5856faaa88a49f3fa62e88715ea"},
         "route_maps": {},
-        "static_routes": "10782b8e81136cebb076779e09d5ce652843615982ae1b25076072b01dc6707f",
-        "interfaces": "da1569322515054092b594692c46237155b664327355aa9c6cfb0434fea25cee",
-        "bgp": "057c9365745bbb042de17e351b235249a5196a867ce0a86164ae6ffa0429dd83",
-        "ospf": "6966881ee2f70b6430e094fe5f4bec60799f76da25b842093a142938a50dbb0f",
-        "admin_distances": "c409b9672e8118bf017d4c1820bce9fd528501066bfe654454b575f122ea9892",
-        "structural": "5332c2b9fae27e43760b82481fe925332733671a3d071e6881092144fb2db12a",
-        "device": "70e54e6bb920f35658e32e920ace2900946560069540702f54e1ea460f9b0c91",
-        "template": "a7a71423471e8d6002afd7eeae3bc94106e25689f47b85417df1f7b72ea569f0",
+        "static_routes": "3b9d64c3e330753456acc5768df20562a481757c2801357f39961015e28e591e",
+        "interfaces": "198453f4866c1f935ef62728487908680fc12e30174d12868f6bc0c03928197b",
+        "bgp": "0e25130e3a69c5921a02cc8c86085cff0f3c9f6ebe83efd8c7aef472735847fa",
+        "ospf": "d795a68b1311482a338cd7988e9a11d34a353ba4ed6a85be1e02af9c42f2b85b",
+        "admin_distances": "f466190c8f18da75ca8e753cea1bc5443cf93570a8725eef88a6a63ffb621a7c",
+        "structural": "d354bc08dcd7222a4b64b85a07f2418d6c7c3fe8021ee9ecb4b7dce007db9e7c",
+        "device": "b0716b34b748e8f6ec0d48035412c692676f41a85aaa0b40b152932d1542db92",
+        "template": "91312a8d38ad723c03122a40f008e522596fae644e14182d96bbb1aecb8f799f",
         "substitution": ("10.255.0.1/32", "10.200.0.1/30"),
     },
 }
@@ -325,7 +337,7 @@ def _pinned_devices():
 class TestPinnedDigests:
     @pytest.mark.parametrize("dialect", ["cisco", "junos"])
     def test_component_device_and_template_digests(self, dialect):
-        assert fp_module.FINGERPRINT_SCHEMA_VERSION == 1
+        assert fp_module.FINGERPRINT_SCHEMA_VERSION == 2
         device = _pinned_devices()[dialect]
         expected = PINNED_DIGESTS[dialect]
         fingerprints = device.fingerprints

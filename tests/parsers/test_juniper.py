@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.model import AclAction, Action, Community, Prefix, PrefixRange, ip_to_int
+from repro.model import AclAction, Action, Community, HostPrefix, Prefix, PrefixRange, ip_to_int
 from repro.parsers import parse_juniper
 from repro.parsers.common import ParseContext
 from repro.parsers.juniper import parse_junos_tree
@@ -478,7 +478,7 @@ class TestInterfaceAddresses:
         address = parse_juniper(self.TEXT).interfaces["xe-0/0/0.0"].address
         assert address.network == ip_to_int("10.200.1.1")
         assert address.length == 30
-        assert type(address).__name__ == "_HostPrefix"
+        assert type(address) is HostPrefix
 
     def test_device_pickles(self):
         device = parse_juniper(self.TEXT, "a.conf")

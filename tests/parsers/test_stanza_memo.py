@@ -4,7 +4,7 @@ Every check parses the same configurations three times: through one
 shared :class:`StanzaMemo` (as the CLI and the service do), with a
 private memo per configuration, and live, through a memo that never
 hits.  All three must agree on their pickled bytes, on the model
-(``==``), on every SourceSpan in ``_walk_spans`` order, on diagnostics,
+(``==``), on every SourceSpan in ``walk_spans`` order, on diagnostics,
 and on fingerprints and templates -- which must also equal a fresh
 computation that reuses no memoized digest.
 """
@@ -14,8 +14,8 @@ import pickle
 import pytest
 
 from repro import perf
-from repro.core.coverage import _walk_spans
 from repro.model.fingerprint import compute_fingerprints, compute_template
+from repro.model.spans import reachable_span_table, walk_spans
 from repro.parsers import StanzaMemo, parse_config
 from repro.workloads import datacenter
 from repro.workloads.acl_gen import generate_acl_pair
@@ -41,11 +41,13 @@ class _LiveMemo(StanzaMemo):
 
 def _assert_same(left, right):
     assert left == right, left.filename
-    assert _walk_spans(left) == _walk_spans(right), left.filename
+    assert walk_spans(left) == walk_spans(right), left.filename
     assert left.diagnostics == right.diagnostics, left.filename
     assert left.fingerprints == right.fingerprints, left.filename
     assert left.fingerprints == compute_fingerprints(left), left.filename
     assert left.template == right.template == compute_template(left)
+    assert left.reachable_spans == right.reachable_spans
+    assert left.reachable_spans == reachable_span_table(left)
 
 
 def _assert_memo_neutral(configs):
