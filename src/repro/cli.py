@@ -44,7 +44,8 @@ import gc
 import pathlib
 import sys
 import time
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from . import perf
 from .cache import ArtifactCache, resolve_cache_dir
@@ -160,12 +161,21 @@ def _load(
     path does it; ``campion serve`` and the library API keep the
     default collector, since a long-lived process must not freeze.
     """
+    with _collector_paused(freeze=True):
+        return _load_devices(args, paths, cache)
+
+
+@contextmanager
+def _collector_paused(freeze: bool = False) -> Iterator[None]:
+    """Pause the cyclic collector for a block of a one-shot command,
+    then (``freeze``) move what survived out of its generations."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _load_devices(args, paths, cache)
+        yield
     finally:
-        gc.freeze()
+        if freeze:
+            gc.freeze()
         if enabled:
             gc.enable()
 
@@ -359,8 +369,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     if args.json:
         # Timing-free and deterministically ordered: two runs over the
-        # same fleet (cold or warm) print byte-identical JSON.
-        write_json(fleet_report_to_dict(report), sys.stdout)
+        # same fleet (cold or warm) print byte-identical JSON.  The
+        # report's dict is acyclic, so a collection while it is built
+        # and written could free nothing.
+        with _collector_paused():
+            write_json(fleet_report_to_dict(report), sys.stdout)
     else:
         from .core.present import render_report
 

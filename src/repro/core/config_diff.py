@@ -17,9 +17,10 @@ Both entry points run the *same* component walk, optionally through a
 * :func:`config_diff` produces a full live :class:`CampionReport`.  A
   memo hit with zero differences skips the component outright (it would
   contribute nothing to the report); a *localized* hit whose provenance
-  digest matches this pair is replayed verbatim with span filenames
-  rewritten (:mod:`repro.core.replay`); any other hit is recomputed
-  live so localization points at this pair's actual lines.
+  digest matches this pair is replayed in its stored form, to be
+  serialized with span filenames rewritten (:mod:`repro.core.replay`);
+  any other hit is recomputed live so localization points at this
+  pair's actual lines.
 * :func:`config_diff_summary` produces only the difference *count* (the
   fleet matrix's currency): memo hits of any count are replayed as
   arithmetic, misses are computed exactly once per unique fingerprint
@@ -308,9 +309,11 @@ def _walk_components(
                 and entry.get("localized")
                 and entry.get("provenance") == provenance
             ):
-                rebuilt = replay_semantic_differences(entry, device1, device2)
-                report.semantic.extend(rebuilt)
-                perf.add("memo.localization_replays", len(rebuilt))
+                replayed = replay_semantic_differences(
+                    entry, device1, device2, memo.fragment_templates(key, entry)
+                )
+                report.semantic.extend(replayed)
+                perf.add("memo.localization_replays", len(replayed))
                 return 0
             # Otherwise collect mode recomputes live below (a hit whose
             # provenance differs came from a clone at other file

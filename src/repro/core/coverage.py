@@ -19,10 +19,11 @@ rest of the serialized report (schema v4 carries it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..model.device import DeviceConfig
 from ..model.types import SourceSpan
+from .replay import ReplayedDifference
 from .results import ComponentKind
 
 __all__ = [
@@ -109,10 +110,17 @@ class DeviceCoverage:
         return "; ".join(parts)
 
 
-def _span_lines(span: SourceSpan, filename: str) -> Iterable[int]:
-    if span.filename == filename and span.start_line > 0:
-        return range(span.start_line, span.end_line + 1)
+def _lines(
+    location: Optional[Tuple[str, int, int]], filename: str
+) -> Iterable[int]:
+    """The lines of a ``(file, start_line, end_line)`` span in ``filename``."""
+    if location is not None and location[0] == filename and location[1] > 0:
+        return range(location[1], location[2] + 1)
     return ()
+
+
+def _span_lines(span: SourceSpan, filename: str) -> Iterable[int]:
+    return _lines((span.filename, span.start_line, span.end_line), filename)
 
 
 def policy_spans(device: DeviceConfig) -> List[Tuple[str, str, FrozenSet[int]]]:
@@ -163,6 +171,11 @@ def _touched(
         other_file = devices_by_name[other].filename
         lines, unmatched = touched[other]
         for difference in report.semantic:
+            if type(difference) is ReplayedDifference:
+                first, second = difference.source_lines()
+                reference_lines.update(_lines(first, reference_file))
+                lines.update(_lines(second, other_file))
+                continue
             reference_lines.update(
                 _span_lines(difference.class1.source, reference_file)
             )

@@ -399,7 +399,8 @@ def compare_fleet(
 
     if reference is None:
         if compress == "near":
-            plan, plan_notes = plan_near_pairs(devices)
+            with perf.timer("fleet.plan"):
+                plan, plan_notes = plan_near_pairs(devices)
             notes.extend(plan_notes)
             pair_keys = list(plan.pair_keys)
         else:
@@ -413,9 +414,10 @@ def compare_fleet(
         total_pairs = len(hostnames) * (len(hostnames) - 1) // 2
         fallback: List[Tuple[str, str]] = []
         if plan is not None:
-            matrix, failed_pairs, fallback = plan.expand_near(
-                hostnames, dict(zip(pair_keys, outcomes))
-            )
+            with perf.timer("fleet.expand"):
+                matrix, failed_pairs, fallback = plan.expand_near(
+                    hostnames, dict(zip(pair_keys, outcomes))
+                )
             if fallback:
                 # A failed representative pair must not poison its
                 # merely near-symmetric members: analyze them

@@ -44,19 +44,21 @@ fails only content-identical pairs; merely near-symmetric member pairs
 fall back to concrete analysis (``expand_near`` returns them for a
 second matrix pass), so one targeted fault cannot poison an entire class.
 
-:func:`raw_substitution` / :func:`replay_report_dict` are the
-full-report form of the replay identity: the oracle and the test suite
-use them to prove that a replayed pair's diff entries, spans, and
-localized headers are exactly the representative pair's rewritten
-through the substitution.  ``compare_fleet`` itself never serves
-rewritten reports — the matrix is count-based and reference reports
-are always produced live — so serialized fleet reports stay
-byte-identical to uncompressed runs.
+:func:`raw_substitution` is the literal map of the full-report form of
+the replay identity: the oracle and the test suite rewrite one pair's
+serialized report through it with
+:func:`~repro.core.replay.rewrite_fragment` (the primitive that also
+carries a replayed memo fragment to another pair's files) to prove
+that a replayed pair's diff entries, spans, and localized headers are
+exactly the representative pair's rewritten through the substitution.
+``compare_fleet`` itself never serves rewritten reports — the matrix
+is count-based and reference reports come from the memo only for
+content- and provenance-identical components — so serialized fleet
+reports stay byte-identical to uncompressed runs.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -79,12 +81,15 @@ __all__ = [
     "verify_template_class",
     "plan_near_pairs",
     "raw_substitution",
-    "replay_report_dict",
 ]
 
 #: Perf counter bumped once per fallback event (dissolved template
 #: class, or member pair re-analyzed after its representative failed).
 FALLBACK_COUNTER = "near_symmetry.fallbacks"
+
+#: Perf counter: representative pairs whose sides share a hole atom, so
+#: their signature is formed pair by pair (see :func:`plan_near_pairs`).
+SHARING_COUNTER = "near_symmetry.sharing_pairs"
 
 _ALLOWED_KINDS = frozenset(_HOLE_FIELDS.values())
 
@@ -237,6 +242,28 @@ def pair_signature(
     return (template_id1, template_id2, pattern)
 
 
+def _disjoint_signature(
+    key1: Tuple[str, Tuple[int, ...]], key2: Tuple[str, Tuple[int, ...]]
+) -> Tuple[str, str, Tuple[int, ...]]:
+    """:func:`pair_signature` of a pair whose sides share no atom.
+
+    Each side is its key ``(template id, own first-occurrence
+    pattern)``.  With no atom in common, the joint pattern is the first
+    side's own pattern followed by the second's shifted past the
+    first's distinct atoms, so the signature is a function of the two
+    keys alone.
+    """
+
+    def joined(own1: Tuple[int, ...], own2: Tuple[int, ...]) -> Tuple[int, ...]:
+        shift = max(own1) + 1 if own1 else 0
+        return own1 + tuple(value + shift for value in own2)
+
+    (id1, own1), (id2, own2) = sorted((key1, key2), key=lambda key: key[0])
+    if id1 == id2:
+        return (id1, id2, min(joined(own1, own2), joined(own2, own1)))
+    return (id1, id2, joined(own1, own2))
+
+
 def verify_template_class(devices: Sequence[DeviceConfig]) -> Optional[str]:
     """Statically check the replay soundness precondition for one class.
 
@@ -300,7 +327,12 @@ def plan_near_pairs(
     determined by the fleet's content, never by input order.  Step two
     partitions those representatives by template fingerprint, verifies
     each template class, and selects one representative pair per
-    :func:`pair_signature` for analysis.  Returns the plan plus any
+    :func:`pair_signature` for analysis.  Signatures come from an atom
+    index: a pair whose sides share a hole atom (BGP peers, a shared
+    link subnet) is signed pair by pair, every other pair by the keys
+    of its two sides (:func:`_disjoint_signature`), so
+    :func:`pair_signature` runs only for the sharing pairs the index
+    lists.  Returns the plan plus any
     fallback notes (dissolved classes); on an all-identical or
     hole-free fleet the template classes are the fingerprint classes,
     with identity substitutions.
@@ -351,21 +383,49 @@ def plan_near_pairs(
     if dissolved:
         perf.add(FALLBACK_COUNTER, dissolved)
 
+    # Per representative: its signature key (template id, own
+    # first-occurrence pattern), and the atom index of who holds what.
+    key_of: Dict[str, Tuple[str, Tuple[int, ...]]] = {}
+    holders: Dict[Tuple[str, str], List[str]] = {}
+    for rep in reps:
+        sequence = by_host[rep].template.atom_sequence
+        key_of[rep] = (template_id[rep], pair_pattern(sequence, ()))
+        for atom in dict.fromkeys(sequence):
+            holders.setdefault(atom, []).append(rep)
+    sharing = {
+        (first, second)
+        for group in holders.values()
+        for index, first in enumerate(group)
+        for second in group[index + 1 :]
+    }
+    perf.add(SHARING_COUNTER, len(sharing))
+
+    disjoint: Dict[tuple, Tuple[str, str, Tuple[int, ...]]] = {}
     analyzed: Dict[Tuple[str, str, Tuple[int, ...]], Tuple[str, str]] = {}
     replay_key: Dict[Tuple[str, str], Tuple[str, str]] = {}
     for index, first in enumerate(reps):
+        key1 = key_of[first]
         for second in reps[index + 1 :]:
-            signature = pair_signature(
-                template_id[first],
-                by_host[first].template,
-                template_id[second],
-                by_host[second].template,
-            )
+            pair = (first, second)
+            if pair in sharing:
+                signature = pair_signature(
+                    template_id[first],
+                    by_host[first].template,
+                    template_id[second],
+                    by_host[second].template,
+                )
+            else:
+                key2 = key_of[second]
+                signature = disjoint.get((key1, key2))
+                if signature is None:
+                    signature = disjoint[(key1, key2)] = _disjoint_signature(
+                        key1, key2
+                    )
             # Pairs iterate in sorted order, so the first pair seen for
             # a signature is the deterministic analysis representative.
-            target = analyzed.setdefault(signature, (first, second))
-            if target != (first, second):
-                replay_key[(first, second)] = target
+            target = analyzed.setdefault(signature, pair)
+            if target is not pair:
+                replay_key[pair] = target
     plan = SymmetryPlan(
         representative=representative,
         members=members,
@@ -438,32 +498,3 @@ def raw_substitution(
     mapping[device1.hostname] = device2.hostname
     mapping[device1.filename] = device2.filename
     return mapping
-
-
-def replay_report_dict(report: Dict, mapping: Dict[str, str]) -> Dict:
-    """Rewrite every literal of a serialized report through ``mapping``.
-
-    Applies one longest-first alternation pass over the JSON encoding —
-    word-ish boundary guards keep ``10.0.0.1`` from matching inside
-    ``10.0.0.10`` and a hostname from matching inside its filename —
-    so diff entries, source spans, and localized headers are rewritten
-    coherently in one step.  Swapping maps (``a -> b, b -> a``) are
-    safe: each occurrence is consumed exactly once.
-    """
-    identity = {key for key, value in mapping.items() if key == value}
-    keys = sorted(
-        (key for key in mapping if key not in identity),
-        key=len,
-        reverse=True,
-    )
-    if not keys:
-        return json.loads(json.dumps(report))
-    pattern = re.compile(
-        "|".join(
-            f"(?<![\\w.]){re.escape(key)}(?![\\w.])" for key in keys
-        )
-    )
-    text = pattern.sub(
-        lambda match: mapping[match.group(0)], json.dumps(report)
-    )
-    return json.loads(text)

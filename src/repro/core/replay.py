@@ -22,34 +22,48 @@ Soundness (the near-symmetry replay theorem, specialized):
   field except span filenames is byte-identical to what a live run
   would produce.
 * Filenames are the one per-device field, so replay rewrites them to
-  the current devices' filenames (the same substitution
-  :func:`~repro.core.near_symmetry.replay_report_dict` performs at
-  whole-report scale) — after which the rebuilt differences serialize
-  byte-identically to a live recomputation.
+  the current devices' filenames — after which the differences
+  serialize byte-identically to a live recomputation.
 
-Replayed differences are facades: ``input_set`` is ``None`` (nothing
-downstream of Present consumes the BDD — only the oracle harness does,
-and it never replays) and actions/extra localizations are lightweight
-objects that reproduce the rendered forms.  Flags that rendering needs
-but serialization omits (``is_default``, a community localization's
-``universal``) travel in the entry's ``replay`` augmentation block.
+One primitive does that rewrite, :func:`rewrite_fragment`: a fresh copy
+of a serialized value with span filenames set and, optionally, every
+literal rewritten through a substitution.  A replayed difference uses
+it with no substitution; the oracle uses it with a device-to-device
+literal map to prove near-symmetry replay at report level.
+
+A replayed difference stays in its stored form
+(:class:`ReplayedDifference`): serialization copies the stored
+fragment with the pair's filenames, coverage reads its span lines, and
+only a reader of :class:`SemanticDifference` fields (the text report)
+rebuilds one.  The rebuilt difference is a facade: ``input_set`` is
+``None`` (nothing downstream of Present consumes the BDD — only the
+oracle harness does, and it never replays) and actions/extra
+localizations are lightweight objects that reproduce the rendered
+forms.  Flags that rendering needs but serialization omits
+(``is_default``, a community localization's ``universal``) travel in
+the entry's ``replay`` augmentation block.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import marshal
+import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..model.types import EquivalenceClass, SourceSpan
 from .header_localize import FlatTerm, Localization
 from .results import ComponentKind, SemanticDifference
 
 __all__ = [
+    "FragmentTemplate",
+    "ReplayedDifference",
     "provenance_digest",
     "replay_augmentation",
     "replay_semantic_differences",
+    "rewrite_fragment",
     "semantic_difference_from_dict",
 ]
 
@@ -221,22 +235,286 @@ def replay_augmentation(differences: Iterable[SemanticDifference]) -> Dict:
     return {"semantic": semantic}
 
 
-def replay_semantic_differences(
-    entry: Dict, device1: object, device2: object
-) -> List[SemanticDifference]:
-    """Rebuild a localized memo entry's differences for the current pair."""
-    augments = entry.get("replay", {}).get("semantic", [])
-    rebuilt = []
-    for index, data in enumerate(entry["semantic"]):
-        augment = augments[index] if index < len(augments) else {}
-        rebuilt.append(
-            semantic_difference_from_dict(
-                data,
-                augment,
-                file1=device1.filename,
-                file2=device2.filename,
-                router1=device1.hostname,
-                router2=device2.hostname,
-            )
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
+def copy_plan(value: object) -> tuple:
+    """Where the containers nested in JSON-compatible ``value`` sit:
+    ``(key or index, plan)`` pairs, ``()`` when it holds only scalars."""
+    items = value.items() if type(value) is dict else enumerate(value)
+    return tuple(
+        (key, copy_plan(item)) for key, item in items if type(item) in _CONTAINERS
+    )
+
+
+def _copy(value: object, plan: tuple) -> object:
+    """A fresh copy of container ``value`` laid out as ``plan`` says;
+    scalars are shared (they are immutable), tuples become lists."""
+    copied = value.copy() if type(value) is dict else list(value)
+    for key, inner in plan:
+        item = value[key]
+        if inner:
+            copied[key] = _copy(item, inner)
+        else:
+            copied[key] = item.copy() if type(item) is dict else list(item)
+    return copied
+
+
+def _literal_rewriter(literals: Dict[str, str]):
+    """A ``str -> str`` function rewriting every token in ``literals``.
+
+    One longest-first alternation pass: boundary guards keep
+    ``10.0.0.1`` from matching inside ``10.0.0.10`` and a hostname from
+    matching inside its filename, and a swapping map (``a -> b,
+    b -> a``) is safe because each occurrence is consumed once.
+    """
+    keys = sorted(
+        (key for key, value in literals.items() if key != value),
+        key=len,
+        reverse=True,
+    )
+    if not keys:
+        return None
+    pattern = re.compile(
+        "|".join(f"(?<![\\w.]){re.escape(key)}(?![\\w.])" for key in keys)
+    )
+
+    def rewrite(text: str) -> str:
+        return pattern.sub(lambda match: literals[match.group(0)], text)
+
+    return rewrite
+
+
+def _copy_rewriting(value: object, rewrite) -> object:
+    """:func:`_copy` with every string, dict keys included, rewritten."""
+    kind = type(value)
+    if kind is dict:
+        return {
+            rewrite(key) if type(key) is str else key: _copy_rewriting(item, rewrite)
+            for key, item in value.items()
+        }
+    if kind is list or kind is tuple:
+        return [_copy_rewriting(item, rewrite) for item in value]
+    if kind is str:
+        return rewrite(value)
+    return value
+
+
+def rewrite_fragment(
+    value: object,
+    files: Optional[Tuple[str, str]] = None,
+    literals: Optional[Dict[str, str]] = None,
+    plan: Optional[tuple] = None,
+) -> object:
+    """A serialized report value, carried over to another device pair.
+
+    Returns a fresh copy (nothing in it is shared mutable with
+    ``value``).  ``literals`` maps literal tokens of the source pair to
+    the target pair's — addresses, hostnames, filenames — and rewrites
+    every string and dict key through them (:func:`_literal_rewriter`).
+    ``files`` is a difference fragment's ``(file1, file2)``: the span
+    ``file`` under ``text`` of each side is set to it.  A memo replay
+    passes only ``files``; the oracle's report-level replay check passes
+    a whole serialized report and its literal map.  ``plan`` is
+    ``value``'s :func:`copy_plan`, when the caller keeps one.
+    """
+    rewrite = _literal_rewriter(literals) if literals else None
+    if rewrite is not None:
+        copied = _copy_rewriting(value, rewrite)
+    elif type(value) in _CONTAINERS:
+        copied = _copy(value, copy_plan(value) if plan is None else plan)
+    else:
+        copied = value
+    if files is not None:
+        text = copied.get("text")
+        if type(text) is dict:
+            for side, filename in zip(("router1", "router2"), files):
+                span = text.get(side)
+                if type(span) is dict:
+                    span["file"] = filename
+    return copied
+
+
+#: Stands in for a held-out span filename (see :func:`hold_out_files`).
+HOLE = "\x00campion:file\x00"
+#: The hole in marshal format 2, which has no object references: equal
+#: bytes mean equal types, values and key order.
+HOLE_MARSHAL = marshal.dumps(HOLE, 2)
+
+
+def hold_out_files(element: object):
+    """``element`` with each string span ``file`` under ``text`` replaced by
+    :data:`HOLE`, and the replaced filenames in output order."""
+    if type(element) is not dict:
+        return element, ()
+    text = element.get("text")
+    if type(text) is not dict:
+        return element, ()
+    files = []
+    held = {}
+    for side, span in text.items():
+        if type(span) is dict and type(span.get("file")) is str:
+            files.append(span["file"])
+            span = {**span, "file": HOLE}
+        held[side] = span
+    if not files:
+        return element, ()
+    return {**element, "text": held}, files
+
+
+class FragmentTemplate:
+    """A stored difference fragment, prepared for its replays.
+
+    Built once per stored fragment (:meth:`DiffMemo.fragment_templates
+    <repro.core.memo.DiffMemo.fragment_templates>`) and shared by all
+    its replays.  ``plan`` is the fragment's :func:`copy_plan`, so a
+    replay's fresh copy walks no scalar (:meth:`copy`).  ``marks`` is
+    the fragment's marshal-format-2 encoding with its span filenames
+    held out, split at the holes: the report writer checks a copy
+    against it (:meth:`encode`).  It is ``None`` when that split would
+    not be exact (a span without a string ``file``, or a value marshal
+    cannot write).
+    """
+
+    __slots__ = ("fragment", "plan", "sides", "marks")
+
+    def __init__(self, fragment: Dict) -> None:
+        self.fragment = fragment
+        self.plan = copy_plan(fragment) if type(fragment) in _CONTAINERS else ()
+        self.marks: Optional[Tuple[bytes, ...]] = None
+        text = fragment.get("text") if type(fragment) is dict else None
+        #: the sides whose span gets the pair's filename, in output order
+        self.sides = tuple(
+            side
+            for side, span in (text.items() if type(text) is dict else ())
+            if type(span) is dict
         )
-    return rebuilt
+        held, files = hold_out_files(fragment)
+        if len(files) != len(self.sides):
+            return
+        try:
+            marks = tuple(marshal.dumps(held, 2).split(HOLE_MARSHAL))
+        except ValueError:
+            return
+        if len(marks) == len(files) + 1:
+            self.marks = marks
+
+    def encode(self, files: Sequence[str]) -> bytes:
+        """The fragment's marshal bytes with ``files`` spliced in, one
+        filename per entry of :attr:`sides`."""
+        parts = [self.marks[0]]
+        for filename, mark in zip(files, self.marks[1:]):
+            parts.append(marshal.dumps(filename, 2))
+            parts.append(mark)
+        return b"".join(parts)
+
+    def copy(self, file1: str, file2: str) -> Tuple[Dict, Tuple[str, ...]]:
+        """:func:`rewrite_fragment` of the fragment for a pair with files
+        ``file1``/``file2``, and the filenames written into it in output
+        order."""
+        by_side = {"router1": file1, "router2": file2}
+        files = tuple(by_side[side] for side in self.sides if side in by_side)
+        return rewrite_fragment(self.fragment, (file1, file2), plan=self.plan), files
+
+
+class ReplayedDifference:
+    """A localized memo hit replayed for the current pair, still stored.
+
+    Holds the stored fragment (owned by the memo: read here, never
+    mutated or handed out), its augmentation, and the pair's files and
+    hostnames.  It stands in for the :class:`SemanticDifference` it
+    replays: serialization copies the fragment with this pair's
+    filenames (:func:`rewrite_fragment`), coverage reads its span lines
+    (:meth:`source_lines`), and any other attribute is read off the
+    difference :meth:`materialize` rebuilds on first use.
+    """
+
+    __slots__ = (
+        "template", "augment", "file1", "file2", "router1", "router2", "_live",
+    )
+
+    def __init__(
+        self,
+        template: FragmentTemplate,
+        augment: Dict,
+        file1: str,
+        file2: str,
+        router1: str,
+        router2: str,
+    ) -> None:
+        self.template = template
+        self.augment = augment
+        self.file1 = file1
+        self.file2 = file2
+        self.router1 = router1
+        self.router2 = router2
+        self._live: Optional[SemanticDifference] = None
+
+    @property
+    def kind(self) -> ComponentKind:
+        """The component kind, read off the fragment (no rebuild)."""
+        return ComponentKind(self.fragment["kind"])
+
+    @property
+    def fragment(self) -> Dict:
+        """The stored fragment (memo-owned: never mutate it)."""
+        return self.template.fragment
+
+    def materialize(self) -> SemanticDifference:
+        """The replayed :class:`SemanticDifference`, rebuilt once."""
+        if self._live is None:
+            self._live = semantic_difference_from_dict(
+                self.fragment,
+                self.augment,
+                self.file1,
+                self.file2,
+                self.router1,
+                self.router2,
+            )
+        return self._live
+
+    def __getattr__(self, name: str):
+        # Only reached for names the slots and the class lack; private
+        # and protocol names (copy, pickle) must not rebuild anything.
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.materialize(), name)
+
+    def source_lines(self) -> Tuple[Optional[Tuple[str, int, int]], ...]:
+        """Each side's span as ``(file, start_line, end_line)``, or
+        ``None`` where the difference has no text on that side."""
+        text = self.fragment["text"]
+        lines = []
+        for side, filename in (("router1", self.file1), ("router2", self.file2)):
+            span = text[side]
+            lines.append(
+                None
+                if span is None
+                else (filename, span["start_line"], span["end_line"])
+            )
+        return tuple(lines)
+
+
+def replay_semantic_differences(
+    entry: Dict,
+    device1: object,
+    device2: object,
+    templates: Optional[Sequence[FragmentTemplate]] = None,
+) -> List[ReplayedDifference]:
+    """A localized memo entry's differences, replayed for the current
+    pair; ``templates`` are the entry's fragments already wrapped (built
+    here when not given)."""
+    if templates is None:
+        templates = [FragmentTemplate(data) for data in entry["semantic"]]
+    augments = entry.get("replay", {}).get("semantic", [])
+    return [
+        ReplayedDifference(
+            template,
+            augments[index] if index < len(augments) else {},
+            device1.filename,
+            device2.filename,
+            device1.hostname,
+            device2.hostname,
+        )
+        for index, template in enumerate(templates)
+    ]

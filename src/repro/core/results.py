@@ -157,6 +157,9 @@ class CampionReport:
 
     router1: str
     router2: str
+    # Live differences, and localized memo hits replayed in their stored
+    # form (repro.core.replay.ReplayedDifference), which read as
+    # SemanticDifference and serialize without being rebuilt.
     semantic: List[SemanticDifference] = field(default_factory=list)
     structural: List[StructuralDifference] = field(default_factory=list)
     unmatched: List[UnmatchedPolicy] = field(default_factory=list)

@@ -19,8 +19,10 @@
   serialized reports compared field by field: the seeded default path
   against the per-pair ``use_memo=False`` baseline (``fleet``), near
   compression against ``compress="off"`` on templated and
-  parameterized fleets (``symmetry``, ``near-symmetry``, the latter
-  also checking the substitution-replay identity on full reports), and
+  parameterized fleets (``symmetry``, ``near-symmetry``; the latter
+  runs the near path warm, so its reference reports are replayed memo
+  fragments, and also checks the substitution-replay identity on full
+  reports), and
   the same config *texts* pushed through a live in-thread analysis
   daemon (:class:`repro.service.ServiceThread`: submit, queue,
   supervised execution, poll) against the in-process report
@@ -912,9 +914,30 @@ def _per_pair_report(env, devices) -> dict:
     return fleet_report_to_dict(compare_fleet(devices, use_memo=False))
 
 
+def _warm_report(env, devices) -> dict:
+    """The default path run twice over one memo, serialized.  The second
+    run's reference reports replay the localized fragments the first
+    stored, as a warm CLI run does; it must serialize exactly as the
+    first (cold) run did."""
+    memo = DiffMemo()
+    cold = json.dumps(fleet_report_to_dict(compare_fleet(devices, memo=memo)))
+    warm = fleet_report_to_dict(compare_fleet(devices, memo=memo))
+    if json.dumps(warm) != cold:
+        raise RuntimeError("the warm near report differs from the cold one")
+    return warm
+
+
 def _uncompressed_report(env, devices) -> dict:
     """Compression off: every matrix pair analyzed."""
     return fleet_report_to_dict(compare_fleet(devices, compress="off"))
+
+
+def _live_report(env, devices) -> dict:
+    """Compression and the memo off: every pair analyzed and every
+    reference report computed live, nothing replayed."""
+    return fleet_report_to_dict(
+        compare_fleet(devices, compress="off", use_memo=False)
+    )
 
 
 def _config_texts(devices) -> List[dict]:
@@ -1061,11 +1084,8 @@ def _substitution_replay_mismatch(devices) -> Optional[str]:
     and a non-monotone substitution permutes that order without
     changing any finding.
     """
-    from ..core.near_symmetry import (
-        pair_pattern,
-        raw_substitution,
-        replay_report_dict,
-    )
+    from ..core.near_symmetry import pair_pattern, raw_substitution
+    from ..core.replay import rewrite_fragment
 
     # (a, b) rewritten through per-device substitutions must equal the
     # live (c, d) report, for same-template a->c, b->d.
@@ -1102,8 +1122,8 @@ def _substitution_replay_mismatch(devices) -> Optional[str]:
     if any(mapping.get(key, value) != value for key, value in sub2.items()):
         return None
     mapping.update(sub2)
-    replayed = replay_report_dict(
-        report_to_dict(config_diff(first, second)), mapping
+    replayed = rewrite_fragment(
+        report_to_dict(config_diff(first, second)), literals=mapping
     )
     live = report_to_dict(config_diff(first_image, second_image))
     if _order_canonical(replayed) != _order_canonical(live):
@@ -1230,14 +1250,16 @@ _FLEET_ROWS: Dict[str, _FleetRow] = {
         run_a=_default_report,
         run_b=_uncompressed_report,
     ),
-    # The same identity on parameterized fleets, plus the
-    # substitution-replay identity on full reports.
+    # The same identity on parameterized fleets with the near path
+    # warm (reference reports from replayed fragments) against a run
+    # that replays nothing, plus the substitution-replay identity on
+    # full reports.
     "near-symmetry": _FleetRow(
         check="near-compression-report-identity",
-        label="near compression and the uncompressed run",
+        label="warm near compression and the live uncompressed run",
         build=_build_near_fleet,
-        run_a=_default_report,
-        run_b=_uncompressed_report,
+        run_a=_warm_report,
+        run_b=_live_report,
         replay_check=_substitution_replay_mismatch,
         shrink=_clone_shrink,
     ),

@@ -7,7 +7,9 @@ reports byte-for-byte — including across clone devices whose spans sit
 in differently-named files.
 """
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -188,10 +190,45 @@ class TestMemoReplay:
         ]
         assert entries, "expected localized memo entries"
         for entry in entries:
-            rebuilt = replay_semantic_differences(entry, devices[0], devices[1])
+            replayed = replay_semantic_differences(entry, devices[0], devices[1])
+            # the stored form serializes without a rebuild ...
             assert [
-                semantic_difference_to_dict(difference) for difference in rebuilt
+                semantic_difference_to_dict(difference) for difference in replayed
             ] == entry["semantic"]
+            assert all(difference._live is None for difference in replayed)
+            # ... to what the rebuilt difference serializes to
+            assert [
+                semantic_difference_to_dict(difference.materialize())
+                for difference in replayed
+            ] == entry["semantic"]
+
+    def test_replayed_dicts_are_fresh_plain_data(self):
+        devices = self._fleet()
+        memo = DiffMemo()
+        config_diff(devices[0], devices[1], memo=memo)
+        entry = next(
+            entry
+            for entry in memo._entries.values()
+            if entry.get("localized") and entry["count"] > 0
+        )
+        stored = json.dumps(entry, sort_keys=True)
+        (difference, *_) = replay_semantic_differences(entry, devices[2], devices[3])
+        data = semantic_difference_to_dict(difference)
+        spans = [span for span in data["text"].values() if span is not None]
+        assert spans
+        assert {span["file"] for span in spans} <= {
+            devices[2].filename,
+            devices[3].filename,
+        }
+        for span in spans:
+            span["text"].append("edited")
+            span["file"] = "edited.cfg"
+        data["policy"]["router1"] = "edited"
+        assert json.dumps(entry, sort_keys=True) == stored
+        # copies and pickles of it are plain dicts
+        assert type(copy.deepcopy(data)) is dict
+        assert type(pickle.loads(pickle.dumps(data))) is dict
+        assert copy.deepcopy(data) == data
 
     def test_warm_replay_stores_nothing(self):
         devices = self._fleet()

@@ -22,15 +22,17 @@ from repro.core import compare_fleet, fleet_report_to_dict, parallel
 from repro.core.config_diff import config_diff
 from repro.core.near_symmetry import (
     FALLBACK_COUNTER,
+    SHARING_COUNTER,
     SymmetryPlan,
+    _disjoint_signature,
     pair_pattern,
     pair_signature,
     plan_near_pairs,
     raw_substitution,
-    replay_report_dict,
     verify_template_class,
 )
 from repro.core.parallel import PairOutcome
+from repro.core.replay import rewrite_fragment
 from repro.core.serialize import report_to_dict
 from repro.model.fingerprint import (
     TemplateHole,
@@ -38,6 +40,7 @@ from repro.model.fingerprint import (
 )
 from repro.parsers import parse_cisco
 from repro.workloads.datacenter import (
+    gateway_fleet,
     parameterized_clos_fleet,
     templated_clos_fleet,
 )
@@ -224,6 +227,174 @@ class TestPlanNearPairs:
         assert failed == {} and fallback == []
         assert len(matrix) == 6
         assert set(matrix.values()) == {5}
+
+
+def _brute_force_plan(devices, plan):
+    """The planner's former pair loop, kept as the brute-force
+    reference: :func:`pair_signature` for every representative pair, in
+    sorted order, the first pair of each signature analyzed.  Template
+    ids (dissolved classes included) are read off ``plan``."""
+    by_host = {device.hostname: device for device in devices}
+    template_id = {
+        member: fingerprint
+        for fingerprint, members in plan.template_classes.items()
+        for member in members
+    }
+    reps = sorted(plan.members)
+    analyzed, replay_key = {}, {}
+    for index, first in enumerate(reps):
+        for second in reps[index + 1 :]:
+            signature = pair_signature(
+                template_id[first],
+                by_host[first].template,
+                template_id[second],
+                by_host[second].template,
+            )
+            target = analyzed.setdefault(signature, (first, second))
+            if target != (first, second):
+                replay_key[(first, second)] = target
+    return tuple(sorted(analyzed.values())), replay_key
+
+
+def _share_literals(devices, pairs):
+    """``devices`` with, for each ``(source, target, count)``, the first
+    ``count`` uplink-subnet literals of device ``target`` rewritten to
+    device ``source``'s, so the two share interface subnets and BGP
+    peer addresses."""
+    devices = list(devices)
+    for source, target, count in pairs:
+        octet = lambda device: device.template.atom_sequence[0][1].split(".")[2]
+        old, new = octet(devices[target]), octet(devices[source])
+        lines = []
+        replaced = 0
+        for line in devices[target].raw_lines:
+            if f"10.200.{old}." in line and replaced < count:
+                line = line.replace(f"10.200.{old}.", f"10.200.{new}.")
+                replaced += 1
+            lines.append(line)
+        devices[target] = parse_cisco("\n".join(lines), devices[target].filename)
+    return devices
+
+
+def _assert_planner_matches_brute_force(devices):
+    plan, _ = plan_near_pairs(devices)
+    pair_keys, replay_key = _brute_force_plan(devices, plan)
+    assert plan.pair_keys == pair_keys
+    by_host = {device.hostname: device for device in devices}
+    template_id = {
+        member: fingerprint
+        for fingerprint, members in plan.template_classes.items()
+        for member in members
+    }
+    reps = sorted(plan.members)
+    for index, first in enumerate(reps):
+        for second in reps[index + 1 :]:
+            pair = (first, second)
+            assert plan.replay_key.get(pair, pair) == replay_key.get(pair, pair)
+            atoms1 = by_host[first].template.atom_sequence
+            atoms2 = by_host[second].template.atom_sequence
+            if not set(atoms1) & set(atoms2):
+                # a disjoint pair's signature is its two keys' signature
+                assert _disjoint_signature(
+                    (template_id[first], pair_pattern(atoms1, ())),
+                    (template_id[second], pair_pattern(atoms2, ())),
+                ) == pair_signature(
+                    template_id[first],
+                    by_host[first].template,
+                    template_id[second],
+                    by_host[second].template,
+                )
+    assert plan.replay_key == replay_key
+    return plan
+
+
+class TestIndexPlanner:
+    """The atom-index planner forms the same plan as the pair loop."""
+
+    @pytest.mark.parametrize(
+        "count, roles, seed, uplinks",
+        [(6, 3, 0, 2), (13, 2, 1, 1), (24, 3, 7, 3), (40, 4, 11, 2)],
+    )
+    def test_parameterized_clos(self, count, roles, seed, uplinks):
+        devices, _ = parameterized_clos_fleet(
+            count=count, roles=roles, rule_count=4, seed=seed, uplinks=uplinks
+        )
+        _assert_planner_matches_brute_force(devices)
+
+    def test_templated_clos(self):
+        devices, _ = templated_clos_fleet(
+            count=12, roles=3, rule_count=6, seed=2
+        )
+        _assert_planner_matches_brute_force(devices)
+
+    def test_gateway_fleet(self):
+        devices, _ = gateway_fleet(count=7, outliers=3, rule_count=8, seed=4)
+        _assert_planner_matches_brute_force(devices)
+
+    def test_fingerprint_clones(self):
+        devices, _ = parameterized_clos_fleet(
+            count=8, roles=2, rule_count=4, seed=3
+        )
+        for source in devices[:2]:
+            clone = "\n".join(source.raw_lines).replace(
+                source.hostname, source.hostname + "x"
+            )
+            devices.append(parse_cisco(clone, source.hostname + "x.cfg"))
+        plan = _assert_planner_matches_brute_force(devices)
+        assert len(plan.members) == len(devices) - 2
+
+    def test_dissolved_class(self, monkeypatch):
+        from repro.core import near_symmetry
+
+        devices, _ = parameterized_clos_fleet(
+            count=9, roles=3, rule_count=4, seed=5
+        )
+        real = near_symmetry.verify_template_class
+        dissolve = {sorted(d.hostname for d in devices)[0]}
+        monkeypatch.setattr(
+            near_symmetry,
+            "verify_template_class",
+            lambda members: "injected"
+            if dissolve & {member.hostname for member in members}
+            else real(members),
+        )
+        plan = _assert_planner_matches_brute_force(devices)
+        assert any(key.startswith("dissolved:") for key in plan.template_classes)
+
+    def test_shared_peers_and_subnets(self):
+        devices, _ = parameterized_clos_fleet(
+            count=10, roles=2, rule_count=4, seed=8
+        )
+        # Whole-device sharing, partial sharing, and a device sharing
+        # with two others: each is a different cross-device pattern.
+        shared = _share_literals(devices, [(0, 2, 99), (1, 3, 1), (4, 5, 2), (4, 7, 1)])
+        assert any(
+            set(shared[a].template.atom_sequence)
+            & set(shared[b].template.atom_sequence)
+            for a, b in ((0, 2), (1, 3), (4, 5), (4, 7))
+        )
+        base = perf.REGISTRY.counters.get(SHARING_COUNTER, 0)
+        _assert_planner_matches_brute_force(shared)
+        assert perf.REGISTRY.counters.get(SHARING_COUNTER, 0) - base >= 4
+
+    def test_signatures_only_for_sharing_pairs(self, monkeypatch):
+        from repro.core import near_symmetry
+
+        devices, _ = parameterized_clos_fleet(
+            count=10, roles=2, rule_count=4, seed=8
+        )
+        shared = _share_literals(devices, [(0, 2, 99), (4, 5, 2)])
+        calls = []
+        real = near_symmetry.pair_signature
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(near_symmetry, "pair_signature", counted)
+        base = perf.REGISTRY.counters.get(SHARING_COUNTER, 0)
+        plan_near_pairs(shared)
+        assert len(calls) == perf.REGISTRY.counters[SHARING_COUNTER] - base == 2
 
 
 def _reference_expand_near(plan, hostnames, outcomes):
@@ -453,15 +624,15 @@ class TestReplayIdentity:
         mapping = dict(sub1)
         for key, value in sub2.items():
             assert mapping.setdefault(key, value) == value
-        replayed = replay_report_dict(
-            report_to_dict(config_diff(first, second)), mapping
+        replayed = rewrite_fragment(
+            report_to_dict(config_diff(first, second)), literals=mapping
         )
         live = report_to_dict(config_diff(first_image, second_image))
         assert replayed == live
 
     def test_identity_mapping_is_a_deep_copy(self):
         report = {"a": [{"b": "10.0.0.1"}]}
-        replayed = replay_report_dict(report, {"10.0.0.1": "10.0.0.1"})
+        replayed = rewrite_fragment(report, literals={"10.0.0.1": "10.0.0.1"})
         assert replayed == report
         assert replayed is not report
         assert replayed["a"][0] is not report["a"][0]
@@ -474,14 +645,14 @@ class TestReplayIdentity:
             "h1": "h2",
             "h1.cfg": "h2.cfg",
         }
-        assert replay_report_dict(report, mapping) == {
+        assert rewrite_fragment(report, literals=mapping) == {
             "x": "10.9.9.1 10.9.9.10 h2 h2.cfg"
         }
 
     def test_swapping_mapping_is_single_pass(self):
         report = {"x": "10.0.0.1 vs 10.0.0.2"}
         mapping = {"10.0.0.1": "10.0.0.2", "10.0.0.2": "10.0.0.1"}
-        assert replay_report_dict(report, mapping) == {
+        assert rewrite_fragment(report, literals=mapping) == {
             "x": "10.0.0.2 vs 10.0.0.1"
         }
 

@@ -18,7 +18,7 @@ from repro.core import (
     semantic_difference_to_dict,
     structural_difference_to_dict,
 )
-from repro.core import serialize
+from repro.core import replay, serialize
 from repro.core.serialize import SCHEMA_VERSION, dumps, write_json
 from repro.parsers import parse_cisco
 from repro.workloads.datacenter import gateway_fleet
@@ -203,7 +203,7 @@ class _Dict(dict):
     pass
 
 
-_HOLE = serialize._HOLE
+_HOLE = replay.HOLE
 
 
 def _span(filename, line=4):
@@ -406,6 +406,65 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 def test_writer_matches_json_dumps_indent_2(value):
     assert _written(value) == json.dumps(value, indent=2)
+
+
+def _reorder(mapping, key):
+    mapping[key] = mapping.pop(key)
+
+
+class TestStoredFragments:
+    """A replayed difference's dict is written from its stored fragment
+    only while it still is that fragment with its own filenames."""
+
+    def _replayed(self):
+        from repro.core.memo import DiffMemo
+        from repro.workloads.datacenter import templated_clos_fleet
+
+        devices, _ = templated_clos_fleet(
+            count=4, roles=2, rule_count=8, seed=11, vendors=1, uplinks=1
+        )
+        memo = DiffMemo()
+        config_diff(devices[0], devices[1], memo=memo)
+        data = report_to_dict(config_diff(devices[2], devices[3], memo=memo))
+        stored = [
+            fragment
+            for fragment in data["semantic"]
+            if type(fragment) is serialize.StoredFragment
+        ]
+        assert stored
+        return data, stored
+
+    def test_written_from_the_stored_fragment(self):
+        data, stored = self._replayed()
+        before = perf.REGISTRY.counters.get("serialize.replayed_fragments", 0)
+        assert dumps(data) == json.dumps(data, indent=2)
+        after = perf.REGISTRY.counters["serialize.replayed_fragments"]
+        assert after - before == len(stored)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda fragment: _reorder(fragment["policy"], "router1"),
+            lambda fragment: _reorder(fragment, "kind"),
+            lambda fragment: fragment["action"].update(router1="REJECT?"),
+            lambda fragment: fragment["example"].update(extra=True),
+            lambda fragment: fragment["text"]["router1"].update(file="other.cfg"),
+            lambda fragment: fragment["text"]["router1"].update(start_line=True),
+            lambda fragment: fragment["text"]["router1"]["text"].append("x"),
+        ],
+    )
+    def test_an_edited_copy_is_written_as_edited(self, edit):
+        data, stored = self._replayed()
+        fragment = next(
+            fragment
+            for fragment in stored
+            if fragment["text"]["router1"] is not None
+        )
+        edit(fragment)
+        before = perf.REGISTRY.counters.get("serialize.replayed_fragments", 0)
+        assert dumps(data) == json.dumps(data, indent=2)
+        after = perf.REGISTRY.counters["serialize.replayed_fragments"]
+        assert after - before == len(stored) - 1
 
 
 class TestCliFleetJson:
