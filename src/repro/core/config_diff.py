@@ -309,9 +309,7 @@ def _walk_components(
                 and entry.get("localized")
                 and entry.get("provenance") == provenance
             ):
-                replayed = replay_semantic_differences(
-                    entry, device1, device2, memo.fragment_templates(key, entry)
-                )
+                replayed = replay_semantic_differences(entry, device1, device2)
                 report.semantic.extend(replayed)
                 perf.add("memo.localization_replays", len(replayed))
                 return 0

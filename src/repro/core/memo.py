@@ -40,7 +40,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .. import perf
 from ..model.fingerprint import ComponentFingerprints
-from .replay import FragmentTemplate
 from .results import ComponentKind, SemanticDifference, StructuralDifference
 from .serialize import (
     SCHEMA_VERSION,
@@ -181,8 +180,6 @@ class DiffMemo:
         self._cache = cache
         # (key, budget) -> (collect, reason, resource); never persisted.
         self._aborts: Dict[Tuple, Tuple[bool, str, str]] = {}
-        # key -> (entry, its fragment templates); in memory only.
-        self._templates: Dict[MemoKey, Tuple[Dict, Tuple]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -254,16 +251,6 @@ class DiffMemo:
         perf.add("memo.seeds")
         if self._cache is not None:
             self._cache.put_diff(key, entry)
-
-    def fragment_templates(self, key: MemoKey, entry: Dict) -> Tuple:
-        """``entry``'s semantic fragments as
-        :class:`~repro.core.replay.FragmentTemplate` objects, built once
-        per entry and shared by all its replays."""
-        cached = self._templates.get(key)
-        if cached is None or cached[0] is not entry:
-            templates = tuple(FragmentTemplate(data) for data in entry["semantic"])
-            cached = self._templates[key] = (entry, templates)
-        return cached[1]
 
     def known_abort(
         self, key: MemoKey, budget: Tuple, collect: bool

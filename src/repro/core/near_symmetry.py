@@ -392,22 +392,25 @@ def plan_near_pairs(
         key_of[rep] = (template_id[rep], pair_pattern(sequence, ()))
         for atom in dict.fromkeys(sequence):
             holders.setdefault(atom, []).append(rep)
-    sharing = {
-        (first, second)
-        for group in holders.values()
-        for index, first in enumerate(group)
-        for second in group[index + 1 :]
-    }
-    perf.add(SHARING_COUNTER, len(sharing))
 
     disjoint: Dict[tuple, Tuple[str, str, Tuple[int, ...]]] = {}
     analyzed: Dict[Tuple[str, str, Tuple[int, ...]], Tuple[str, str]] = {}
     replay_key: Dict[Tuple[str, str], Tuple[str, str]] = {}
+    sharing_pairs = 0
     for index, first in enumerate(reps):
         key1 = key_of[first]
+        # This row's sharing partners, dropped before the next row: an
+        # atom held fleet-wide (a route reflector's address) would make
+        # a fleet-wide set of sharing pairs quadratic in memory.
+        partners = {
+            holder
+            for atom in dict.fromkeys(by_host[first].template.atom_sequence)
+            for holder in holders[atom]
+        }
         for second in reps[index + 1 :]:
             pair = (first, second)
-            if pair in sharing:
+            if second in partners:
+                sharing_pairs += 1
                 signature = pair_signature(
                     template_id[first],
                     by_host[first].template,
@@ -426,6 +429,7 @@ def plan_near_pairs(
             target = analyzed.setdefault(signature, pair)
             if target is not pair:
                 replay_key[pair] = target
+    perf.add(SHARING_COUNTER, sharing_pairs)
     plan = SymmetryPlan(
         representative=representative,
         members=members,

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import marshal
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -58,7 +57,6 @@ from .header_localize import FlatTerm, Localization
 from .results import ComponentKind, SemanticDifference
 
 __all__ = [
-    "FragmentTemplate",
     "ReplayedDifference",
     "provenance_digest",
     "replay_augmentation",
@@ -235,31 +233,6 @@ def replay_augmentation(differences: Iterable[SemanticDifference]) -> Dict:
     return {"semantic": semantic}
 
 
-_CONTAINERS = frozenset((dict, list, tuple))
-
-
-def copy_plan(value: object) -> tuple:
-    """Where the containers nested in JSON-compatible ``value`` sit:
-    ``(key or index, plan)`` pairs, ``()`` when it holds only scalars."""
-    items = value.items() if type(value) is dict else enumerate(value)
-    return tuple(
-        (key, copy_plan(item)) for key, item in items if type(item) in _CONTAINERS
-    )
-
-
-def _copy(value: object, plan: tuple) -> object:
-    """A fresh copy of container ``value`` laid out as ``plan`` says;
-    scalars are shared (they are immutable), tuples become lists."""
-    copied = value.copy() if type(value) is dict else list(value)
-    for key, inner in plan:
-        item = value[key]
-        if inner:
-            copied[key] = _copy(item, inner)
-        else:
-            copied[key] = item.copy() if type(item) is dict else list(item)
-    return copied
-
-
 def _literal_rewriter(literals: Dict[str, str]):
     """A ``str -> str`` function rewriting every token in ``literals``.
 
@@ -274,7 +247,7 @@ def _literal_rewriter(literals: Dict[str, str]):
         reverse=True,
     )
     if not keys:
-        return None
+        return _unchanged
     pattern = re.compile(
         "|".join(f"(?<![\\w.]){re.escape(key)}(?![\\w.])" for key in keys)
     )
@@ -285,8 +258,13 @@ def _literal_rewriter(literals: Dict[str, str]):
     return rewrite
 
 
+def _unchanged(text: str) -> str:
+    return text
+
+
 def _copy_rewriting(value: object, rewrite) -> object:
-    """:func:`_copy` with every string, dict keys included, rewritten."""
+    """A fresh copy of JSON-compatible ``value`` with every string, dict
+    keys included, passed through ``rewrite``; tuples become lists."""
     kind = type(value)
     if kind is dict:
         return {
@@ -304,7 +282,6 @@ def rewrite_fragment(
     value: object,
     files: Optional[Tuple[str, str]] = None,
     literals: Optional[Dict[str, str]] = None,
-    plan: Optional[tuple] = None,
 ) -> object:
     """A serialized report value, carried over to another device pair.
 
@@ -315,16 +292,10 @@ def rewrite_fragment(
     ``files`` is a difference fragment's ``(file1, file2)``: the span
     ``file`` under ``text`` of each side is set to it.  A memo replay
     passes only ``files``; the oracle's report-level replay check passes
-    a whole serialized report and its literal map.  ``plan`` is
-    ``value``'s :func:`copy_plan`, when the caller keeps one.
+    a whole serialized report and its literal map.
     """
-    rewrite = _literal_rewriter(literals) if literals else None
-    if rewrite is not None:
-        copied = _copy_rewriting(value, rewrite)
-    elif type(value) in _CONTAINERS:
-        copied = _copy(value, copy_plan(value) if plan is None else plan)
-    else:
-        copied = value
+    rewrite = _literal_rewriter(literals) if literals else _unchanged
+    copied = _copy_rewriting(value, rewrite)
     if files is not None:
         text = copied.get("text")
         if type(text) is dict:
@@ -333,88 +304,6 @@ def rewrite_fragment(
                 if type(span) is dict:
                     span["file"] = filename
     return copied
-
-
-#: Stands in for a held-out span filename (see :func:`hold_out_files`).
-HOLE = "\x00campion:file\x00"
-#: The hole in marshal format 2, which has no object references: equal
-#: bytes mean equal types, values and key order.
-HOLE_MARSHAL = marshal.dumps(HOLE, 2)
-
-
-def hold_out_files(element: object):
-    """``element`` with each string span ``file`` under ``text`` replaced by
-    :data:`HOLE`, and the replaced filenames in output order."""
-    if type(element) is not dict:
-        return element, ()
-    text = element.get("text")
-    if type(text) is not dict:
-        return element, ()
-    files = []
-    held = {}
-    for side, span in text.items():
-        if type(span) is dict and type(span.get("file")) is str:
-            files.append(span["file"])
-            span = {**span, "file": HOLE}
-        held[side] = span
-    if not files:
-        return element, ()
-    return {**element, "text": held}, files
-
-
-class FragmentTemplate:
-    """A stored difference fragment, prepared for its replays.
-
-    Built once per stored fragment (:meth:`DiffMemo.fragment_templates
-    <repro.core.memo.DiffMemo.fragment_templates>`) and shared by all
-    its replays.  ``plan`` is the fragment's :func:`copy_plan`, so a
-    replay's fresh copy walks no scalar (:meth:`copy`).  ``marks`` is
-    the fragment's marshal-format-2 encoding with its span filenames
-    held out, split at the holes: the report writer checks a copy
-    against it (:meth:`encode`).  It is ``None`` when that split would
-    not be exact (a span without a string ``file``, or a value marshal
-    cannot write).
-    """
-
-    __slots__ = ("fragment", "plan", "sides", "marks")
-
-    def __init__(self, fragment: Dict) -> None:
-        self.fragment = fragment
-        self.plan = copy_plan(fragment) if type(fragment) in _CONTAINERS else ()
-        self.marks: Optional[Tuple[bytes, ...]] = None
-        text = fragment.get("text") if type(fragment) is dict else None
-        #: the sides whose span gets the pair's filename, in output order
-        self.sides = tuple(
-            side
-            for side, span in (text.items() if type(text) is dict else ())
-            if type(span) is dict
-        )
-        held, files = hold_out_files(fragment)
-        if len(files) != len(self.sides):
-            return
-        try:
-            marks = tuple(marshal.dumps(held, 2).split(HOLE_MARSHAL))
-        except ValueError:
-            return
-        if len(marks) == len(files) + 1:
-            self.marks = marks
-
-    def encode(self, files: Sequence[str]) -> bytes:
-        """The fragment's marshal bytes with ``files`` spliced in, one
-        filename per entry of :attr:`sides`."""
-        parts = [self.marks[0]]
-        for filename, mark in zip(files, self.marks[1:]):
-            parts.append(marshal.dumps(filename, 2))
-            parts.append(mark)
-        return b"".join(parts)
-
-    def copy(self, file1: str, file2: str) -> Tuple[Dict, Tuple[str, ...]]:
-        """:func:`rewrite_fragment` of the fragment for a pair with files
-        ``file1``/``file2``, and the filenames written into it in output
-        order."""
-        by_side = {"router1": file1, "router2": file2}
-        files = tuple(by_side[side] for side in self.sides if side in by_side)
-        return rewrite_fragment(self.fragment, (file1, file2), plan=self.plan), files
 
 
 class ReplayedDifference:
@@ -430,19 +319,19 @@ class ReplayedDifference:
     """
 
     __slots__ = (
-        "template", "augment", "file1", "file2", "router1", "router2", "_live",
+        "fragment", "augment", "file1", "file2", "router1", "router2", "_live",
     )
 
     def __init__(
         self,
-        template: FragmentTemplate,
+        fragment: Dict,
         augment: Dict,
         file1: str,
         file2: str,
         router1: str,
         router2: str,
     ) -> None:
-        self.template = template
+        self.fragment = fragment
         self.augment = augment
         self.file1 = file1
         self.file2 = file2
@@ -454,11 +343,6 @@ class ReplayedDifference:
     def kind(self) -> ComponentKind:
         """The component kind, read off the fragment (no rebuild)."""
         return ComponentKind(self.fragment["kind"])
-
-    @property
-    def fragment(self) -> Dict:
-        """The stored fragment (memo-owned: never mutate it)."""
-        return self.template.fragment
 
     def materialize(self) -> SemanticDifference:
         """The replayed :class:`SemanticDifference`, rebuilt once."""
@@ -496,25 +380,18 @@ class ReplayedDifference:
 
 
 def replay_semantic_differences(
-    entry: Dict,
-    device1: object,
-    device2: object,
-    templates: Optional[Sequence[FragmentTemplate]] = None,
+    entry: Dict, device1: object, device2: object
 ) -> List[ReplayedDifference]:
-    """A localized memo entry's differences, replayed for the current
-    pair; ``templates`` are the entry's fragments already wrapped (built
-    here when not given)."""
-    if templates is None:
-        templates = [FragmentTemplate(data) for data in entry["semantic"]]
+    """A localized memo entry's differences, replayed for the current pair."""
     augments = entry.get("replay", {}).get("semantic", [])
     return [
         ReplayedDifference(
-            template,
+            data,
             augments[index] if index < len(augments) else {},
             device1.filename,
             device2.filename,
             device1.hostname,
             device2.hostname,
         )
-        for index, template in enumerate(templates)
+        for index, data in enumerate(entry["semantic"])
     ]

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, TextIO
 from .. import perf
 from ..model.types import SourceSpan
 from .header_localize import Localization
-from .replay import HOLE, ReplayedDifference, hold_out_files
+from .replay import ReplayedDifference, rewrite_fragment
 from .results import CampionReport, SemanticDifference, StructuralDifference
 
 __all__ = [
@@ -95,41 +95,14 @@ def structural_difference_to_dict(difference: StructuralDifference) -> Dict:
     return _structural_to_dict(difference)
 
 
-class StoredFragment(dict):
-    """A replayed difference's serialized form: a fresh copy of its
-    stored fragment carrying this pair's span filenames.
-
-    ``template`` is the stored fragment's
-    :class:`~repro.core.replay.FragmentTemplate` and ``files`` the
-    filenames written into the copy, in output order.  The report
-    writer renders the template once and splices ``files`` in for every
-    copy that still matches it (:meth:`_Indent2Writer._replayed`).  A
-    copy or pickle of it is a plain ``dict``.
-    """
-
-    __slots__ = ("template", "files")
-
-    def __reduce__(self):
-        return dict, (dict(self),)
-
-
-def _stored_fragment(difference: ReplayedDifference) -> Dict:
-    """A replayed difference's dict: its stored fragment with this
-    pair's filenames, equal to what the rebuilt difference serializes
-    to (the round-trip invariant of :mod:`repro.core.replay`)."""
-    template = difference.template
-    copied, files = template.copy(difference.file1, difference.file2)
-    if template.marks is None or not all(type(name) is str for name in files):
-        return copied
-    fragment = StoredFragment(copied)
-    fragment.template = template
-    fragment.files = files
-    return fragment
-
-
 def _semantic_to_dict(difference: SemanticDifference) -> Dict:
     if type(difference) is ReplayedDifference:
-        return _stored_fragment(difference)
+        # The stored fragment with this pair's filenames: what the
+        # rebuilt difference would serialize to (repro.core.replay).
+        perf.add("serialize.replayed_fragments")
+        return rewrite_fragment(
+            difference.fragment, (difference.file1, difference.file2)
+        )
     action1, action2 = difference.action_pair()
     result = {
         "kind": difference.kind.value,
@@ -289,7 +262,6 @@ def _render(value: object, write: Callable[[str], object]) -> None:
     finally:
         perf.add("serialize.fragments", writer.fragments)
         perf.add("serialize.fragment_renders", writer.renders)
-        perf.add("serialize.replayed_fragments", writer.replayed)
 
 
 # -- the indent=2 writer ------------------------------------------------------
@@ -311,19 +283,15 @@ def _render(value: object, write: Callable[[str], object]) -> None:
 #   marshal bytes) and reused.  The span ``file`` values — the only
 #   per-device field of a replayed difference — are held out of the key
 #   as holes and spliced back per element.
-# * A replayed difference's element (a :class:`StoredFragment`) is keyed
-#   by its stored fragment's identity instead: no key is encoded.  It
-#   reuses that fragment's rendering only if its marshal bytes equal the
-#   stored fragment's with its own filenames spliced in, so an element
-#   a caller edited takes the generic path.
 
 #: Members of these lists are cached fragments.
 _FRAGMENT_LISTS = frozenset(("semantic", "structural"))
 #: Exact types the C encoder renders as a single token.
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _ARRAYS = frozenset((list, tuple))
-#: A held-out span filename (:data:`~repro.core.replay.HOLE`), encoded.
-_HOLE_TOKEN = encode_basestring_ascii(HOLE)
+#: Stands in for a held-out span filename while a template renders.
+_HOLE = "\x00campion:file\x00"
+_HOLE_TOKEN = encode_basestring_ascii(_HOLE)
 
 
 def _default(value: object) -> object:
@@ -354,6 +322,26 @@ class _FlatEncoders(dict):
         return encoder
 
 
+def _hold_out_files(element: object):
+    """``element`` with each string span ``file`` under ``text`` replaced by
+    :data:`_HOLE`, and the replaced filenames in output order."""
+    if type(element) is not dict:
+        return element, ()
+    text = element.get("text")
+    if type(text) is not dict:
+        return element, ()
+    files = []
+    held = {}
+    for side, span in text.items():
+        if type(span) is dict and type(span.get("file")) is str:
+            files.append(span["file"])
+            span = {**span, "file": _HOLE}
+        held[side] = span
+    if not files:
+        return element, ()
+    return {**element, "text": held}, files
+
+
 class _Indent2Writer:
     """One run's renderer and fragment cache (never shared across runs).
 
@@ -370,12 +358,8 @@ class _Indent2Writer:
         #: (depth, held-out filename count, marshal bytes or compact
         #: encoding with holes) -> indented text split at the holes
         self._templates: Dict[tuple, List[str]] = {}
-        #: (depth, id of a fragment template) -> (that template, its
-        #: indented text split at the holes, or ``None``)
-        self._origins: Dict[tuple, tuple] = {}
         self.fragments = 0
         self.renders = 0
-        self.replayed = 0
 
     def write(self, value: object) -> None:
         out: List[str] = []
@@ -463,10 +447,7 @@ class _Indent2Writer:
 
     def _fragment(self, element: object, depth: int, out: List[str]) -> None:
         self.fragments += 1
-        if type(element) is StoredFragment and self._replayed(element, depth, out):
-            self.replayed += 1
-            return
-        held, files = hold_out_files(element)
+        held, files = _hold_out_files(element)
         try:
             encoded = marshal.dumps(held, 2)
         except ValueError:  # not plain JSON types: key by the compact text
@@ -490,39 +471,3 @@ class _Indent2Writer:
         for filename, piece in zip(files, pieces[1:]):
             out.append(encode_basestring_ascii(filename))
             out.append(piece)
-
-    def _replayed(self, element: StoredFragment, depth: int, out: List[str]) -> bool:
-        """Write ``element`` from its template's rendering; false
-        (nothing written) unless it still is the template's fragment
-        with ``files`` spliced in."""
-        template = element.template
-        key = (depth, id(template))
-        cached = self._origins.get(key)
-        if cached is None:
-            held, files = hold_out_files(template.fragment)
-            rendered: List[str] = []
-            self._value(held, depth, rendered)
-            self.renders += 1
-            pieces = "".join(rendered).split(_HOLE_TOKEN)
-            if len(pieces) != len(files) + 1:
-                pieces = None  # some other string encodes to the hole
-            cached = self._origins[key] = (template, pieces)
-        pieces = cached[1]
-        files = element.files
-        if (
-            pieces is None
-            or template.marks is None
-            or len(pieces) != len(files) + 1
-            or not all(type(filename) is str for filename in files)
-        ):
-            return False
-        try:
-            if marshal.dumps(dict(element), 2) != template.encode(files):
-                return False
-        except ValueError:  # a value marshal cannot write
-            return False
-        out.append(pieces[0])
-        for filename, piece in zip(files, pieces[1:]):
-            out.append(encode_basestring_ascii(filename))
-            out.append(piece)
-        return True

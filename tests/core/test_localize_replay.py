@@ -225,7 +225,8 @@ class TestMemoReplay:
             span["file"] = "edited.cfg"
         data["policy"]["router1"] = "edited"
         assert json.dumps(entry, sort_keys=True) == stored
-        # copies and pickles of it are plain dicts
+        # it, its copies and its pickles are plain dicts
+        assert type(data) is dict
         assert type(copy.deepcopy(data)) is dict
         assert type(pickle.loads(pickle.dumps(data))) is dict
         assert copy.deepcopy(data) == data

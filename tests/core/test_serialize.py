@@ -18,7 +18,7 @@ from repro.core import (
     semantic_difference_to_dict,
     structural_difference_to_dict,
 )
-from repro.core import replay, serialize
+from repro.core import serialize
 from repro.core.serialize import SCHEMA_VERSION, dumps, write_json
 from repro.parsers import parse_cisco
 from repro.workloads.datacenter import gateway_fleet
@@ -203,7 +203,7 @@ class _Dict(dict):
     pass
 
 
-_HOLE = replay.HOLE
+_HOLE = serialize._HOLE
 
 
 def _span(filename, line=4):
@@ -412,12 +412,13 @@ def _reorder(mapping, key):
     mapping[key] = mapping.pop(key)
 
 
-class TestStoredFragments:
-    """A replayed difference's dict is written from its stored fragment
-    only while it still is that fragment with its own filenames."""
+class TestReplayedFragments:
+    """A replayed difference's dict is a plain copy of its stored
+    fragment, written as whatever a caller has made of it."""
 
     def _replayed(self):
         from repro.core.memo import DiffMemo
+        from repro.core.replay import ReplayedDifference
         from repro.workloads.datacenter import templated_clos_fleet
 
         devices, _ = templated_clos_fleet(
@@ -425,21 +426,23 @@ class TestStoredFragments:
         )
         memo = DiffMemo()
         config_diff(devices[0], devices[1], memo=memo)
-        data = report_to_dict(config_diff(devices[2], devices[3], memo=memo))
-        stored = [
-            fragment
-            for fragment in data["semantic"]
-            if type(fragment) is serialize.StoredFragment
+        report = config_diff(devices[2], devices[3], memo=memo)
+        replayed = [
+            difference
+            for difference in report.semantic
+            if type(difference) is ReplayedDifference
         ]
-        assert stored
-        return data, stored
-
-    def test_written_from_the_stored_fragment(self):
-        data, stored = self._replayed()
+        assert replayed
         before = perf.REGISTRY.counters.get("serialize.replayed_fragments", 0)
-        assert dumps(data) == json.dumps(data, indent=2)
+        data = report_to_dict(report)
         after = perf.REGISTRY.counters["serialize.replayed_fragments"]
-        assert after - before == len(stored)
+        assert after - before == len(replayed)
+        assert all(type(fragment) is dict for fragment in data["semantic"])
+        return data
+
+    def test_written_like_the_stdlib(self):
+        data = self._replayed()
+        assert dumps(data) == json.dumps(data, indent=2)
 
     @pytest.mark.parametrize(
         "edit",
@@ -454,17 +457,17 @@ class TestStoredFragments:
         ],
     )
     def test_an_edited_copy_is_written_as_edited(self, edit):
-        data, stored = self._replayed()
+        data = self._replayed()
         fragment = next(
             fragment
-            for fragment in stored
+            for fragment in data["semantic"]
             if fragment["text"]["router1"] is not None
         )
+        # The unedited twin renders first, so the edited copy must not
+        # reuse its rendering.
+        data["semantic"].insert(0, json.loads(json.dumps(fragment)))
         edit(fragment)
-        before = perf.REGISTRY.counters.get("serialize.replayed_fragments", 0)
         assert dumps(data) == json.dumps(data, indent=2)
-        after = perf.REGISTRY.counters["serialize.replayed_fragments"]
-        assert after - before == len(stored) - 1
 
 
 class TestCliFleetJson:
