@@ -76,26 +76,32 @@ def _fail(message: str) -> int:
 
 def _node_limit(text: str) -> int:
     """``--node-limit``: an integer budget that covers the two terminals."""
+    from .core.parallel import resolve_node_limit
+
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 2:
+    try:
+        return resolve_node_limit(value)
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be at least 2 (the BDD terminals), got {value}"
-        )
-    return value
+        ) from None
 
 
 def _seconds(text: str) -> float:
     """``--timeout``: a positive number of seconds."""
+    from .core.parallel import resolve_timeout
+
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+    try:
+        return resolve_timeout(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}") from None
 
 
 #: Counters summarized on stderr after cache-enabled commands.
@@ -359,7 +365,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             node_limit=args.node_limit,
             memo=DiffMemo(cache) if cache is not None else None,
-            compress=args.compress,
         )
     except ValueError as exc:
         # duplicate hostnames, too-few devices, unknown reference
@@ -546,16 +551,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--json",
         action="store_true",
         help="machine-readable, timing-free output (byte-identical across runs)",
-    )
-    fleet_parser.add_argument(
-        "--compress",
-        choices=["off", "near"],
-        default="near",
-        help="matrix symmetry compression: 'near' collapses devices equal "
-        "modulo rewritable literals (loopbacks, router-ids, BGP peers), "
-        "byte-identical devices included; 'off' analyzes every pair "
-        "(default: near; the report is identical in both modes, "
-        "compression only skips redundant pairs)",
     )
     add_budget_flags(fleet_parser)
     fleet_parser.set_defaults(func=_cmd_fleet)

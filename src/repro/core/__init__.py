@@ -87,7 +87,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "plan_near_pairs",
             "verify_template_class",
         ),
-        "parallel": ("PairOutcome", "pairwise_count_outcomes", "resolve_timeout"),
+        "parallel": (
+            "PairOutcome",
+            "pairwise_count_outcomes",
+            "resolve_node_limit",
+            "resolve_timeout",
+        ),
         "present": (
             "localize_acl_differences",
             "localize_route_map_differences",

@@ -18,9 +18,8 @@ surviving pair, so devices with failed pairs are not advantaged by
 their missing entries), and devices whose reference report cannot be
 produced are listed in ``failed`` alongside ``outliers``/``conforming``.
 
-**Symmetry compression** (``compress``, two modes: ``near``, the
-default, and ``off``): real fleets are heavily templated, so before the
-matrix :func:`~repro.core.near_symmetry.plan_near_pairs` partitions
+**Symmetry compression**: real fleets are heavily templated, so before
+the matrix :func:`~repro.core.near_symmetry.plan_near_pairs` partitions
 the devices by *device fingerprint* (equality means ConfigDiff would
 find zero differences; see :mod:`repro.model.fingerprint`), then
 groups those class representatives by *template fingerprint* (equal
@@ -33,9 +32,12 @@ device (through the representative-warmed memo, so clones replay at
 memo speed): spans, hostnames, and parse diagnostics are
 device-specific and deliberately excluded from fingerprints, and
 running them live is what keeps the report — and its serialized form —
-byte-identical to the uncompressed run.  The oracle's ``symmetry`` and
-``near-symmetry`` selfcheck generators cross-validate exactly that
-identity.
+byte-identical to the uncompressed run.  Compression is therefore not
+a user choice: the CLI and the service always run it, and
+``compress="off"`` (every device its own class, every pair analyzed)
+stays in the library only as the reference the oracle's ``symmetry``
+and ``near-symmetry`` selfcheck generators and the tests compare
+against.  Both modes share one matrix path; only the plan differs.
 
 For a fleet of n devices the uncompressed matrix costs n(n-1)/2
 comparisons, down to s analyzed pairs for s distinct replay signatures
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import perf
@@ -56,8 +59,12 @@ from .coverage import DeviceCoverage, compute_fleet_coverage
 from .fleet_atoms import seed_acl_counts
 from .match_policies import match_policies
 from .memo import DiffMemo
-from .near_symmetry import FALLBACK_COUNTER, plan_near_pairs
-from .parallel import pairwise_count_outcomes, resolve_timeout
+from .near_symmetry import FALLBACK_COUNTER, SymmetryPlan, plan_near_pairs
+from .parallel import (
+    pairwise_count_outcomes,
+    resolve_node_limit,
+    resolve_timeout,
+)
 from .results import CampionReport
 
 __all__ = [
@@ -101,11 +108,9 @@ def _elect_medoid(
     :class:`~fractions.Fraction` — float division could round two
     genuinely-equal means (different survivor counts) to unequal
     floats, or vice versa, making the winner depend on accumulated
-    rounding rather than the hostname tie-break.  Input ordering (and
-    therefore parallel completion order, since callers build
-    ``survivors`` from the outcome list) never affects the result:
-    the hostname component of the key already totally orders the
-    candidates, so no pre-sorting is needed.
+    rounding rather than the hostname tie-break.  Input ordering never
+    affects the result: the hostname component of the key already
+    totally orders the candidates, so no pre-sorting is needed.
     """
     return min(
         candidates,
@@ -294,27 +299,29 @@ def compare_fleet(
     toward the lexicographically-smallest hostname for determinism.
     Devices with no surviving pair at all cannot stand for election.
 
-    ``compress`` selects the matrix-phase symmetry compression:
-    ``"near"`` (the default) or ``"off"``.  ``near`` plans the matrix
-    with :func:`~repro.core.near_symmetry.plan_near_pairs` —
+    The matrix phase is planned with
+    :func:`~repro.core.near_symmetry.plan_near_pairs` —
     device-fingerprint classes first, then template classes — and
     analyzes one pair per replay signature; every other pair's count is
     expanded from its representative (0 within a fingerprint class).
-    Reports, election, and serialized output are identical in both
-    modes — on templated fleets the matrix phase just shrinks from
-    O(n²) toward O(k²) for k distinct templates.  A failed
-    representative pair fails the content-identical pairs it stands for
-    with the same cause (matching the uncompressed outcome for
-    content-deterministic failures — the only reproducible kind), while
-    merely near-symmetric pairs *fall back to concrete analysis*
-    (counted under ``near_symmetry.fallbacks`` and noted on
-    ``FleetReport.notes``), since a fault observed on one substitution
-    instance says nothing about the others.  A budget abort is not such
-    a fault: every pair a budget-aborted representative stands for
-    fails with its cause.
+    On templated fleets the matrix phase shrinks from O(n²) toward
+    O(k²) for k distinct templates.  A failed representative pair fails
+    the content-identical pairs it stands for with the same cause
+    (matching the uncompressed outcome for content-deterministic
+    failures — the only reproducible kind), while merely near-symmetric
+    pairs *fall back to concrete analysis* (counted under
+    ``near_symmetry.fallbacks`` and noted on ``FleetReport.notes``),
+    since a fault observed on one substitution instance says nothing
+    about the others.  A budget abort is not such a fault: every pair a
+    budget-aborted representative stands for fails with its cause.
+    ``compress="off"`` analyzes every pair instead; it is the reference
+    the default is checked against, with identical reports, election
+    and serialized output.
 
     ``timeout`` is each pair's BDD time budget in seconds (``None`` =
-    unbounded); ``node_limit`` bounds each pair's BDD allocation.
+    unbounded); ``node_limit`` bounds each pair's BDD allocation.  An
+    invalid budget (a timeout that is not positive, NaN included, or a
+    node limit below 2) raises :class:`ValueError` before any work.
     Either tripping aborts only the offending component rather than
     sinking the run: the matrix pair fails (listed in ``failed_pairs``
     with the abort, without a retry; the election runs over the
@@ -365,6 +372,7 @@ def compare_fleet(
         )
     hostnames = sorted(by_name)
     timeout = resolve_timeout(timeout)
+    node_limit = resolve_node_limit(node_limit)
     compress = resolve_compress(compress)
     if memo is None and use_memo:
         memo = DiffMemo()
@@ -398,42 +406,40 @@ def compare_fleet(
     symmetry: Optional[SymmetryStats] = None
 
     if reference is None:
-        if compress == "near":
-            with perf.timer("fleet.plan"):
+        with perf.timer("fleet.plan"):
+            if compress == "near":
                 plan, plan_notes = plan_near_pairs(devices)
-            notes.extend(plan_notes)
-            pair_keys = list(plan.pair_keys)
-        else:
-            plan = None
-            pair_keys = [
-                (first, second)
-                for index, first in enumerate(hostnames)
-                for second in hostnames[index + 1 :]
-            ]
+                notes.extend(plan_notes)
+            else:
+                # Every device its own class: every pair is analyzed.
+                plan = SymmetryPlan(
+                    representative={h: h for h in hostnames},
+                    members={h: (h,) for h in hostnames},
+                    pair_keys=tuple(combinations(hostnames, 2)),
+                )
+        pair_keys = list(plan.pair_keys)
         outcomes = count_outcomes(pair_keys)
         total_pairs = len(hostnames) * (len(hostnames) - 1) // 2
-        fallback: List[Tuple[str, str]] = []
-        if plan is not None:
-            with perf.timer("fleet.expand"):
-                matrix, failed_pairs, fallback = plan.expand_near(
-                    hostnames, dict(zip(pair_keys, outcomes))
-                )
-            if fallback:
-                # A failed representative pair must not poison its
-                # merely near-symmetric members: analyze them
-                # concretely, under the same matrix timer.
-                perf.add(FALLBACK_COUNTER, len(fallback))
-                notes.append(
-                    f"near-symmetry: {len(fallback)} pair(s) fell back"
-                    " to concrete analysis after their representative"
-                    " pair failed"
-                )
-                fallback_outcomes = count_outcomes(fallback)
-                for key, outcome in zip(fallback, fallback_outcomes):
-                    if outcome.ok:
-                        matrix[key] = outcome.result
-                    else:
-                        failed_pairs[key] = outcome.describe()
+        with perf.timer("fleet.expand"):
+            matrix, failed_pairs, fallback = plan.expand_near(
+                hostnames, dict(zip(pair_keys, outcomes))
+            )
+        if fallback:
+            # A failed representative pair must not poison its merely
+            # near-symmetric members: analyze them concretely, under
+            # the same matrix timer.
+            perf.add(FALLBACK_COUNTER, len(fallback))
+            notes.append(
+                f"near-symmetry: {len(fallback)} pair(s) fell back"
+                " to concrete analysis after their representative"
+                " pair failed"
+            )
+            for key, outcome in zip(fallback, count_outcomes(fallback)):
+                if outcome.ok:
+                    matrix[key] = outcome.result
+                else:
+                    failed_pairs[key] = outcome.describe()
+        if compress == "near":
             symmetry = SymmetryStats(
                 devices=len(hostnames),
                 classes=plan.class_count,
@@ -444,12 +450,6 @@ def compare_fleet(
             perf.add(
                 "fleet.symmetry.pairs_expanded", symmetry.expanded_pairs
             )
-        else:
-            for key, outcome in zip(pair_keys, outcomes):
-                if outcome.ok:
-                    matrix[key] = outcome.result
-                else:
-                    failed_pairs[key] = outcome.describe()
         survivors: Dict[str, List[int]] = {h: [] for h in hostnames}
         for (first, second), count in matrix.items():
             survivors[first].append(count)

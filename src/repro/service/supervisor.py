@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import perf
 from ..cache import ArtifactCache
-from ..core import COMPRESS_MODES, DiffMemo, compare_fleet, fleet_report_to_dict
+from ..core import DiffMemo, compare_fleet, fleet_report_to_dict
 from ..model.types import ConfigError
 from ..parsers import StanzaMemo, parse_config
 
@@ -96,7 +96,8 @@ class Supervisor:
         fleet report plus its notes, symmetry-compression statistics
         and cache/memo deltas (for warm-push verification).  Raises
         :class:`JobError` with a permanence classification on failure.
-        A ``"workers"`` key, like ``"set_backend"``, is ignored.
+        The retired ``"workers"``, ``"set_backend"`` and ``"compress"``
+        keys are ignored: the job always runs the default fleet path.
         """
         configs = self.validate_payload(payload)
         cache = tenant_cache if tenant_cache is not None else self.cache
@@ -128,7 +129,6 @@ class Supervisor:
                     payload, "node_limit", self.node_limit
                 ),
                 memo=DiffMemo(cache) if cache is not None else None,
-                compress=self._compress_option(payload, "compress", "near"),
             )
         except JobError:
             raise
@@ -226,29 +226,3 @@ class Supervisor:
             return int(value)
         except (TypeError, ValueError):
             raise JobError(f"option {key!r} is not an integer", permanent=True)
-
-    @staticmethod
-    def _bool_option(payload: Dict, key: str, default):
-        value = payload.get(key)
-        if value is None:
-            return default
-        if isinstance(value, bool):
-            return value
-        raise JobError(f"option {key!r} is not a boolean", permanent=True)
-
-    @staticmethod
-    def _compress_option(payload: Dict, key: str, default):
-        # Booleans switch compression on (near) or off; strings select
-        # a mode by name.
-        value = payload.get(key)
-        if value is None:
-            return default
-        if isinstance(value, bool):
-            return "near" if value else "off"
-        if isinstance(value, str) and value.strip().lower() in COMPRESS_MODES:
-            return value.strip().lower()
-        raise JobError(
-            f"option {key!r} must be a boolean or one of"
-            f" {', '.join(repr(mode) for mode in COMPRESS_MODES)}",
-            permanent=True,
-        )

@@ -220,7 +220,7 @@ class TestPlanNearPairs:
         hostnames = sorted(d.hostname for d in devices)
         plan, _ = plan_near_pairs(devices)
         (analyzed,) = plan.pair_keys
-        outcome = PairOutcome(index=0, status="ok", result=5)
+        outcome = PairOutcome(result=5)
         matrix, failed, fallback = plan.expand_near(
             hostnames, {analyzed: outcome}
         )
@@ -426,13 +426,13 @@ def _reference_expand_near(plan, hostnames, outcomes):
 def _random_outcome(rng, index):
     roll = rng.random()
     if roll < 0.5:
-        return PairOutcome(index, "ok", result=rng.randint(0, 9))
+        return PairOutcome(result=rng.randint(0, 9))
     if roll < 0.7:
-        return PairOutcome(index, "error", error=f"injected {index}")
+        return PairOutcome(error=f"injected {index}")
     # a replayed (retried) outcome, healed or not
     if roll < 0.85:
-        return PairOutcome(index, "ok", result=rng.randint(0, 9), retried=True)
-    return PairOutcome(index, "timeout", error="slow", retried=True)
+        return PairOutcome(result=rng.randint(0, 9), retried=True)
+    return PairOutcome(error=f"injected {index}", retried=True)
 
 
 def _random_near_plan(rng):
@@ -676,10 +676,10 @@ class TestNearFallback:
         )
         real = parallel._count_pair
 
-        def poisoned(task):
-            if {task[0].hostname, task[1].hostname} == set(target):
+        def poisoned(device1, device2, **options):
+            if {device1.hostname, device2.hostname} == set(target):
                 raise RuntimeError("injected crash")
-            return real(task)
+            return real(device1, device2, **options)
 
         monkeypatch.setattr(parallel, "_count_pair", poisoned)
         base = perf.REGISTRY.counters.get(FALLBACK_COUNTER, 0)
@@ -713,10 +713,10 @@ class TestNearFallback:
         (target,) = plan.pair_keys
         real = parallel._count_pair
 
-        def poisoned(task):
-            if {task[0].hostname, task[1].hostname} == set(target):
+        def poisoned(device1, device2, **options):
+            if {device1.hostname, device2.hostname} == set(target):
                 raise RuntimeError("injected crash")
-            return real(task)
+            return real(device1, device2, **options)
 
         monkeypatch.setattr(parallel, "_count_pair", poisoned)
         report = compare_fleet(devices, compress="near")
@@ -729,33 +729,3 @@ class TestNearFallback:
         uncompressed = compare_fleet(devices, compress="off")
         assert report.failed_pairs == uncompressed.failed_pairs == {}
         assert report.matrix == uncompressed.matrix
-
-
-class TestSupervisorCompressOption:
-    def test_mode_strings_and_booleans_accepted(self):
-        from repro.service.supervisor import Supervisor
-
-        assert Supervisor._compress_option({}, "compress", None) is None
-        assert (
-            Supervisor._compress_option({"compress": True}, "compress", None)
-            == "near"
-        )
-        assert (
-            Supervisor._compress_option({"compress": False}, "compress", None)
-            == "off"
-        )
-        assert (
-            Supervisor._compress_option(
-                {"compress": " NEAR "}, "compress", None
-            )
-            == "near"
-        )
-
-    def test_unknown_mode_is_a_permanent_job_error(self):
-        from repro.service.supervisor import JobError, Supervisor
-
-        for mode in ("sorta", "exact"):
-            with pytest.raises(JobError) as excinfo:
-                Supervisor._compress_option({"compress": mode}, "compress", None)
-            assert excinfo.value.permanent
-            assert "'off', 'near'" in str(excinfo.value)

@@ -5,9 +5,11 @@ default, ``near``) produces a report — and a serialized form —
 identical to ``compress="off"``, on templated fleets, clone fleets, and
 fleets with no symmetry at all.  The supporting machinery (partition
 determinism, representative election, plan expansion, failure
-expansion, mode resolution, ``--compress off``) is covered alongside.
+expansion, mode resolution, the CLI default against ``compress="off"``)
+is covered alongside.
 """
 
+import io
 import json
 
 import pytest
@@ -17,8 +19,9 @@ from repro.core import parallel
 from repro.core.fleet import resolve_compress
 from repro.core.near_symmetry import SymmetryPlan, plan_near_pairs
 from repro.core.parallel import PairOutcome
+from repro.core.serialize import write_json
 from repro.model.fingerprint import partition_by_device_fingerprint
-from repro.parsers import parse_cisco
+from repro.parsers import load_config, parse_cisco
 from repro.workloads.datacenter import gateway_fleet, templated_clos_fleet
 from repro.workloads.figure1 import CISCO_FIGURE1
 
@@ -114,7 +117,7 @@ class TestPlan:
 
     def test_expand_copies_representative_count_across_class(self):
         plan = _class_plan(self.CLASSES)
-        outcome = PairOutcome(index=0, status="ok", result=7)
+        outcome = PairOutcome(result=7)
         matrix, failed, fallback = plan.expand_near(
             ["a", "b", "c"], {("a", "c"): outcome}
         )
@@ -123,7 +126,7 @@ class TestPlan:
 
     def test_expand_copies_representative_failure_verbatim(self):
         plan = _class_plan(self.CLASSES)
-        outcome = PairOutcome(index=0, status="error", error="boom")
+        outcome = PairOutcome(error="boom")
         matrix, failed, fallback = plan.expand_near(
             ["a", "b", "c"], {("a", "c"): outcome}
         )
@@ -203,7 +206,7 @@ class TestFailureExpansion:
         first, second = pair_class
         (singleton,) = next(g for g in classes.values() if len(g) == 1)
 
-        def boom(task):
+        def boom(device1, device2, **options):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(parallel, "_count_pair", boom)
@@ -290,10 +293,14 @@ class TestCli:
         paths = self._write_fleet(tmp_path, devices)
         code = main(["fleet", "--json"] + paths)
         compressed_out = capsys.readouterr().out
-        code_off = main(["fleet", "--json", "--compress", "off"] + paths)
-        uncompressed_out = capsys.readouterr().out
-        assert code == code_off == 0
-        assert compressed_out == uncompressed_out
+        uncompressed = compare_fleet(
+            [load_config(path) for path in paths], compress="off"
+        )
+        out = io.StringIO()
+        write_json(fleet_report_to_dict(uncompressed), out)
+        assert code == 0 and not uncompressed.outliers
+        assert not uncompressed.is_partial()
+        assert compressed_out == out.getvalue()
         assert json.loads(compressed_out)["outliers"] == []
 
     def test_human_output_shows_symmetry_line_only_when_compressed(
@@ -307,5 +314,6 @@ class TestCli:
         paths = self._write_fleet(tmp_path, devices)
         main(["fleet"] + paths)
         assert "symmetry:" in capsys.readouterr().out
-        main(["fleet", "--compress", "off"] + paths)
+        # A given reference skips the matrix phase, so nothing compressed.
+        main(["fleet", "--reference", devices[0].hostname] + paths)
         assert "symmetry:" not in capsys.readouterr().out

@@ -67,15 +67,24 @@ class TestSubmitAndPoll:
         assert final["job"]["error"]
 
 
-    def test_compress_exact_fails_permanently(self, service, small_fleet):
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            ({"timeout": "nan"}, "must be positive"),
+            ({"node_limit": 0}, "must be at least 2"),
+        ],
+    )
+    def test_invalid_budget_fails_permanently(
+        self, service, small_fleet, option, message
+    ):
         configs, _, _ = small_fleet
         _, body = http_json(
-            f"{service.url}/v1/fleet", {"configs": configs, "compress": "exact"}
+            f"{service.url}/v1/fleet", {"configs": configs, **option}
         )
         final = wait_for_job(service.url, body["job"]["id"])
         assert final["job"]["state"] == "failed"
         assert final["job"]["attempts"] == 1  # permanent: never retried
-        assert "'off', 'near'" in final["job"]["error"]
+        assert message in final["job"]["error"]
 
     def test_workers_key_is_ignored(self, service, small_fleet):
         configs, _, _ = small_fleet

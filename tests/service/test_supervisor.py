@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core import parallel
+from repro.core.near_symmetry import plan_near_pairs
 from repro.service.supervisor import JobError, Supervisor
+
+from .conftest import fleet_configs
 
 
 class TestPayloadValidation:
@@ -38,23 +41,6 @@ class TestRunJob:
         result = supervisor.run_job({"configs": configs}, None)
         assert result["report"]["outliers"] == sorted(expected_outliers)
         assert set(result) == {"report", "notes", "symmetry", "cache"}
-
-    def test_boolean_compress_matches_mode_names(self, small_fleet):
-        configs, _, _ = small_fleet
-        supervisor = Supervisor(cache=None)
-
-        def run(compress):
-            return supervisor.run_job(
-                {"configs": configs, "compress": compress}, None
-            )
-
-        for flag, mode in ((True, "near"), (False, "off")):
-            by_flag, by_name = run(flag), run(mode)
-            assert by_flag["report"] == by_name["report"]
-            assert by_flag["symmetry"] == by_name["symmetry"]
-        assert run(True)["report"] == run(False)["report"]
-        assert run(True)["symmetry"]["compressed"] is True
-        assert "mode" not in run(True)["symmetry"]
 
     def test_duplicate_hostnames_permanent(self, small_fleet):
         configs, _, _ = small_fleet
@@ -92,33 +78,56 @@ class TestRunJob:
         )
         assert keyed["report"] == plain["report"]
 
-    def test_failing_pair_not_fatal(self, small_fleet, monkeypatch):
+    def test_compress_key_is_ignored(self, small_fleet):
+        """Compression is not a job option: every job runs the default
+        path, whatever ``"compress"`` says."""
+        configs, _, _ = small_fleet
+        supervisor = Supervisor(cache=None)
+        plain = supervisor.run_job({"configs": configs}, None)
+        assert plain["symmetry"]["compressed"] is True
+        for compress in (False, "off", "exact"):
+            keyed = supervisor.run_job(
+                {"configs": configs, "compress": compress}, None
+            )
+            assert keyed["report"] == plain["report"]
+            assert keyed["symmetry"] == plain["symmetry"]
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            ({"timeout": "nan"}, "timeout must be positive, got nan"),
+            ({"node_limit": 0}, "must be at least 2 (the BDD terminals), got 0"),
+            ({"node_limit": -5}, "must be at least 2 (the BDD terminals), got -5"),
+        ],
+    )
+    def test_invalid_budget_permanent(self, small_fleet, option, message):
+        """The job's budgets pass the CLI's rules, not just a cast."""
+        configs, _, _ = small_fleet
+        with pytest.raises(JobError) as excinfo:
+            Supervisor(cache=None).run_job({"configs": configs, **option}, None)
+        assert excinfo.value.permanent
+        assert message in str(excinfo.value)
+
+    def test_failing_pair_not_fatal(self, monkeypatch):
         """A pair whose analysis keeps raising (through its retry too)
         lands in the report's failed_pairs; the job still succeeds."""
-        configs, devices, _ = small_fleet
-        # the reference device's pairs are healed by the report phase,
-        # so doom a pair that excludes the medoid
+        configs, devices, outliers = fleet_configs(count=5, outliers=2)
         baseline = Supervisor(cache=None).run_job({"configs": configs}, None)
         reference = baseline["report"]["reference"]
-        hostnames = sorted(
-            device.hostname
-            for device in devices
-            if device.hostname != reference
-        )
-        doomed = {hostnames[0], hostnames[1]}
+        # Doom the pair of the two outliers: near-symmetry planning
+        # analyzes it itself, and it excludes the medoid, whose pairs
+        # the report phase would heal.
+        doomed = set(outliers)
+        assert tuple(sorted(doomed)) in plan_near_pairs(devices)[0].pair_keys
         real = parallel._count_pair
 
-        def fail_pair(task):
-            if {task[0].hostname, task[1].hostname} == doomed:
+        def fail_pair(device1, device2, **options):
+            if {device1.hostname, device2.hostname} == doomed:
                 raise RuntimeError("injected pair failure")
-            return real(task)
+            return real(device1, device2, **options)
 
         monkeypatch.setattr(parallel, "_count_pair", fail_pair)
-        # The fault targets hostnames; symmetry compression would expand
-        # the doomed pair from its representatives without running it.
-        result = Supervisor(cache=None).run_job(
-            {"configs": configs, "compress": False}, None
-        )
+        result = Supervisor(cache=None).run_job({"configs": configs}, None)
         assert result["report"]["partial"] is True
         assert result["report"]["reference"] == reference
         assert result["report"]["failed_pairs"] == [

@@ -194,13 +194,6 @@ class TestExitCodes:
         assert main(["fleet", "--reference", "ghost", cisco, juniper]) == 2
         assert "ghost" in capsys.readouterr().err
 
-    def test_fleet_compress_exact_exits_two(self, config_files, capsys):
-        cisco, juniper = config_files
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fleet", "--compress", "exact", cisco, juniper])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'exact'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", ["compare", "fleet"])
     @pytest.mark.parametrize(
         "flag,value",
@@ -236,6 +229,14 @@ class TestExitCodes:
             main(["--set-backend", "bdd", "fleet", cisco, juniper])
         assert excinfo.value.code == 2
         assert "invalid choice: 'bdd'" in capsys.readouterr().err
+
+    def test_compress_flag_exits_two(self, config_files, capsys):
+        """Compression is not a user choice: ``--compress`` is gone."""
+        cisco, juniper = config_files
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--compress", "off", cisco, juniper])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --compress" in capsys.readouterr().err
 
 
 class TestWarmCacheBytes:
@@ -349,7 +350,7 @@ def _bdd_reference_json(paths):
 class TestFleetSeedingBytes:
     """The seeded default fleet path prints the same ``--json`` bytes
     cold, warm, after a one-device edit, and as the per-pair ``bdd``
-    backend and ``--compress off`` — on an all-distinct gateway fleet,
+    backend and ``compress="off"`` — on an all-distinct gateway fleet,
     where every matrix pair is seeded from the shared atom universe."""
 
     def test_gateway_fleet_is_byte_identical(self, tmp_path, capsys, monkeypatch):
@@ -381,9 +382,11 @@ class TestFleetSeedingBytes:
         assert "misses=0" in warm_err
         assert warm == cold
         assert _bdd_reference_json(paths) == cold
-        assert main(["--no-cache", "fleet", "--json", "--compress", "off"]
-                    + paths) == 1
-        assert capsys.readouterr().out == cold
+        off = compare_fleet(
+            [load_config(path) for path in paths], compress="off"
+        )
+        assert off.outliers and not off.is_partial()  # exit code 1
+        assert json.dumps(fleet_report_to_dict(off), indent=2) + "\n" == cold
 
         edited = tmp_path / "gw0.cfg"
         edited.write_text(edited.read_text().replace(" permit ", " deny ", 1))

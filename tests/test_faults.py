@@ -3,9 +3,10 @@
 Exercises the failure paths the happy-path suites never reach: pair
 analyses that raise, stanzas the parsers cannot model (strict vs
 lenient), and BDD analyses that blow through their node budget.  Pair
-faults are injected by monkeypatching the module-level task function
-``_count_pair`` in :mod:`repro.core.parallel`, which the matrix looks
-up at call time for the first attempt and the retry alike.
+faults are injected by monkeypatching ``_count_pair`` in
+:mod:`repro.core.parallel`, the one pair-counting seam, which the
+matrix looks up at call time for the first attempt and the retry
+alike.
 """
 
 import random
@@ -16,6 +17,7 @@ from repro import perf
 from repro.bdd import AnalysisBudgetExceeded
 from repro.core import compare_fleet, config_diff
 from repro.core import parallel
+from repro.core.config_diff import PairAborted
 from repro.model.types import ConfigError
 from repro.parsers import parse_cisco
 from repro.workloads.acl_gen import random_rules, render_cisco_acl
@@ -23,7 +25,7 @@ from repro.workloads.datacenter import gateway_fleet, parameterized_clos_fleet
 from repro.workloads.figure1 import CISCO_FIGURE1, figure1_devices
 
 
-def crash_everywhere(task):
+def crash_everywhere(device1, device2, **options):
     raise RuntimeError("injected crash")
 
 
@@ -33,18 +35,18 @@ class TestCrashingWorker:
         real = parallel._count_pair
         devices, _ = gateway_fleet(count=4, outliers=1, rule_count=6, seed=3)
 
-        def poisoned(task):
-            if {task[0].hostname, task[1].hostname} == {
+        def poisoned(device1, device2, **options):
+            if {device1.hostname, device2.hostname} == {
                 devices[0].hostname,
                 devices[1].hostname,
             }:
                 raise RuntimeError("injected crash")
-            return real(task)
+            return real(device1, device2, **options)
 
         monkeypatch.setattr(parallel, "_count_pair", poisoned)
         pairs = [(devices[0], devices[1]), (devices[1], devices[2]), (devices[2], devices[3])]
         outcomes = parallel.pairwise_count_outcomes(pairs)
-        assert [o.status for o in outcomes] == ["error", "ok", "ok"]
+        assert [o.ok for o in outcomes] == [False, True, True]
         assert "injected crash" in outcomes[0].error
         assert outcomes[0].retried  # the automatic retry ran and also failed
         assert all(isinstance(o.result, int) for o in outcomes[1:])
@@ -55,12 +57,12 @@ class TestCrashingWorker:
         real = parallel._count_pair
         seen = set()
 
-        def first_attempt_crash(task):
-            pair = (task[0].hostname, task[1].hostname)
+        def first_attempt_crash(device1, device2, **options):
+            pair = (device1.hostname, device2.hostname)
             if pair not in seen:
                 seen.add(pair)
                 raise RuntimeError("injected crash")
-            return real(task)
+            return real(device1, device2, **options)
 
         monkeypatch.setattr(parallel, "_count_pair", first_attempt_crash)
         d1, d2 = figure1_devices()
@@ -71,20 +73,29 @@ class TestCrashingWorker:
         ] * 2
 
     def test_retry_disabled(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_count_pair", crash_everywhere)
+        """Retry is disabled for a budget abort: the abort is the
+        answer to the budget the pair was given."""
+        calls = []
+
+        def aborted(device1, device2, **options):
+            calls.append(device1.hostname)
+            raise PairAborted("budget spent")
+
+        monkeypatch.setattr(parallel, "_count_pair", aborted)
         d1, d2 = figure1_devices()
-        outcomes = parallel.pairwise_count_outcomes(
-            [(d1, d2)] * 2, retry=False
-        )
-        assert all(o.status == "error" and not o.retried for o in outcomes)
+        outcomes = parallel.pairwise_count_outcomes([(d1, d2)] * 2)
+        assert len(calls) == 2  # one attempt per pair
+        assert all(o.aborted and not o.retried for o in outcomes)
+        assert outcomes[0].describe() == "error: PairAborted: budget spent"
 
     def test_serial_path_isolates_failures_too(self, monkeypatch):
         monkeypatch.setattr(parallel, "_count_pair", crash_everywhere)
         d1, d2 = figure1_devices()
-        outcomes = parallel.pairwise_count_outcomes(
-            [(d1, d2)], retry=False
+        outcomes = parallel.pairwise_count_outcomes([(d1, d2)])
+        assert not outcomes[0].ok
+        assert outcomes[0].describe() == (
+            "error: RuntimeError: injected crash (after retry)"
         )
-        assert outcomes[0].status == "error"
 
 
 class TestFleetFaults:
@@ -102,10 +113,10 @@ class TestFleetFaults:
         # recomputes (and heals) it.
         doomed = {names[-1], names[-2]}
 
-        def faulty(task):
-            if {task[0].hostname, task[1].hostname} == doomed:
+        def faulty(device1, device2, **options):
+            if {device1.hostname, device2.hostname} == doomed:
                 raise RuntimeError("injected crash")
-            return real(task)
+            return real(device1, device2, **options)
 
         # compress="off": the injected fault targets *hostnames*, which
         # symmetry compression would reroute through class
@@ -141,10 +152,10 @@ class TestFleetFaults:
         doomed = {device.hostname for device in devices}
         real = parallel._count_pair
 
-        def faulty(task):
-            if {task[0].hostname, task[1].hostname} <= doomed:
+        def faulty(device1, device2, **options):
+            if {device1.hostname, device2.hostname} <= doomed:
                 raise RuntimeError("injected crash")
-            return real(task)
+            return real(device1, device2, **options)
 
         monkeypatch.setattr(parallel, "_count_pair", faulty)
         with pytest.raises(RuntimeError) as excinfo:
